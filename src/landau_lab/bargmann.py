@@ -23,7 +23,7 @@ import numpy as np
 
 from .fock import (FULL, FockOperator, GradedBasis, PolyZZbar, ladder_matrices,
                    mi_add, mi_degree, mi_factorial, mi_leq, mi_sub, mi_unit,
-                   multi_indices, multi_indices_of_degree)
+                   multi_indices_of_degree)
 from .radicals import CRad, Rad
 
 # ---------------------------------------------------------------------------
@@ -125,20 +125,6 @@ def norm_sq(f: PolyZZbar) -> Fraction:
     if not val.im.is_zero():
         raise AssertionError("squared norm must be real")
     return val.re.as_fraction()
-
-
-def gram_matrix(basis: GradedBasis) -> dict[tuple[int, int], CRad]:
-    """Pairing of the plain monomial labels of a full-kind basis."""
-    if basis.kind != FULL:
-        raise ValueError("gram_matrix describes the full kind")
-    out: dict[tuple[int, int], CRad] = {}
-    for i, (a, b) in enumerate(basis.labels):
-        fi = PolyZZbar.monomial(basis.n, a, b)
-        for j, (c, d) in enumerate(basis.labels):
-            val = gram_inner(fi, PolyZZbar.monomial(basis.n, c, d))
-            if val:
-                out[(i, j)] = val
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -328,32 +314,6 @@ def op_of(basis: GradedBasis, q: PolyZZbar) -> FockOperator:
     out = FockOperator.zero(basis)
     for (alpha, beta), c in _p_coefficients(basis.n, q).items():
         out = out + tilde_rho(basis, alpha, beta).scale(c)
-    return out
-
-
-def op_quadrature_apply(q: PolyZZbar, f: PolyZZbar, points: np.ndarray,
-                        nodes: int = 40) -> np.ndarray:
-    """Oracle: evaluate (Op(q) f) at points by Gauss-Hermite quadrature."""
-    n = q.n
-    if n > 2:
-        raise ValueError("quadrature oracle supports n <= 2")
-    t, w = gauss_hermite_points(nodes)
-    if n == 1:
-        X, Y = np.meshgrid(t, t, indexing="ij")
-        v = (X + 1j * Y).ravel().reshape(-1, 1)
-        weights = np.outer(w, w).ravel()
-    else:
-        X1, Y1, X2, Y2 = np.meshgrid(t, t, t, t, indexing="ij")
-        v = np.stack([(X1 + 1j * Y1).ravel(), (X2 + 1j * Y2).ravel()], axis=1)
-        weights = (w[:, None, None, None] * w[None, :, None, None]
-                   * w[None, None, :, None] * w[None, None, None, :]).ravel()
-    fv = f.evaluate(v)
-    points = np.atleast_2d(np.asarray(points, dtype=complex).reshape(-1, n))
-    out = np.empty(points.shape[0], dtype=complex)
-    for idx, u in enumerate(points):
-        expo = np.exp(np.sum(u[None, :] * np.conj(v), axis=1))
-        qv = q.evaluate(u[None, :] - v)
-        out[idx] = np.sum(weights * expo * qv * fv) / np.pi ** n
     return out
 
 

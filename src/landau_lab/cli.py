@@ -86,6 +86,12 @@ def _kv_pairs(text: str, what: str) -> dict:
     return out
 
 
+def _kv_value(kv: dict, key: str, what: str) -> str:
+    if key not in kv:
+        raise ValueError("%s needs %s=..." % (what, key))
+    return kv[key]
+
+
 def _strip_prefix(token: str, prefix: str) -> str:
     return token[len(prefix):] if token.startswith(prefix) else token
 
@@ -112,10 +118,12 @@ def _config_from_args(args) -> ExperimentConfig:
             raise ValueError("pass --surface and/or --torus")
         if args.surface is not None:
             kv = _kv_pairs(args.surface, "--surface")
-            params["surface"] = {"g": int(kv["g"]), "d": int(kv["d"])}
+            params["surface"] = {"g": int(_kv_value(kv, "g", "--surface")),
+                                 "d": int(_kv_value(kv, "d", "--surface"))}
         if args.torus is not None:
             kv = _kv_pairs(args.torus, "--torus")
-            params["torus"] = {"d_list": [int(x) for x in kv["d"].split(":")]}
+            params["torus"] = {"d_list": [
+                int(x) for x in _kv_value(kv, "d", "--torus").split(":")]}
         return ExperimentConfig("dim", params, seed=args.seed)
     if args.command == "torus":
         ks = [int(tok) for tok in args.k.split(",") if tok]
@@ -175,7 +183,7 @@ def main(argv=None) -> int:
     except GuardError as exc:
         print("guard tripped: %s" % exc, file=sys.stderr)
         return 1
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     if args.command == "fock" and not body.get("all_passed", True):

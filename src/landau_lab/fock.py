@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from fractions import Fraction
 from math import factorial
 
 import numpy as np
@@ -555,15 +554,3 @@ def _mult_zbar(basis: GradedBasis, i: int) -> FockOperator:
         if sum(a) + sum(b) <= D - 1:
             ent[(basis.index((a, mi_add(b, mi_unit(n, i)))), col)] = 1
     return FockOperator(basis, ent, parity=1, exactness_degree=D - 1)
-
-
-def compose(A: FockOperator, B: FockOperator) -> FockOperator:
-    return A.compose(B)
-
-
-def adjoint(A: FockOperator) -> FockOperator:
-    return A.adjoint()
-
-
-def parity_split(A: FockOperator) -> tuple[FockOperator, FockOperator]:
-    return A.parity_split()

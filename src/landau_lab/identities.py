@@ -8,11 +8,10 @@ The suite backs both the command-line ledger and the acceptance tests.
 from __future__ import annotations
 
 import random
-import time
 from fractions import Fraction
 
 from . import bargmann as bg
-from .fock import (ANTIHOLOMORPHIC, FULL, FockOperator, GradedBasis, PolyZZbar,
+from .fock import (ANTIHOLOMORPHIC, FULL, FockOperator, PolyZZbar,
                    enumerate_basis, ladder_matrices, mi_degree, mi_factorial,
                    mi_unit, multi_indices, multi_indices_of_degree, pi_m,
                    rho_ab, rho_tangent)
@@ -37,7 +36,6 @@ def run_identity_checks(n: int, degree: int, seed: int = 0) -> list[dict]:
     if not 2 <= degree <= 8:
         raise ValueError("degree must be between 2 and 8")
     rng = random.Random(seed)
-    t0 = time.time()
     results: list[dict] = []
 
     def record(name, passed, detail=""):
@@ -285,10 +283,6 @@ def run_identity_checks(n: int, degree: int, seed: int = 0) -> list[dict]:
         if not (rep["matches_op_uv"] or rep["matches_op_vu"]):
             ok = False
     record("star_order_report", ok, detail=repr(star_rows))
-
-    elapsed = time.time() - t0
-    results.append({"name": "elapsed_seconds", "passed": True,
-                    "detail": "%.2f" % elapsed})
     return results
 
 

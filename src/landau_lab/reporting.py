@@ -115,10 +115,9 @@ def _run_fock(config: ExperimentConfig) -> dict:
     n = int(config.params.get("n", 1))
     degree = int(config.params.get("degree", 6))
     results = run_identity_checks(n, degree, seed=config.seed)
-    checks = [r for r in results if r["name"] != "elapsed_seconds"]
     return {"config": config.to_dict(),
             "identities": results,
-            "all_passed": all(r["passed"] for r in checks)}
+            "all_passed": all(r["passed"] for r in results)}
 
 
 def _run_surface(config: ExperimentConfig) -> dict:
@@ -172,10 +171,8 @@ def _run_torus(config: ExperimentConfig) -> dict:
                   "residuals": {}}
     eigen_rows = []
     for k in ks:
-        count = (levels + 1) * k * d + 4
-        dec = T.compute_spectrum(d, k, N, count=count, seed=seed)
+        dec, cls = T.resolve_levels(d, k, N, levels - 1, seed=seed)
         body["residuals"][str(k)] = dec.residual_max
-        cls = T.detect_clusters(dec.eigenvalues, k, levels=levels)
         body["clusters"][str(k)] = [
             {"m": c["m"], "count": c["count"], "center": c["center"],
              "mean_scaled": c["mean_scaled"]} for c in cls]

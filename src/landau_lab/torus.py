@@ -9,13 +9,19 @@ exp(i*k*Lambda*y).  Every plaquette then has the constant phase
 exp(-i*k*h^2); this orientation makes (cov_x + i cov_y) the lowering
 direction between clusters, matching the flat Bargmann model.
 
-The Laplacian is the standard five-point covariant form, (1/2) nabla* nabla.
-Eigensolves are cached per (d, k, N) and shared by the experiment drivers.
+The Laplacian is the standard five-point covariant form, (1/2) nabla* nabla,
+assembled and checked for hermiticity once per bundle.  `resolve_levels` is
+the one spectral entry point: from (d, k, N, top level, seed) it returns the
+spectrum, cached per (d, k, N, seed) and shared by the experiment drivers,
+and the clusters of levels 0..top.  Each cluster is a unit window of
+lambda/k (`detect_clusters`), and its count must equal the Riemann-Roch
+number k*d of its level; a mismatch trips a GuardError instead of
+mislabelling the levels above it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial, pi, sqrt
 
 import numpy as np
@@ -24,6 +30,12 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import subspace_angles
 
 from .bargmann import laguerre_q
+from .dimensions import dim_torus
+
+# Eigen-residual bound, relative to a norm bound of H.
+RESIDUAL_TOL = 1e-9
+# Orthonormality bound for a cluster frame after QR.
+GRAM_TOL = 1e-10
 
 
 class GuardError(RuntimeError):
@@ -148,6 +160,13 @@ class DiscreteBundle:
         self._uy = uy
         self._shift_x = self._shift(ux, axis=0)
         self._shift_y = self._shift(uy, axis=1)
+        Sx, Sy = self._shift_x, self._shift_y
+        H = (4 * sp.identity(N * N, dtype=complex, format="csr")
+             - Sx - Sx.getH() - Sy - Sy.getH()) / (2 * self.h ** 2)
+        herm = abs(H - H.getH()).max()
+        if herm > 1e-13 / self.h ** 2:
+            raise GuardError("laplacian lost hermiticity: %g" % herm)
+        self._H = H.tocsr()
 
     def _shift(self, phases: np.ndarray, axis: int) -> sp.csr_matrix:
         """Matrix sending psi(p) to phases(p) * psi(p + e_axis)."""
@@ -172,14 +191,8 @@ class DiscreteBundle:
                 * np.conj(uy))
 
     def laplacian(self) -> sp.csr_matrix:
-        N2 = self.N ** 2
-        Sx, Sy = self._shift_x, self._shift_y
-        H = (4 * sp.identity(N2, dtype=complex, format="csr")
-             - Sx - Sx.getH() - Sy - Sy.getH()) / (2 * self.h ** 2)
-        herm = abs(H - H.getH()).max()
-        if herm > 1e-13 / self.h ** 2:
-            raise GuardError("laplacian lost hermiticity: %g" % herm)
-        return H.tocsr()
+        """The covariant Laplacian H, assembled once in the constructor."""
+        return self._H
 
     def cov_x(self) -> sp.csr_matrix:
         """Central covariant x-derivative; anti-Hermitian."""
@@ -191,10 +204,6 @@ class DiscreteBundle:
         return (Sy - Sy.getH()) / (2 * self.h)
 
 
-def build_laplacian(bundle: DiscreteBundle) -> sp.csr_matrix:
-    return bundle.laplacian()
-
-
 @dataclass
 class SpectralDecomposition:
     bundle: DiscreteBundle
@@ -204,41 +213,30 @@ class SpectralDecomposition:
     seed: int = 0
 
 
-def lowest_spectrum(bundle: DiscreteBundle, count: int, seed: int = 0,
-                    residual_tol: float = 1e-9) -> SpectralDecomposition:
+def lowest_spectrum(bundle: DiscreteBundle, count: int,
+                    seed: int = 0) -> SpectralDecomposition:
     """Lowest eigenpairs by shift-invert Lanczos with a deterministic start
-    vector; falls back to a dense solve on small grids if the iteration fails.
-    Residuals are checked against residual_tol times a norm bound."""
+    vector.  Residuals are checked against RESIDUAL_TOL times a norm bound."""
     H = bundle.laplacian()
-    n = H.shape[0]
     rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    try:
-        vals, vecs = spla.eigsh(H, k=count, sigma=0, which="LM", v0=v0.real)
-    except Exception:
-        if bundle.N > 96:
-            raise
-        dense = H.toarray()
-        allvals, allvecs = np.linalg.eigh(dense)
-        vals, vecs = allvals[:count], allvecs[:, :count]
+    vals, vecs = spla.eigsh(H, k=count, sigma=0, which="LM",
+                            v0=rng.standard_normal(H.shape[0]))
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     norm_bound = float(abs(H).sum(axis=0).max())
     resid = max(np.linalg.norm(H @ vecs[:, j] - vals[j] * vecs[:, j])
                 for j in range(count))
-    if resid > residual_tol * norm_bound:
-        raise GuardError("eigen-residual %g exceeds %g" % (resid, residual_tol * norm_bound))
+    if resid > RESIDUAL_TOL * norm_bound:
+        raise GuardError("eigen-residual %g exceeds %g" % (resid, RESIDUAL_TOL * norm_bound))
     return SpectralDecomposition(bundle, vals, vecs, resid, seed)
 
 
 _SPECTRUM_CACHE: dict[tuple, SpectralDecomposition] = {}
 
 
-def compute_spectrum(d: int, k: int, N: int, count: int | None = None,
+def compute_spectrum(d: int, k: int, N: int, count: int,
                      seed: int = 0) -> SpectralDecomposition:
-    """Cached spectral data for the (d, k, N) lattice model."""
-    if count is None:
-        count = 3 * k * d + 6
+    """Cached lowest count eigenpairs of the (d, k, N) lattice model."""
     key = (d, k, N, seed)
     cached = _SPECTRUM_CACHE.get(key)
     if cached is not None and len(cached.eigenvalues) >= count:
@@ -249,46 +247,59 @@ def compute_spectrum(d: int, k: int, N: int, count: int | None = None,
     return dec
 
 
-def detect_clusters(eigenvalues: np.ndarray, k: int, n: int = 1,
-                    levels: int | None = None) -> list[dict]:
-    """Group eigenvalues by the unit windows of lambda/k around n/2 + m.
+def detect_clusters(eigenvalues: np.ndarray, k: int, levels: int) -> list[dict]:
+    """Group eigenvalues into the clusters m < levels: cluster m is the unit
+    window [m, m + 1) of lambda/k around the level center m + 1/2.
 
-    Only windows that close below the largest computed eigenvalue are
-    returned, so every reported cluster is complete.
+    Every window must close below the largest computed eigenvalue, so every
+    reported cluster is complete.  Each record carries its window.
     """
     scaled = np.asarray(eigenvalues, dtype=float) / k
     top = scaled.max() if len(scaled) else 0.0
     out = []
-    m = 0
-    while True:
-        if levels is not None and m >= levels:
-            break
-        lo = 0.0 if m == 0 else n / 2 + m - 0.5
-        hi = n / 2 + m + 0.5
+    for m in range(levels):
+        lo, hi = float(m), m + 1.0
         if hi >= top:
-            if levels is not None:
-                raise GuardError("cluster m=%d is not fully resolved; compute "
-                                 "more eigenvalues" % m)
-            break
+            raise GuardError("cluster m=%d is not fully resolved; compute "
+                             "more eigenvalues" % m)
         idx = np.nonzero((scaled >= lo) & (scaled < hi))[0]
         out.append({"m": m, "indices": idx, "count": int(len(idx)),
                     "mean_scaled": float(scaled[idx].mean()) if len(idx) else None,
-                    "center": n / 2 + m})
-        m += 1
+                    "center": m + 0.5, "window": (lo, hi)})
     return out
+
+
+def level_clusters(dec: SpectralDecomposition, levels: int) -> list[dict]:
+    """The clusters m < levels of a spectrum, each count checked against the
+    Riemann-Roch dimension k*d of level m on the degree-d torus."""
+    k, d = dec.bundle.k, dec.bundle.geometry.d
+    clusters = detect_clusters(dec.eigenvalues, k, levels=levels)
+    for c in clusters:
+        want = dim_torus(1, k, [d], c["m"]).value
+        if c["count"] != want:
+            raise GuardError("cluster m=%d holds %d eigenvalues, but the "
+                             "Riemann-Roch count k*d is %d" % (c["m"], c["count"], want))
+    return clusters
+
+
+def resolve_levels(d: int, k: int, N: int, top: int,
+                   seed: int = 0) -> tuple[SpectralDecomposition, list[dict]]:
+    """The spectrum of the (d, k, N) model with levels 0..top resolved, and
+    their count-checked clusters.
+
+    The solve asks for the k*d states of levels 0..top + 1 and four more,
+    so that the window of level top closes below the largest eigenvalue.
+    """
+    dec = compute_spectrum(d, k, N, count=(top + 2) * k * d + 4, seed=seed)
+    return dec, level_clusters(dec, top + 1)
 
 
 class LandauProjector:
     """Orthogonal projector onto one resolved cluster, stored as its
     orthonormal column frame."""
 
-    def __init__(self, dec: SpectralDecomposition, m: int,
-                 gram_tol: float = 1e-10):
-        clusters = detect_clusters(dec.eigenvalues, dec.bundle.k,
-                                   levels=m + 1)
-        cl = clusters[m]
-        if cl["count"] == 0:
-            raise GuardError("cluster m=%d is empty" % m)
+    def __init__(self, dec: SpectralDecomposition, m: int):
+        cl = level_clusters(dec, m + 1)[m]
         V = dec.vectors[:, cl["indices"]]
         # Within a numerically degenerate cluster the iterative solver can
         # return a skewed (non-orthogonal) block; the span is what matters,
@@ -300,23 +311,19 @@ class LandauProjector:
                              "singular value %g" % sv.min())
         Q, _ = np.linalg.qr(V)
         gram_defect = np.linalg.norm(Q.conj().T @ Q - np.eye(Q.shape[1]), 2)
-        if gram_defect > gram_tol:
+        if gram_defect > GRAM_TOL:
             raise GuardError("cluster frame is not orthonormal: %g" % gram_defect)
         # The real correctness check: compressing the Laplacian to the span
         # must keep every Ritz value inside this cluster's window.
         H = dec.bundle.laplacian()
         ritz = np.linalg.eigvalsh(Q.conj().T @ (H @ Q)) / dec.bundle.k
-        n = 1
-        lo = 0.0 if m == 0 else n / 2 + m - 0.5
-        hi = n / 2 + m + 0.5
+        lo, hi = cl["window"]
         if ritz.min() < lo - 1e-6 or ritz.max() > hi + 1e-6:
             raise GuardError("cluster span leaks outside its window: Ritz "
                              "values in [%g, %g]" % (ritz.min(), ritz.max()))
-        # P = Q Q*; idempotency defect equals the gram defect and P is
-        # hermitian by construction.
+        # P = Q Q* is hermitian by construction, and its idempotency defect
+        # is the gram defect.
         self.gram_defect = float(gram_defect)
-        self.idempotency_defect = float(gram_defect)
-        self.hermiticity_defect = 0.0
         self.V = Q
         self.m = m
         self.bundle = dec.bundle
@@ -443,7 +450,7 @@ def asymptotic_defects(d: int, ks, m: int, f: TrigPoly, g: TrigPoly,
     """
     out = {"ks": list(ks), "D2": [], "D1": [], "DB": [], "dims": []}
     for k in ks:
-        dec = compute_spectrum(d, k, N, count=(m + 2) * k * d + 4, seed=seed)
+        dec, _ = resolve_levels(d, k, N, m, seed=seed)
         proj = LandauProjector(dec, m)
         Tf = toeplitz_fn(proj, f).matrix
         Tg = toeplitz_fn(proj, g).matrix
@@ -486,7 +493,7 @@ def kernel_error(d: int, k: int, m: int, N: int = 64, seed: int = 0) -> dict:
     Off-diagonal pairs keep |x - y| <= Lambda/4 with base points in the
     interior half-window, so no straight segment crosses the chart seam.
     """
-    dec = compute_spectrum(d, k, N, count=(m + 2) * k * d + 4, seed=seed)
+    dec, _ = resolve_levels(d, k, N, m, seed=seed)
     proj = LandauProjector(dec, m)
     b = proj.bundle
     lam = b.geometry.side
@@ -516,7 +523,7 @@ def ladder_map(d: int, k: int, m: int, N: int = 64, seed: int = 0) -> dict:
     derivative (cov_x + i cov_y)/sqrt(2).  Also reports the principal angles
     between cluster m and the raised image of cluster 0.
     """
-    dec = compute_spectrum(d, k, N, count=(m + 2) * k * d + 4, seed=seed)
+    dec, _ = resolve_levels(d, k, N, m, seed=seed)
     p0 = LandauProjector(dec, 0)
     pm = LandauProjector(dec, m)
     b = p0.bundle
@@ -585,7 +592,7 @@ def peaked_defect(d: int, k: int, coeffs, m: int, N: int = 64, seed: int = 0) ->
     For a pure degree-m modulation the peak should lie near cluster m: the
     report carries ||P_m phi - phi|| / ||phi|| and the continuum norm.
     """
-    dec = compute_spectrum(d, k, N, count=(m + 2) * k * d + 4, seed=seed)
+    dec, _ = resolve_levels(d, k, N, m, seed=seed)
     proj = LandauProjector(dec, m)
     b = proj.bundle
     phi = peaked_section(b, coeffs)
@@ -604,7 +611,7 @@ def peaked_gram(d: int, k: int, coeff_list, N: int = 64, seed: int = 0) -> dict:
     Gram matrix, the worst absolute deviation, and the relative projection
     defect of each section onto the lowest cluster.
     """
-    dec = compute_spectrum(d, k, N, count=2 * k * d + 4, seed=seed)
+    dec, _ = resolve_levels(d, k, N, 0, seed=seed)
     proj = LandauProjector(dec, 0)
     b = proj.bundle
     phis = [peaked_section(b, c) for c in coeff_list]

@@ -1,8 +1,11 @@
 import csv
+import itertools
 import json
+import time
 
 import pytest
 
+from landau_lab import torus
 from landau_lab.cli import main
 
 
@@ -68,6 +71,11 @@ def test_dim_bad_syntax_is_config_error(capsys):
     assert main(["dim", "--surface", "genus:2"]) == 2
 
 
+def test_dim_missing_key_is_config_error(capsys):
+    assert main(["dim", "--surface", "g=2"]) == 2
+    assert "--surface needs d=" in capsys.readouterr().err
+
+
 def test_csv_unavailable_for_fock(capsys):
     code = main(["--format", "csv", "fock", "--check-identities",
                  "--n", "1", "--degree", "2"])
@@ -87,6 +95,16 @@ def test_torus_guard_exit(capsys):
                  "--levels", "1"])
     assert code == 1
     assert "guard tripped" in capsys.readouterr().err
+
+
+def test_torus_count_guard_exit(capsys):
+    # From level 25 up the unit windows of lambda/k no longer hold one level
+    # each on this grid; window 25 holds 8 eigenvalues against k*d = 4.
+    code = main(["torus", "--d", "1", "--k", "4", "--grid", "64",
+                 "--levels", "40"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "guard tripped" in err and "m=25" in err
 
 
 def test_torus_json_with_side_csv(tmp_path, capsys):
@@ -110,3 +128,30 @@ def test_torus_csv_stdout(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "k,index,eigenvalue"
     assert float(lines[1].split(",")[2]) > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["fock", "--check-identities", "--n", "1", "--degree", "4"],
+    ["surface", "--genus", "2", "--B", "5", "--levels", "2"],
+    ["dim", "--surface", "g=2,d=10", "--torus", "d=1:2", "--k", "3"],
+    ["torus", "--d", "1", "--k", "4", "--grid", "32", "--levels", "2"],
+], ids=lambda argv: argv[0])
+def test_reports_identical_across_runs(tmp_path, monkeypatch, argv):
+    # Each run solves afresh, as a separate CLI process would, and sees a
+    # clock running at its own speed, so a report field that records a
+    # duration differs between the runs.
+    monkeypatch.setattr(torus, "_SPECTRUM_CACHE", {})
+    docs = []
+    for run in range(2):
+        torus._SPECTRUM_CACHE.clear()
+        clock = itertools.count(0.0, 1.0 + run)
+        monkeypatch.setattr(time, "time", lambda: next(clock))
+        monkeypatch.setattr(time, "perf_counter", lambda: next(clock))
+        out = tmp_path / ("run%d.json" % run)
+        assert main(["--out", str(out)] + argv) == 0
+        doc = json.loads(out.read_text())
+        del doc["generated_at"]
+        if "eigenvalue_csv" in doc:
+            doc["eigenvalue_csv"] = (tmp_path / doc["eigenvalue_csv"]).read_text()
+        docs.append(doc)
+    assert docs[0] == docs[1]

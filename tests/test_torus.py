@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -87,12 +88,23 @@ def test_projector_structure():
     proj = LandauProjector(dec, 1)
     assert proj.dim == 4
     assert proj.gram_defect < 1e-10
-    assert proj.idempotency_defect < 1e-10
+    P = proj.V @ proj.V.conj().T
+    assert np.linalg.norm(P @ P - P, 2) < 1e-10
     # kernel diagonal is real and positive
     col = proj.kernel_column(proj.bundle.site_index(16, 16))
     p = proj.bundle.site_index(16, 16)
     assert abs(col[p].imag) < 1e-12 * abs(col[p])
     assert col[p].real > 0
+
+
+def test_projector_rejects_a_miscounted_cluster():
+    dec = compute_spectrum(1, 4, 32, count=18)
+    keep = np.arange(len(dec.eigenvalues)) != 5  # one of level 1's k*d = 4
+    short = dataclasses.replace(dec, eigenvalues=dec.eigenvalues[keep],
+                                vectors=dec.vectors[:, keep])
+    LandauProjector(short, 0)
+    with pytest.raises(GuardError, match="m=1 holds 3 eigenvalues"):
+        LandauProjector(short, 1)
 
 
 def test_sharpen_projector_behavior():
