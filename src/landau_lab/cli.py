@@ -3,13 +3,14 @@
 Subcommands: fock (exact identity ledger), surface (closed-form spectra),
 dim (dimension counts), torus (lattice spectral experiments).  Exit codes:
 0 on success, 1 when a numerical guard trips or an identity fails, 2 for
-configuration errors.
+configuration errors, 3 for an internal error (a bug), with its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from pathlib import Path
 
 from .reporting import (ExperimentConfig, emit_report, run_experiment,
@@ -25,7 +26,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", type=Path, default=None,
                         help="write the report here instead of stdout")
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed for solver start vectors and sampling")
+                        help="seed for the identity suite's sampled cases "
+                             "and the lattice solver's start vectors; lattice "
+                             "results do not depend on it")
     parser.add_argument("--format", choices=("json", "csv"), default="json",
                         help="output format (csv only for tabular reports)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -186,6 +189,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception:
+        print("internal error:\n%s" % traceback.format_exc(), file=sys.stderr,
+              end="")
+        return 3
     if args.command == "fock" and not body.get("all_passed", True):
         return 1
     return 0

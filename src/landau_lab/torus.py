@@ -10,7 +10,17 @@ exp(-i*k*h^2); this orientation makes (cov_x + i cov_y) the lowering
 direction between clusters, matching the flat Bargmann model.
 
 The Laplacian is the standard five-point covariant form, (1/2) nabla* nabla,
-assembled and checked for hermiticity once per bundle.  `resolve_levels` is
+assembled and checked for hermiticity once per bundle.
+
+The solver uses the Landau gauge.  A discrete Fourier transform in y makes
+the y-links diagonal, and the wrap column shifts the y-mode by k*d, so H
+splits exactly into g = gcd(N, k*d) independent real symmetric Harper rings
+of N^2/g sites (Harper 1955; Hofstadter 1976).  LAPACK bisection on each
+ring finds the lowest eigenvalues and how many of them each ring holds;
+shift-invert Lanczos on each ring finds the vectors.  A completeness guard
+requires the Lanczos values to equal the bisection ones, so a skipped
+eigenvalue trips a GuardError, and every pair, mapped back to the grid by
+an inverse FFT in y, is checked against the real-space H.  `resolve_levels` is
 the one spectral entry point: from (d, k, N, top level, seed) it returns the
 spectrum, cached per (d, k, N, seed) and shared by the experiment drivers,
 and the clusters of levels 0..top.  Each cluster is a unit window of
@@ -22,19 +32,19 @@ mislabelling the levels above it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, pi, sqrt
+from math import factorial, gcd, pi, sqrt
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import subspace_angles
+from scipy.linalg import eig_banded, subspace_angles
 
 from .bargmann import laguerre_q
 from .dimensions import dim_torus
 
 # Eigen-residual bound, relative to a norm bound of H.
 RESIDUAL_TOL = 1e-9
-# Orthonormality bound for a cluster frame after QR.
+# Orthonormality bound for a cluster frame.
 GRAM_TOL = 1e-10
 
 
@@ -213,17 +223,91 @@ class SpectralDecomposition:
     seed: int = 0
 
 
+def _harper_rings(bundle: DiscreteBundle):
+    """The Landau-gauge rings of H, as (modes, ring matrix) per ring.
+
+    Ring q0 < g = gcd(N, k*d) visits the sites s = v*N + i <-> (i, modes[v])
+    with modes[v] = (q0 - k*d*v) mod N.  Its diagonal is
+    c*(4 - 2*cos(2*pi*q0/N - 2*pi*k*d*s/N^2)) with c = 1/(2h^2), and its
+    hopping is -c, the link from s = L - 1 back to s = 0 included.
+    """
+    N, kd = bundle.N, bundle.k * bundle.geometry.d
+    c = 1.0 / (2 * bundle.h ** 2)
+    g = gcd(N, kd)
+    L = N * N // g
+    s = np.arange(L)
+    rows = np.concatenate([s, s, (s + 1) % L])
+    cols = np.concatenate([s, (s + 1) % L, s])
+    for q0 in range(g):
+        diag = c * (4 - 2 * np.cos(2 * pi * q0 / N - 2 * pi * kd * s / N ** 2))
+        vals = np.concatenate([diag, np.full(2 * L, -c)])
+        yield ((q0 - kd * np.arange(N // g)) % N,
+               sp.csc_matrix((vals, (rows, cols)), shape=(L, L)))
+
+
+def _zigzag_band(A: sp.csc_matrix) -> np.ndarray:
+    """Lower band form of a ring matrix in the order 0, L-1, 1, L-2, ...,
+    in which every ring link joins rows at most two apart."""
+    L = A.shape[0]
+    perm = np.empty(L, dtype=int)
+    perm[0::2] = np.arange((L + 1) // 2)
+    perm[1::2] = L - 1 - np.arange(L // 2)
+    Z = A[perm][:, perm]
+    return np.array([np.pad(Z.diagonal(-off), (0, off)) for off in range(3)])
+
+
 def lowest_spectrum(bundle: DiscreteBundle, count: int,
                     seed: int = 0) -> SpectralDecomposition:
-    """Lowest eigenpairs by shift-invert Lanczos with a deterministic start
-    vector.  Residuals are checked against RESIDUAL_TOL times a norm bound."""
+    """Lowest eigenpairs of H from its Landau-gauge rings.
+
+    LAPACK bisection gives each ring's lowest eigenvalues; merged, they fix
+    the global lowest `count` and each ring's share.  Shift-invert Lanczos
+    on each real ring, from a seeded start vector, gives the vectors, and
+    its values must match the bisection ones, or it skipped an eigenvalue.
+    Vectors map back to the grid by an inverse FFT in y, and every pair is
+    checked against the real-space H.
+    """
     H = bundle.laplacian()
-    rng = np.random.default_rng(seed)
-    vals, vecs = spla.eigsh(H, k=count, sigma=0, which="LM",
-                            v0=rng.standard_normal(H.shape[0]))
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
+    N = bundle.N
     norm_bound = float(abs(H).sum(axis=0).max())
+    rings = list(_harper_rings(bundle))
+    L = rings[0][1].shape[0]
+    lows = [eig_banded(_zigzag_band(A), lower=True, eigvals_only=True,
+                       select="i", select_range=(0, min(count, L) - 1))
+            for _, A in rings]
+    owner = np.repeat(np.arange(len(rings)), [len(v) for v in lows])
+    lowest = np.argsort(np.concatenate(lows), kind="stable")[:count]
+    shares = np.bincount(owner[lowest], minlength=len(rings))
+    rng = np.random.default_rng(seed)
+    found = []
+    for (modes, A), low, n_r in zip(rings, lows, shares):
+        if n_r == 0:
+            continue
+        vals, vecs = spla.eigsh(A, k=n_r, sigma=0, which="LM",
+                                v0=rng.standard_normal(L))
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
+        skip = np.max(np.abs(vals - low[:n_r]))
+        if skip > RESIDUAL_TOL * norm_bound:
+            raise GuardError("ring eigensolve missed an eigenvalue: its values "
+                             "are %g from the bisection ones" % skip)
+        found.append((modes, vals, vecs))
+    vals = np.concatenate([f[1] for f in found])
+    order = np.argsort(vals, kind="stable")
+    column = np.empty(count, dtype=int)
+    column[order] = np.arange(count)
+    # phi[q, i, n]: y-mode q at x-site i of output column n.
+    phi = np.zeros((N, N, count), dtype=complex)
+    start = 0
+    for modes, _, vecs in found:
+        n_r = vecs.shape[1]
+        cols = column[start:start + n_r]
+        phi[modes[:, None, None], np.arange(N)[:, None], cols] = \
+            vecs.reshape(len(modes), N, n_r)
+        start += n_r
+    # Back to the grid, p = i + N*j: row j*N + i of the transformed array.
+    vecs = (np.fft.ifft(phi, axis=0) * sqrt(N)).reshape(N * N, count)
+    vals = vals[order]
     resid = max(np.linalg.norm(H @ vecs[:, j] - vals[j] * vecs[:, j])
                 for j in range(count))
     if resid > RESIDUAL_TOL * norm_bound:
@@ -301,30 +385,25 @@ class LandauProjector:
     def __init__(self, dec: SpectralDecomposition, m: int):
         cl = level_clusters(dec, m + 1)[m]
         V = dec.vectors[:, cl["indices"]]
-        # Within a numerically degenerate cluster the iterative solver can
-        # return a skewed (non-orthogonal) block; the span is what matters,
-        # so orthonormalize it.  A near-zero singular value would mean a
-        # duplicated vector, i.e. a rank-deficient span.
-        sv = np.linalg.svd(V, compute_uv=False)
-        if sv.min() < 0.02:
-            raise GuardError("cluster frame is rank deficient: smallest "
-                             "singular value %g" % sv.min())
-        Q, _ = np.linalg.qr(V)
-        gram_defect = np.linalg.norm(Q.conj().T @ Q - np.eye(Q.shape[1]), 2)
+        # Ring frames are orthonormal by construction: rings have disjoint
+        # Fourier support, and Lanczos vectors within a ring are orthonormal.
+        # A gram defect below GRAM_TOL also puts every singular value of V
+        # within GRAM_TOL of 1, so the frame has full rank.
+        gram_defect = np.linalg.norm(V.conj().T @ V - np.eye(V.shape[1]), 2)
         if gram_defect > GRAM_TOL:
             raise GuardError("cluster frame is not orthonormal: %g" % gram_defect)
         # The real correctness check: compressing the Laplacian to the span
         # must keep every Ritz value inside this cluster's window.
         H = dec.bundle.laplacian()
-        ritz = np.linalg.eigvalsh(Q.conj().T @ (H @ Q)) / dec.bundle.k
+        ritz = np.linalg.eigvalsh(V.conj().T @ (H @ V)) / dec.bundle.k
         lo, hi = cl["window"]
         if ritz.min() < lo - 1e-6 or ritz.max() > hi + 1e-6:
             raise GuardError("cluster span leaks outside its window: Ritz "
                              "values in [%g, %g]" % (ritz.min(), ritz.max()))
-        # P = Q Q* is hermitian by construction, and its idempotency defect
+        # P = V V* is hermitian by construction, and its idempotency defect
         # is the gram defect.
         self.gram_defect = float(gram_defect)
-        self.V = Q
+        self.V = V
         self.m = m
         self.bundle = dec.bundle
         self.cluster = cl

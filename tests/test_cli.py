@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from landau_lab import torus
+from landau_lab import cli, torus
 from landau_lab.cli import main
 
 
@@ -74,6 +74,17 @@ def test_dim_bad_syntax_is_config_error(capsys):
 def test_dim_missing_key_is_config_error(capsys):
     assert main(["dim", "--surface", "g=2"]) == 2
     assert "--surface needs d=" in capsys.readouterr().err
+
+
+def test_internal_error_exits_three(capsys, monkeypatch):
+    def broken(config):
+        raise KeyError("no such record")
+
+    monkeypatch.setattr(cli, "run_experiment", broken)
+    assert main(["dim", "--torus", "d=1", "--k", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:")
+    assert "Traceback" in err and "KeyError: 'no such record'" in err
 
 
 def test_csv_unavailable_for_fock(capsys):

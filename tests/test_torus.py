@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from landau_lab import torus
 from landau_lab.torus import (
     DiscreteBundle,
     GuardError,
@@ -19,6 +20,7 @@ from landau_lab.torus import (
     peaked_defect,
     peaked_gram,
     poisson_bracket,
+    resolve_levels,
     sharpen_projector,
     toeplitz_fn,
     toeplitz_invariants,
@@ -66,6 +68,47 @@ def test_spectrum_residuals_and_cache():
     assert dec.residual_max < 1e-8
     again = compute_spectrum(1, 4, 32, count=10)
     assert again is dec  # served from the cache, larger count retained
+
+
+@pytest.mark.parametrize("d,k,N", [(1, 2, 16), (2, 1, 16), (1, 3, 24),
+                                   (1, 8, 20)])
+def test_ring_solver_matches_dense_oracle(d, k, N):
+    # (1, 8, 20): gcd(k*d, N^2) = 16 does not divide N, so the rings have
+    # different spectra.
+    dec, clusters = resolve_levels(d, k, N, 1)
+    H = dec.bundle.laplacian().toarray()
+    vals, vecs = np.linalg.eigh(H)
+    count = len(dec.eigenvalues)
+    assert np.max(np.abs(dec.eigenvalues - vals[:count]) / vals[:count]) < 1e-10
+    for c in clusters:
+        V = dec.vectors[:, c["indices"]]
+        U = vecs[:, c["indices"]]
+        P, Q = V @ V.conj().T, U @ U.conj().T
+        assert np.linalg.norm(P - Q, 2) < 1e-9
+
+
+@pytest.mark.parametrize("seed", [480405, 513537])
+def test_spectrum_does_not_depend_on_the_seed(seed):
+    # The complex 2-D Arnoldi solve skipped one eigenvalue at these seeds.
+    ref = compute_spectrum(1, 10, 64, count=34, seed=0)
+    dec = compute_spectrum(1, 10, 64, count=34, seed=seed)
+    h = dec.bundle.h
+    diff = dec.eigenvalues[:34] - ref.eigenvalues[:34]  # the cache may hold more
+    assert np.max(np.abs(diff)) < 1e-9 * 4 / h ** 2
+
+
+def test_completeness_guard_catches_a_skipped_eigenvalue(monkeypatch):
+    eigsh = torus.spla.eigsh
+
+    def skipping(A, k, **kwargs):
+        vals, vecs = eigsh(A, k=k + 1, **kwargs)
+        keep = np.argsort(vals)[1:]  # drop the lowest pair
+        return vals[keep], vecs[:, keep]
+
+    monkeypatch.setattr(torus.spla, "eigsh", skipping)
+    bundle = DiscreteBundle(TorusGeometry(d=1), 4, 32)
+    with pytest.raises(GuardError, match="missed an eigenvalue"):
+        torus.lowest_spectrum(bundle, 18)
 
 
 def test_cluster_counts_and_centers():
