@@ -32,12 +32,14 @@ from .radicals import CRad, Rad
 
 def laguerre_q(m: int, p: int) -> list[Fraction]:
     """Coefficients [c_0, ..., c_m] of the degree-m member with parameter p,
-    defined through x^{-p}/m! (d/dx - 1)^m x^{m+p}."""
+    defined through x^{-p}/m! (d/dx - 1)^m x^{m+p}.  The recursion runs on
+    the integer coefficients of (d/dx - 1)^m x^{m+p}; only the final division
+    by m! makes fractions."""
     if m < 0 or p < 0:
         raise ValueError("indices must be nonnegative")
-    coeffs = [Fraction(0)] * (m + p) + [Fraction(1)]
+    coeffs = [0] * (m + p) + [1]
     for _ in range(m):
-        nxt = [Fraction(0)] * len(coeffs)
+        nxt = [0] * len(coeffs)
         for j, c in enumerate(coeffs):
             if j >= 1:
                 nxt[j - 1] += j * c
@@ -47,7 +49,7 @@ def laguerre_q(m: int, p: int) -> list[Fraction]:
     shifted = coeffs[p:]
     if any(coeffs[:p]):
         raise AssertionError("lower coefficients should vanish before the shift")
-    return [c / fm for c in shifted]
+    return [Fraction(c, fm) for c in shifted]
 
 
 def laguerre_q_value(m: int, p: int, x):
@@ -58,30 +60,41 @@ def laguerre_q_value(m: int, p: int, x):
     return acc
 
 
+def _factorial_scaled(coeffs: list[Fraction]) -> list[int] | None:
+    """The coefficients c_j times j!, or None if one is not an integer."""
+    out = []
+    for j, c in enumerate(coeffs):
+        c = c * factorial(j)
+        if c.denominator != 1:
+            return None
+        out.append(c.numerator)
+    return out
+
+
 def laguerre_sum_identity(m: int, n: int) -> bool:
     """Check, by exact multivariate expansion, that the parameter-(n-1) member
     evaluated at x_1 + ... + x_n equals the sum over |alpha| = m of products
-    of parameter-0 members of the x_i.  Guarded to m + n <= 12."""
+    of parameter-0 members of the x_i.  Guarded to m + n <= 12.
+
+    Both sides are compared with the coefficient of x^gamma multiplied by
+    gamma!, which puts them in the integers: the left side's becomes
+    c_|gamma| |gamma|!, and the right side's a sum of products of c_j j!.  A
+    family whose scaled coefficients are not all integers fails the check."""
     if n < 1:
         raise ValueError("need at least one variable")
     if m + n > 12:
         raise ValueError("guard: m + n must stay <= 12")
-    lhs: dict[tuple, Fraction] = {}
-    for j, c in enumerate(laguerre_q(m, n - 1)):
-        if not c:
-            continue
-        for gamma in multi_indices_of_degree(n, j):
-            weight = Fraction(factorial(j))
-            for g in gamma:
-                weight /= factorial(g)
-            key = gamma
-            lhs[key] = lhs.get(key, Fraction(0)) + c * weight
-    rhs: dict[tuple, Fraction] = {}
-    univ = {j: laguerre_q(j, 0) for j in range(m + 1)}
+    top = _factorial_scaled(laguerre_q(m, n - 1))
+    univ = {j: _factorial_scaled(laguerre_q(j, 0)) for j in range(m + 1)}
+    if top is None or any(u is None for u in univ.values()):
+        return False
+    lhs = {gamma: c for j, c in enumerate(top) if c
+           for gamma in multi_indices_of_degree(n, j)}
+    rhs: dict[tuple, int] = {}
     for alpha in multi_indices_of_degree(n, m):
-        partial: dict[tuple, Fraction] = {(0,) * n: Fraction(1)}
+        partial: dict[tuple, int] = {(0,) * n: 1}
         for i, ai in enumerate(alpha):
-            nxt: dict[tuple, Fraction] = {}
+            nxt: dict[tuple, int] = {}
             for key, c in partial.items():
                 for j, cj in enumerate(univ[ai]):
                     if not cj:
@@ -89,11 +102,10 @@ def laguerre_sum_identity(m: int, n: int) -> bool:
                     new = list(key)
                     new[i] += j
                     k2 = tuple(new)
-                    nxt[k2] = nxt.get(k2, Fraction(0)) + c * cj
+                    nxt[k2] = nxt.get(k2, 0) + c * cj
             partial = nxt
         for key, c in partial.items():
-            rhs[key] = rhs.get(key, Fraction(0)) + c
-    lhs = {k: c for k, c in lhs.items() if c}
+            rhs[key] = rhs.get(key, 0) + c
     rhs = {k: c for k, c in rhs.items() if c}
     return lhs == rhs
 
@@ -157,29 +169,25 @@ def bargmann_project_quadrature(f: PolyZZbar, points: np.ndarray,
                                 nodes: int = 40) -> np.ndarray:
     """Oracle for the vacuum projection: evaluate
     (2 pi)^{-n} integral e^{u.vbar - |v|^2} f(v) dmu(v)
-    at the given complex points by Gauss-Hermite quadrature with the stated
-    number of nodes per real dimension (supported for n <= 2)."""
+    at the given complex points by the tensor-product Gauss-Hermite rule with
+    the stated number of nodes per real dimension.
+
+    The kernel e^{u.vbar} and every monomial factor over the variables, so
+    the rule on a monomial is a product of one-variable sums over the
+    nodes^2 points of the complex plane."""
     n = f.n
-    if n > 2:
-        raise ValueError("quadrature oracle supports n <= 2")
     t, w = gauss_hermite_points(nodes)
-    if n == 1:
-        X, Y = np.meshgrid(t, t, indexing="ij")
-        W = np.outer(w, w)
-        v = (X + 1j * Y).ravel()
-        weights = W.ravel()
-    else:
-        X1, Y1, X2, Y2 = np.meshgrid(t, t, t, t, indexing="ij")
-        v = np.stack([(X1 + 1j * Y1).ravel(), (X2 + 1j * Y2).ravel()], axis=1)
-        weights = (w[:, None, None, None] * w[None, :, None, None]
-                   * w[None, None, :, None] * w[None, None, None, :]).ravel()
-    v2 = np.atleast_2d(v.reshape(-1, n))
-    fv = f.evaluate(v2)
+    v = (t[:, None] + 1j * t[None, :]).ravel()
+    weights = np.outer(w, w).ravel() / np.pi
     points = np.atleast_2d(np.asarray(points, dtype=complex).reshape(-1, n))
-    out = np.empty(points.shape[0], dtype=complex)
-    for idx, u in enumerate(points):
-        expo = np.exp(np.sum(u[None, :] * np.conj(v2), axis=1))
-        out[idx] = np.sum(weights * expo * fv) / np.pi ** n
+    # kernel[p, i, g]: e^{u_i vbar_g} at point p, scaled by the weight of g
+    kernel = np.exp(points[:, :, None] * np.conj(v)) * weights
+    out = np.zeros(points.shape[0], dtype=complex)
+    for (a, b), c in f.terms():
+        term = np.full(points.shape[0], complex(c))
+        for i in range(n):
+            term *= kernel[:, i, :] @ (v ** a[i] * np.conj(v) ** b[i])
+        out += term
     return out
 
 
@@ -187,27 +195,43 @@ def bargmann_project_quadrature(f: PolyZZbar, points: np.ndarray,
 # The p-symbols and the symbol-to-operator map
 
 
-def p_ab(n: int, alpha, beta) -> PolyZZbar:
-    """Symbol whose attached operator is the normalized (alpha, beta) shift:
-    (alpha! beta!)^(-1/2) times (zbar - d/dz)^alpha applied to (-z)^beta."""
-    alpha, beta = tuple(alpha), tuple(beta)
+def apply_raise(p: PolyZZbar, i: int) -> PolyZZbar:
+    """Apply a_i* = zbar_i - d/dz_i to a polynomial."""
+    n = p.n
+    out: dict = {}
+    for (a, b), c in p.terms():
+        key = (a, mi_add(b, mi_unit(n, i)))
+        cur = out.get(key)
+        out[key] = c if cur is None else cur + c
+        if a[i]:
+            key2 = (mi_sub(a, mi_unit(n, i)), b)
+            term = c * (-a[i])
+            cur2 = out.get(key2)
+            out[key2] = term if cur2 is None else cur2 + term
+    return PolyZZbar(n, out)
+
+
+def _shift_symbol(n: int, alpha, beta) -> PolyZZbar:
+    """The integer symbol of the unnormalized (alpha, beta) shift:
+    (zbar - d/dz)^alpha applied to (-z)^beta, whose top-degree term is
+    (-1)^|beta| z^beta zbar^alpha."""
     sign = -1 if mi_degree(beta) % 2 else 1
     poly = PolyZZbar.monomial(n, beta, (0,) * n, sign)
     for i in range(n):
         for _ in range(alpha[i]):
-            out: dict = {}
-            for (a, b), c in poly.terms():
-                key = (a, mi_add(b, mi_unit(n, i)))
-                cur = out.get(key)
-                out[key] = c if cur is None else cur + c
-                if a[i]:
-                    key2 = (mi_sub(a, mi_unit(n, i)), b)
-                    term = c * (-a[i])
-                    cur2 = out.get(key2)
-                    out[key2] = term if cur2 is None else cur2 + term
-            poly = PolyZZbar(n, out)
-    scale = CRad(Rad.sqrt(Fraction(1, mi_factorial(alpha) * mi_factorial(beta))))
-    return poly * scale
+            poly = apply_raise(poly, i)
+    return poly
+
+
+def _normalization(alpha, beta) -> Rad:
+    return Rad.sqrt(Fraction(1, mi_factorial(alpha) * mi_factorial(beta)))
+
+
+def p_ab(n: int, alpha, beta) -> PolyZZbar:
+    """Symbol whose attached operator is the normalized (alpha, beta) shift:
+    (alpha! beta!)^(-1/2) times (zbar - d/dz)^alpha applied to (-z)^beta."""
+    alpha, beta = tuple(alpha), tuple(beta)
+    return _shift_symbol(n, alpha, beta) * _normalization(alpha, beta)
 
 
 def _basis_cache(basis: GradedBasis) -> dict:
@@ -259,28 +283,34 @@ def _power(basis: GradedBasis, which: str, alpha) -> FockOperator:
     return table[alpha]
 
 
+def _shift(basis: GradedBasis, alpha, beta) -> FockOperator:
+    """The unnormalized shift (a*)^alpha P_vac a^beta on the full kind, an
+    integer matrix built once per basis."""
+    cache = _basis_cache(basis)
+    key = ("shift", alpha, beta)
+    if key not in cache:
+        mid_key = ("vac_low", beta)
+        if mid_key not in cache:
+            cache[mid_key] = bargmann_project_operator(basis) @ _power(basis, "low_pow", beta)
+        cache[key] = _power(basis, "high_pow", alpha) @ cache[mid_key]
+    return cache[key]
+
+
 def tilde_rho(basis: GradedBasis, alpha, beta) -> FockOperator:
     """Normalized shift between level subspaces of the full space:
     (alpha! beta!)^(-1/2) (a*)^alpha P_vac a^beta."""
     if basis.kind != FULL:
         raise ValueError("tilde_rho acts on the full kind")
     alpha, beta = tuple(alpha), tuple(beta)
-    cache = _basis_cache(basis)
-    key = ("tilde", alpha, beta)
-    if key not in cache:
-        mid_key = ("vac_low", beta)
-        if mid_key not in cache:
-            cache[mid_key] = bargmann_project_operator(basis) @ _power(basis, "low_pow", beta)
-        op = _power(basis, "high_pow", alpha) @ cache[mid_key]
-        scale = CRad(Rad.sqrt(Fraction(1, mi_factorial(alpha) * mi_factorial(beta))))
-        cache[key] = op.scale(scale)
-    return cache[key]
+    return _shift(basis, alpha, beta).scale(_normalization(alpha, beta))
 
 
-def _p_coefficients(n: int, q: PolyZZbar) -> dict[tuple, CRad]:
-    """Write q as a combination of the p-symbols; triangular back-substitution
-    from the top total degree down (each p-symbol is its leading monomial plus
-    corrections of total degree lower by multiples of two)."""
+def _shift_coefficients(n: int, q: PolyZZbar) -> dict[tuple, CRad]:
+    """Write q as a combination of the integer shift symbols; triangular
+    back-substitution from the top total degree down (each shift symbol is
+    its leading monomial, with coefficient +-1, plus corrections of total
+    degree lower by multiples of two).  The coefficients are rational when
+    q is: the normalization of the p-symbols never enters."""
     remaining = PolyZZbar(n, dict(q.coeffs))
     coeffs: dict[tuple, CRad] = {}
     while not remaining.is_zero():
@@ -290,14 +320,11 @@ def _p_coefficients(n: int, q: PolyZZbar) -> dict[tuple, CRad]:
         correction = PolyZZbar(n, {})
         for (a, b), c in top:
             alpha, beta = b, a
-            lead = CRad(Rad.sqrt(mi_factorial(alpha) * mi_factorial(beta)))
-            if mi_degree(beta) % 2:
-                lead = -lead
-            coeff = c * lead
+            coeff = -c if mi_degree(beta) % 2 else c
             key = (alpha, beta)
             cur = coeffs.get(key)
             coeffs[key] = coeff if cur is None else cur + coeff
-            correction = correction + p_ab(n, alpha, beta) * coeff
+            correction = correction + _shift_symbol(n, alpha, beta) * coeff
         remaining = remaining - correction
         if not remaining.is_zero() and remaining.degree() >= deg:
             raise AssertionError("back-substitution failed to lower the degree")
@@ -306,14 +333,16 @@ def _p_coefficients(n: int, q: PolyZZbar) -> dict[tuple, CRad]:
 
 def op_of(basis: GradedBasis, q: PolyZZbar) -> FockOperator:
     """Matrix of the operator attached to the symbol q, assembled through the
-    triangular change of basis onto the p-symbols."""
+    triangular change of basis onto the shift symbols: the p-symbol
+    coefficient times the normalization of its shift, applied to the integer
+    shift matrix."""
     if basis.kind != FULL:
         raise ValueError("op_of acts on the full kind")
     if q.n != basis.n:
         raise ValueError("variable count mismatch")
     out = FockOperator.zero(basis)
-    for (alpha, beta), c in _p_coefficients(basis.n, q).items():
-        out = out + tilde_rho(basis, alpha, beta).scale(c)
+    for (alpha, beta), c in _shift_coefficients(basis.n, q).items():
+        out = out + _shift(basis, alpha, beta).scale(c)
     return out
 
 

@@ -7,22 +7,29 @@ in that frame.  The "full" kind is the span of the mixed monomials
 z^a zbar^b with |a| + |b| <= D, kept in plain monomial coordinates because the
 mixed monomials are not orthogonal.
 
-Operators are sparse matrices with entries in the exact radical ring
-(:mod:`.radicals`), tagged with a parity and with the largest input degree on
-which they agree with their untruncated counterparts.
+Operators are sparse exact matrices, tagged with a parity and with the
+largest input degree on which they agree with their untruncated
+counterparts.  Each entry is kept in its cheapest exact form
+(:func:`.radicals.exact`): a real rational is an ``int`` or a ``Fraction``,
+and an entry is in the exact radical ring only where it is complex or
+irrational.  Full-kind ladders, the vacuum projection and the operators of
+rational symbols are rational throughout, so their algebra runs on Python
+integers; radicals enter through the normalized antiholomorphic frame.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from fractions import Fraction
 from math import factorial
 
 import numpy as np
 
-from .radicals import CRad, Rad
+from .radicals import CRad, Rad, exact
 
 MultiIndex = tuple[int, ...]
+Scalar = int | Fraction | CRad
 
 ANTIHOLOMORPHIC = "antiholomorphic"
 FULL = "full"
@@ -65,7 +72,10 @@ def multi_indices(n: int, max_degree: int) -> list[MultiIndex]:
 
 
 def multi_indices_of_degree(n: int, degree: int) -> list[MultiIndex]:
-    return [a for a in multi_indices(n, degree) if sum(a) == degree]
+    """The multi-indices of total degree exactly `degree`, in
+    lexicographic order (the order of that block in multi_indices)."""
+    return [a for a in itertools.product(range(degree + 1), repeat=n)
+            if sum(a) == degree]
 
 
 class GradedBasis:
@@ -236,18 +246,30 @@ class FockOperator:
     asserted on columns up to that degree.
     """
 
-    __slots__ = ("basis", "entries", "parity", "exactness_degree")
+    __slots__ = ("basis", "entries", "parity", "exactness_degree", "_columns")
 
     def __init__(self, basis: GradedBasis, entries, parity=_AUTO, exactness_degree=None):
         self.basis = basis
-        self.entries: dict[tuple[int, int], CRad] = {}
+        self.entries: dict[tuple[int, int], Scalar] = {}
         if entries:
             for (i, j), c in entries.items():
-                c = CRad.of(c)
+                if type(c) is not int:
+                    c = exact(c)
                 if c:
                     self.entries[(i, j)] = c
         self.parity = self._infer_parity() if parity is _AUTO else parity
         self.exactness_degree = basis.D if exactness_degree is None else exactness_degree
+        self._columns = None
+
+    def columns(self) -> dict[int, list]:
+        """The entries grouped by column, j -> [(i, entry)], built on first
+        use; compose and apply_coords both walk a matrix this way."""
+        if self._columns is None:
+            cols: dict[int, list] = {}
+            for (i, j), c in self.entries.items():
+                cols.setdefault(j, []).append((i, c))
+            self._columns = cols
+        return self._columns
 
     def _infer_parity(self):
         degs = self.basis.degrees
@@ -291,12 +313,10 @@ class FockOperator:
         ed = min(ed(other), ed(self) - raise(other))."""
         if other.basis is not self.basis:
             raise ValueError("operators live on different bases")
-        by_row: dict[int, list] = {}
-        for (i, j), c in self.entries.items():
-            by_row.setdefault(j, []).append((i, c))
-        out: dict[tuple[int, int], CRad] = {}
+        by_col = self.columns()
+        out: dict[tuple[int, int], Scalar] = {}
         for (j, k), b in other.entries.items():
-            for i, a in by_row.get(j, ()):
+            for i, a in by_col.get(j, ()):
                 key = (i, k)
                 prod = a * b
                 cur = out.get(key)
@@ -328,7 +348,7 @@ class FockOperator:
         return self + other.scale(-1)
 
     def scale(self, c) -> "FockOperator":
-        c = CRad.of(c)
+        c = exact(c)
         if not c:
             return FockOperator.zero(self.basis)
         return FockOperator(self.basis, {k: v * c for k, v in self.entries.items()},
@@ -365,11 +385,10 @@ class FockOperator:
             max_degree = min(self.exactness_degree, other.exactness_degree)
         degs = self.basis.degrees
         keys = set(self.entries) | set(other.entries)
-        zero = CRad()
         for key in keys:
             if degs[key[1]] > max_degree:
                 continue
-            if self.entries.get(key, zero) != other.entries.get(key, zero):
+            if self.entries.get(key, 0) != other.entries.get(key, 0):
                 return False
         return True
 
@@ -382,16 +401,14 @@ class FockOperator:
     def as_array(self) -> np.ndarray:
         out = np.zeros((self.basis.size, self.basis.size), dtype=complex)
         for (i, j), c in self.entries.items():
-            out[i, j] = c.value()
+            out[i, j] = complex(c)
         return out
 
     def max_abs(self) -> float:
-        return max((abs(c.value()) for c in self.entries.values()), default=0.0)
+        return max((abs(complex(c)) for c in self.entries.values()), default=0.0)
 
     def apply_coords(self, vec: dict[int, CRad]) -> dict[int, CRad]:
-        by_col: dict[int, list] = {}
-        for (i, j), c in self.entries.items():
-            by_col.setdefault(j, []).append((i, c))
+        by_col = self.columns()
         out: dict[int, CRad] = {}
         for j, x in vec.items():
             for i, c in by_col.get(j, ()):
@@ -404,7 +421,7 @@ class FockOperator:
         return poly_from_coords(self.basis, self.apply_coords(coords_from_poly(self.basis, p)))
 
     def to_json_dict(self) -> dict:
-        entries = [[i, j, c.value().real, c.value().imag]
+        entries = [[i, j, complex(c).real, complex(c).imag]
                    for (i, j), c in sorted(self.entries.items())]
         return {"n": self.basis.n, "D": self.basis.D, "kind": self.basis.kind,
                 "entries": entries}
@@ -494,7 +511,7 @@ def ladder_matrices(basis: GradedBasis) -> tuple[list[FockOperator], list[FockOp
                     high[(basis.index((a, mi_add(b, mi_unit(n, i)))), col)] = 1
                 if a[i] >= 1:
                     key = (basis.index((mi_sub(a, mi_unit(n, i)), b)), col)
-                    high[key] = high.get(key, CRad()) - CRad.of(a[i])
+                    high[key] = high.get(key, 0) - a[i]
         lowers.append(FockOperator(basis, low, parity=1, exactness_degree=D))
         raises_.append(FockOperator(basis, high, parity=1, exactness_degree=D - 1))
     return lowers, raises_
@@ -527,8 +544,8 @@ def rho_tangent(basis: GradedBasis, u, v) -> FockOperator:
     frame vectors represented by multiplication and differentiation.
     """
     n = basis.n
-    u = [CRad.of(x) for x in u]
-    v = [CRad.of(x) for x in v]
+    u = [exact(x) for x in u]
+    v = [exact(x) for x in v]
     if len(u) != n or len(v) != n:
         raise ValueError("need %d coefficients for each of u and v" % n)
     lowers, raises_ = ladder_matrices(basis)

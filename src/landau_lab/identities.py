@@ -293,21 +293,6 @@ def _ladder_frame_poly(n: int, alpha, hdeg) -> PolyZZbar:
                            Rad.sqrt(Fraction(1, mi_factorial(alpha) * mi_factorial(hdeg))))
     for i in range(n):
         for _ in range(alpha[i]):
-            p = _apply_raise_var(p, i)
+            p = bg.apply_raise(p, i)
     return p
 
-
-def _apply_raise_var(p: PolyZZbar, i: int) -> PolyZZbar:
-    """Apply a_i* = zbar_i - d/dz_i to a polynomial."""
-    n = p.n
-    out: dict = {}
-    for (a, b), c in p.terms():
-        key = (a, tuple(x + (1 if j == i else 0) for j, x in enumerate(b)))
-        cur = out.get(key)
-        out[key] = c if cur is None else cur + c
-        if a[i]:
-            key2 = (tuple(x - (1 if j == i else 0) for j, x in enumerate(a)), b)
-            term = c * (-a[i])
-            cur2 = out.get(key2)
-            out[key2] = term if cur2 is None else cur2 + term
-    return PolyZZbar(n, out)

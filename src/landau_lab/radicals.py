@@ -3,7 +3,9 @@
 Ladder normalizations produce scalars of the form sum_s c_s * sqrt(s) with
 rational c_s and squarefree s.  Sums and products of these stay in the same
 ring, so every operator identity downstream can be checked with zero
-floating-point tolerance.
+floating-point tolerance.  Most values never leave the rationals, so
+:func:`exact` keeps a real rational as an ``int`` or a ``Fraction`` and
+returns a :class:`CRad` only for a complex or irrational value.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ class Rad:
         self.terms: dict[int, Fraction] = {}
         if terms:
             for s, c in terms.items():
-                c = Fraction(c)
+                if type(c) is not Fraction:
+                    c = Fraction(c)
                 if c:
                     self.terms[s] = c
 
@@ -203,6 +206,9 @@ class CRad:
     def value(self) -> complex:
         return complex(self.re.value(), self.im.value())
 
+    def __complex__(self) -> complex:
+        return self.value()
+
     def conjugate(self) -> "CRad":
         return CRad(self.re, -self.im)
 
@@ -210,6 +216,8 @@ class CRad:
         return CRad(-self.re, -self.im)
 
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return CRad(self.re + other, self.im)
         try:
             other = CRad.of(other)
         except TypeError:
@@ -229,6 +237,8 @@ class CRad:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return CRad(self.re * other, self.im * other)
         try:
             other = CRad.of(other)
         except TypeError:
@@ -265,3 +275,18 @@ class CRad:
 
     def __repr__(self) -> str:
         return "CRad(%r, %r)" % (self.re, self.im)
+
+
+def exact(x):
+    """The cheapest exact form of a scalar: an int or a Fraction when it is a
+    real rational, a CRad when it is complex or irrational.  Inexact floats
+    are rejected as in :meth:`CRad.of`."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    c = x if type(x) is CRad else CRad.of(x)
+    if c.im.terms or not c.re.is_rational():
+        return c
+    q = c.re.as_fraction()
+    return q.numerator if q.denominator == 1 else q

@@ -272,12 +272,21 @@ def lowest_spectrum(bundle: DiscreteBundle, count: int,
     norm_bound = float(abs(H).sum(axis=0).max())
     rings = list(_harper_rings(bundle))
     L = rings[0][1].shape[0]
+    if count > N * N:
+        raise ValueError("%d eigenvalues asked of a grid of %d sites: ask for "
+                         "fewer levels (--levels) or a finer grid (--grid)"
+                         % (count, N * N))
     lows = [eig_banded(_zigzag_band(A), lower=True, eigvals_only=True,
                        select="i", select_range=(0, min(count, L) - 1))
             for _, A in rings]
     owner = np.repeat(np.arange(len(rings)), [len(v) for v in lows])
     lowest = np.argsort(np.concatenate(lows), kind="stable")[:count]
     shares = np.bincount(owner[lowest], minlength=len(rings))
+    if shares.max() > L - 1:
+        raise ValueError("%d eigenvalues asked of a Landau-gauge ring of %d sites, "
+                         "where eigsh takes at most %d: ask for fewer levels "
+                         "(--levels) or a finer grid (--grid)"
+                         % (shares.max(), L, L - 1))
     rng = np.random.default_rng(seed)
     found = []
     for (modes, A), low, n_r in zip(rings, lows, shares):

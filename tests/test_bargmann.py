@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import genlaguerre
 
+from landau_lab import bargmann
 from landau_lab.bargmann import (
     bargmann_project,
     bargmann_project_operator,
@@ -25,7 +26,7 @@ from landau_lab.bargmann import (
     star_product,
     tilde_rho,
 )
-from landau_lab.fock import FULL, PolyZZbar, enumerate_basis
+from landau_lab.fock import FULL, PolyZZbar, enumerate_basis, ladder_matrices
 from landau_lab.radicals import CRad
 
 
@@ -81,6 +82,24 @@ def test_laguerre_sum_identity_range():
         laguerre_sum_identity(12, 4)
 
 
+@pytest.mark.parametrize("delta", [Fraction(1, 7), Fraction(1)])
+def test_laguerre_sum_identity_rejects_a_perturbed_family(monkeypatch, delta):
+    """A wrong coefficient fails the integer check, both when its j!-scaled
+    value is no longer an integer (c_2 * 2! = 4 + 2/7 here, which truncation
+    would map back to the true 4) and when it is a wrong integer."""
+    true_q = bargmann.laguerre_q
+
+    def perturbed(m, p):
+        coeffs = true_q(m, p)
+        if (m, p) == (3, 1):
+            coeffs[2] += delta
+        return coeffs
+
+    assert laguerre_sum_identity(3, 2)
+    monkeypatch.setattr(bargmann, "laguerre_q", perturbed)
+    assert not laguerre_sum_identity(3, 2)
+
+
 # ---------------------------------------------------------------------------
 # Gaussian pairing and the projection
 
@@ -129,6 +148,25 @@ def test_projection_matches_quadrature():
             assert np.max(np.abs(exact_vals - approx)) < 1e-8
 
 
+def test_quadrature_oracle_is_the_tensor_product_rule():
+    """The oracle's per-variable sums equal the Gauss-Hermite rule summed
+    over the full product grid of the 2n real coordinates."""
+    rng = random.Random(5)
+    pts = np.array([[0.3 - 0.2j, -0.5 + 0.1j], [0.0, 0.7j]])
+    t, w = np.polynomial.hermite.hermgauss(12)
+    grids = np.meshgrid(t, t, t, t, indexing="ij")
+    v = np.stack([(grids[0] + 1j * grids[1]).ravel(),
+                  (grids[2] + 1j * grids[3]).ravel()], axis=1)
+    weights = np.prod(np.meshgrid(w, w, w, w, indexing="ij"), axis=0).ravel()
+    for _ in range(3):
+        f = _random_full_poly(2, 4, rng)
+        fv = f.evaluate(v)
+        full = [np.sum(weights * np.exp(np.conj(v) @ u) * fv) / np.pi ** 2
+                for u in pts]
+        got = bargmann_project_quadrature(f, pts, nodes=12)
+        assert np.max(np.abs(got - np.array(full))) < 1e-12 * max(1.0, np.max(np.abs(full)))
+
+
 def test_projection_drops_low_z_powers():
     # z^a zbar^b maps to a!/(a-b)! z^(a-b) when a >= b, else to 0
     f = PolyZZbar.monomial(1, (3,), (1,))
@@ -159,6 +197,21 @@ def test_symbol_operator_is_normalized_shift():
     for alpha, beta in [((0,), (0,)), ((2,), (1,)), ((1,), (3,))]:
         sym = p_ab(1, alpha, beta)
         assert op_of(basis, sym).agrees_with(tilde_rho(basis, alpha, beta))
+
+
+def test_rational_operators_hold_no_radicals():
+    """Full-kind ladders, the vacuum projection and Op of a rational symbol
+    keep every entry an int or a Fraction."""
+    for n, D in ((1, 6), (2, 4)):
+        basis = enumerate_basis(n, D, FULL)
+        lows, highs = ladder_matrices(basis)
+        rng = random.Random(n)
+        q = _random_full_poly(n, 3, rng, nterms=6) + PolyZZbar.monomial(
+            n, (1,) + (0,) * (n - 1), (0,) * n, Fraction(3, 4))
+        ops = lows + highs + [bargmann_project_operator(basis), op_of(basis, q)]
+        for op in ops:
+            assert op.entries
+            assert all(type(c) in (int, Fraction) for c in op.entries.values())
 
 
 def test_op_of_constant_is_vacuum_projection():

@@ -118,6 +118,16 @@ def test_torus_count_guard_exit(capsys):
     assert "guard tripped" in err and "m=25" in err
 
 
+def test_too_many_levels_for_the_grid_is_config_error(capsys):
+    # levels 0..69 need (69 + 2) * k * d + 4 = 75 eigenvalues, more than
+    # the 64 sites of an 8 x 8 grid hold
+    code = main(["torus", "--d", "1", "--k", "1", "--grid", "8",
+                 "--levels", "70"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "--levels" in err and "--grid" in err
+
+
 def test_torus_json_with_side_csv(tmp_path, capsys):
     out = tmp_path / "run.json"
     code = main(["--out", str(out), "torus", "--d", "1", "--k", "4",

@@ -1,10 +1,13 @@
 import json
 import math
 import random
+from fractions import Fraction
 from io import StringIO
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from landau_lab.fock import (
     ANTIHOLOMORPHIC,
@@ -23,7 +26,7 @@ from landau_lab.fock import (
     rho_ab,
     rho_tangent,
 )
-from landau_lab.radicals import CRad
+from landau_lab.radicals import CRad, Rad
 
 
 def _random_poly(n, degree, rng, kind=FULL):
@@ -44,6 +47,8 @@ def test_multi_index_enumeration_counts():
         for D in (0, 1, 4):
             got = len(multi_indices(n, D))
             assert got == math.comb(D + n, n)
+            assert multi_indices_of_degree(n, D) == [
+                a for a in multi_indices(n, D) if mi_degree(a) == D]
     assert len(multi_indices_of_degree(2, 3)) == 4
 
 
@@ -202,3 +207,73 @@ def test_json_round_trip():
     basis2, arr = operator_from_json(data)
     assert basis2.size == basis.size
     assert np.max(np.abs(arr - op.as_array())) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# Operators whose entries mix the exact scalar forms
+
+_MIXED_BASIS = enumerate_basis(2, 2)
+_small = st.integers(-3, 3)
+_scalars = st.one_of(
+    _small,
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+    st.builds(CRad, _small, _small),
+    st.builds(lambda s, c: CRad(Rad.sqrt(s) * c, 0), st.sampled_from([2, 3, 6]), _small),
+)
+_entries = st.dictionaries(
+    st.tuples(st.integers(0, _MIXED_BASIS.size - 1),
+              st.integers(0, _MIXED_BASIS.size - 1)),
+    _scalars, max_size=12)
+
+
+def _dense(entries):
+    out = np.zeros((_MIXED_BASIS.size, _MIXED_BASIS.size), dtype=complex)
+    for (i, j), c in entries.items():
+        out[i, j] = CRad.of(c).value()
+    return out
+
+
+def _close(x, y):
+    return np.max(np.abs(x - y), initial=0.0) <= 1e-12
+
+
+@settings(deadline=None)
+@given(_entries, _entries, _scalars)
+def test_mixed_entry_algebra_matches_numpy(ea, eb, c):
+    A = FockOperator(_MIXED_BASIS, ea)
+    B = FockOperator(_MIXED_BASIS, eb)
+    a, b = _dense(ea), _dense(eb)
+    assert _close(A.as_array(), a)
+    assert _close((A @ B).as_array(), a @ b)
+    assert _close((A + B).as_array(), a + b)
+    assert _close((A - B).as_array(), a - b)
+    assert _close(A.scale(c).as_array(), CRad.of(c).value() * a)
+    assert _close(A.adjoint().as_array(), a.conj().T)
+    assert A.max_abs() == pytest.approx(np.max(np.abs(a), initial=0.0), abs=1e-12)
+
+
+@settings(deadline=None)
+@given(_entries)
+def test_entry_forms_compare_equal(entries):
+    """An operator does not depend on the form its entries are given in, and
+    it stores every real rational entry as an int or a Fraction."""
+    A = FockOperator(_MIXED_BASIS, entries)
+    as_crad = FockOperator(_MIXED_BASIS, {k: CRad.of(c) for k, c in entries.items()})
+    assert A == as_crad
+    assert A.agrees_with(as_crad) and as_crad.agrees_with(A)
+    for c in A.entries.values():
+        if isinstance(c, CRad):
+            assert not c.im.is_zero() or not c.re.is_rational()
+
+
+def test_radical_and_rational_entries_agree():
+    basis = enumerate_basis(1, 2)
+    one = FockOperator(basis, {(0, 0): 1, (1, 1): Fraction(1, 2), (2, 2): 2})
+    same = FockOperator(basis, {(0, 0): CRad(1), (1, 1): CRad(Fraction(1, 2)),
+                                (2, 2): CRad(Rad.sqrt(4))})
+    assert one == same and one.agrees_with(same)
+    assert [type(c) for _, c in sorted(same.entries.items())] == [int, Fraction, int]
+    root2 = FockOperator(basis, {(0, 0): Rad.sqrt(2)})
+    assert root2 @ root2 == FockOperator(basis, {(0, 0): 2})
+    with pytest.raises(TypeError):
+        FockOperator(basis, {(0, 0): 0.5})

@@ -111,6 +111,17 @@ def test_completeness_guard_catches_a_skipped_eigenvalue(monkeypatch):
         torus.lowest_spectrum(bundle, 18)
 
 
+def test_ring_share_beyond_eigsh_is_a_value_error():
+    # k*d = 4 splits the 16 x 16 grid into 4 rings of 64 sites with one
+    # spectrum: 250 eigenvalues give each ring at most 63, 253 give one 64
+    bundle = DiscreteBundle(TorusGeometry(d=1), 4, 16)
+    assert len(torus.lowest_spectrum(bundle, 250).eigenvalues) == 250
+    with pytest.raises(ValueError, match="ring of 64 sites.*--levels.*--grid"):
+        torus.lowest_spectrum(bundle, 253)
+    with pytest.raises(ValueError, match="grid of 256 sites"):
+        torus.lowest_spectrum(bundle, 257)
+
+
 def test_cluster_counts_and_centers():
     dec = compute_spectrum(1, 4, 32, count=18)
     clusters = detect_clusters(dec.eigenvalues, k=4, levels=3)
