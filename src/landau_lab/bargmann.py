@@ -2,8 +2,8 @@
 
 Provides the Laguerre family used by kernel asymptotics, the exact Gaussian
 pairing on monomials, the vacuum projection in closed form together with a
-quadrature oracle, the symbol-to-operator map and its composition law, the
-twisted product on symbols, and the level decomposition of mixed polynomials.
+quadrature oracle, the symbol-to-operator map and its composition law, and
+the twisted product on symbols.
 
 Conventions.  The pairing is <z^a zbar^b, z^c zbar^d> =
 prod_i [a_i + d_i == b_i + c_i] * (a_i + d_i)!, which makes 1 a unit vector
@@ -50,14 +50,6 @@ def laguerre_q(m: int, p: int) -> list[Fraction]:
     if any(coeffs[:p]):
         raise AssertionError("lower coefficients should vanish before the shift")
     return [Fraction(c, fm) for c in shifted]
-
-
-def laguerre_q_value(m: int, p: int, x):
-    """Evaluate the polynomial; exact on Fraction input, float otherwise."""
-    acc = 0
-    for c in reversed(laguerre_q(m, p)):
-        acc = acc * x + c
-    return acc
 
 
 def _factorial_scaled(coeffs: list[Fraction]) -> list[int] | None:
@@ -132,37 +124,8 @@ def gram_inner(f: PolyZZbar, g: PolyZZbar) -> CRad:
     return acc
 
 
-def norm_sq(f: PolyZZbar) -> Fraction:
-    val = gram_inner(f, f)
-    if not val.im.is_zero():
-        raise AssertionError("squared norm must be real")
-    return val.re.as_fraction()
-
-
 # ---------------------------------------------------------------------------
-# Vacuum projection
-
-
-def bargmann_project(f: PolyZZbar) -> PolyZZbar:
-    """Project onto the holomorphic polynomials:
-    z^a zbar^b maps to prod_i a_i!/(a_i-b_i)! z^(a-b) when a >= b, else 0."""
-    zero = (0,) * f.n
-    out: dict = {}
-    for (a, b), c in f.terms():
-        if not mi_leq(b, a):
-            continue
-        weight = 1
-        for ai, bi in zip(a, b):
-            weight *= factorial(ai) // factorial(ai - bi)
-        key = (mi_sub(a, b), zero)
-        term = c * weight
-        cur = out.get(key)
-        out[key] = term if cur is None else cur + term
-    return PolyZZbar(f.n, out)
-
-
-def gauss_hermite_points(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.hermite.hermgauss(nodes)
+# Quadrature oracle for the vacuum projection
 
 
 def bargmann_project_quadrature(f: PolyZZbar, points: np.ndarray,
@@ -176,7 +139,7 @@ def bargmann_project_quadrature(f: PolyZZbar, points: np.ndarray,
     the rule on a monomial is a product of one-variable sums over the
     nodes^2 points of the complex plane."""
     n = f.n
-    t, w = gauss_hermite_points(nodes)
+    t, w = np.polynomial.hermite.hermgauss(nodes)
     v = (t[:, None] + 1j * t[None, :]).ravel()
     weights = np.outer(w, w).ravel() / np.pi
     points = np.atleast_2d(np.asarray(points, dtype=complex).reshape(-1, n))
@@ -234,19 +197,12 @@ def p_ab(n: int, alpha, beta) -> PolyZZbar:
     return _shift_symbol(n, alpha, beta) * _normalization(alpha, beta)
 
 
-def _basis_cache(basis: GradedBasis) -> dict:
-    cache = getattr(basis, "_landau_cache", None)
-    if cache is None:
-        cache = {}
-        basis._landau_cache = cache
-    return cache
-
-
 def bargmann_project_operator(basis: GradedBasis) -> FockOperator:
-    """Matrix of the vacuum projection on a full-kind basis."""
+    """Matrix of the vacuum projection on a full-kind basis:
+    z^a zbar^b maps to prod_i a_i!/(a_i-b_i)! z^(a-b) when a >= b, else 0."""
     if basis.kind != FULL:
         raise ValueError("needs the full kind")
-    cache = _basis_cache(basis)
+    cache = basis.cache
     if "P00" not in cache:
         zero = (0,) * basis.n
         ent: dict = {}
@@ -261,38 +217,32 @@ def bargmann_project_operator(basis: GradedBasis) -> FockOperator:
     return cache["P00"]
 
 
-def _ladder_pows(basis: GradedBasis):
-    cache = _basis_cache(basis)
-    if "ladders" not in cache:
-        cache["ladders"] = ladder_matrices(basis)
-        cache["low_pow"] = {(0,) * basis.n: FockOperator.identity(basis)}
-        cache["high_pow"] = {(0,) * basis.n: FockOperator.identity(basis)}
-    return cache
-
-
-def _power(basis: GradedBasis, which: str, alpha) -> FockOperator:
-    cache = _ladder_pows(basis)
-    table = cache[which]
+def _power(basis: GradedBasis, which: int, alpha) -> FockOperator:
+    """The power a^alpha (which = 0) or (a*)^alpha (which = 1) of the basis's
+    ladders, built once per basis."""
+    key = ("ladder_pow", which)
+    if key not in basis.cache:
+        basis.cache[key] = {(0,) * basis.n: FockOperator.identity(basis)}
+    table = basis.cache[key]
     alpha = tuple(alpha)
     if alpha in table:
         return table[alpha]
     i = next(k for k, v in enumerate(alpha) if v)
     prev = _power(basis, which, mi_sub(alpha, mi_unit(basis.n, i)))
-    ops = cache["ladders"][0] if which == "low_pow" else cache["ladders"][1]
-    table[alpha] = ops[i] @ prev
+    table[alpha] = ladder_matrices(basis)[which][i] @ prev
     return table[alpha]
 
 
 def _shift(basis: GradedBasis, alpha, beta) -> FockOperator:
     """The unnormalized shift (a*)^alpha P_vac a^beta on the full kind, an
     integer matrix built once per basis."""
-    cache = _basis_cache(basis)
+    cache = basis.cache
     key = ("shift", alpha, beta)
     if key not in cache:
         mid_key = ("vac_low", beta)
         if mid_key not in cache:
-            cache[mid_key] = bargmann_project_operator(basis) @ _power(basis, "low_pow", beta)
-        cache[key] = _power(basis, "high_pow", alpha) @ cache[mid_key]
+            cache[mid_key] = bargmann_project_operator(basis) @ _power(basis, 0, beta)
+        cache[key] = _power(basis, 1, alpha) @ cache[mid_key]
     return cache[key]
 
 
@@ -454,36 +404,3 @@ def compare_star_orders(basis: GradedBasis, u: PolyZZbar, v: PolyZZbar) -> dict:
     return {"star": star,
             "matches_op_uv": star == via_u,
             "matches_op_vu": star == via_v}
-
-
-# ---------------------------------------------------------------------------
-# Level decomposition
-
-
-def level_projector(basis: GradedBasis, m: int) -> FockOperator:
-    """Sum of the diagonal normalized shifts over |alpha| = m."""
-    cache = _basis_cache(basis)
-    key = ("level", m)
-    if key not in cache:
-        out = FockOperator.zero(basis)
-        for alpha in multi_indices_of_degree(basis.n, m):
-            out = out + tilde_rho(basis, alpha, alpha)
-        cache[key] = out
-    return cache[key]
-
-
-def landau_decompose(basis: GradedBasis, f: PolyZZbar) -> dict[int, PolyZZbar]:
-    """Split f along the level subspaces; the components sum back to f
-    exactly and the decomposition is checked before returning."""
-    if f.degree() > basis.D:
-        raise ValueError("degree %d exceeds cutoff %d" % (f.degree(), basis.D))
-    out: dict[int, PolyZZbar] = {}
-    total = PolyZZbar(basis.n, {})
-    for m in range(basis.D + 1):
-        comp = level_projector(basis, m).apply_poly(f)
-        if not comp.is_zero():
-            out[m] = comp
-            total = total + comp
-    if not (total - f).is_zero():
-        raise AssertionError("level components failed to recompose the input")
-    return out

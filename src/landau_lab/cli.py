@@ -160,7 +160,6 @@ def _emit(args, body: dict) -> None:
             raise ValueError("csv output is only available for surface and "
                              "torus reports")
         if args.out is None:
-            w = sys.stdout
             print(",".join(header))
             for row in rows:
                 print(",".join(str(x) for x in row))

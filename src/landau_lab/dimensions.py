@@ -3,16 +3,14 @@ checks.
 
 All counts are exact integers.  The surface count for level m at tensor power
 k is k*d + (1/2 + m)*(2 - 2g); the torus count in n complex dimensions is
-binom(m+n-1, n-1) * k^n * prod(d_i); the leading term of the smooth-volume
-asymptotics is (k/2pi)^n * binom(m+n-1, n-1) * vol.
+binom(m+n-1, n-1) * k^n * prod(d_i).  Levels start at m = 0.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, pi
+from math import comb
 
 from .fock import multi_indices_of_degree
 
@@ -28,9 +26,6 @@ class DimReport:
         return {"kind": self.kind, "value": self.value,
                 "threshold_ok": self.threshold_ok, "inputs": self.inputs}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def dim_surface(k: int, d: int, g: int, m: int) -> DimReport:
     """Level-m count on a genus-g surface with degree-d bundle at power k.
@@ -40,6 +35,9 @@ def dim_surface(k: int, d: int, g: int, m: int) -> DimReport:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    if g < 0 or m < 0:
+        raise ValueError("genus and level must be nonnegative, got g=%d, m=%d"
+                         % (g, m))
     chi = 2 - 2 * g
     val = Fraction(k * d) + (Fraction(1, 2) + m) * chi
     if val.denominator != 1:
@@ -56,17 +54,14 @@ def dim_torus(n: int, k: int, d_list, m: int) -> DimReport:
         raise ValueError("need %d degrees" % n)
     if k < 1 or any(d < 1 for d in d_list):
         raise ValueError("k and all degrees must be positive")
+    if m < 0:
+        raise ValueError("level must be nonnegative, got m=%d" % m)
     prod = 1
     for d in d_list:
         prod *= d
     val = comb(m + n - 1, n - 1) * k ** n * prod
     return DimReport("torus", val, True,
                      {"n": n, "k": k, "d_list": d_list, "m": m})
-
-
-def demailly_leading(n: int, m: int, vol: float, k: int) -> float:
-    """Leading smooth-volume term (k/2pi)^n * binom(m+n-1, n-1) * vol."""
-    return (k / (2 * pi)) ** n * comb(m + n - 1, n - 1) * vol
 
 
 def torus_composition_check(n: int, k: int, d_list, m: int) -> dict:

@@ -15,12 +15,16 @@ and an entry is in the exact radical ring only where it is complex or
 irrational.  Full-kind ladders, the vacuum projection and the operators of
 rational symbols are rational throughout, so their algebra runs on Python
 integers; radicals enter through the normalized antiholomorphic frame.
+
+Each basis carries one cache dict for the operators built on it: the ladder
+set from :func:`ladder_matrices` and, on the full kind, the vacuum
+projection, ladder powers and shift matrices of the bargmann module.  Every
+caller on the same basis shares one copy, which lives as long as the basis.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from fractions import Fraction
 from math import factorial
 
@@ -102,6 +106,8 @@ class GradedBasis:
         self.labels = tuple(labels)
         self.degrees = tuple(degs)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
+        # Operators built on this basis, shared by every caller on it.
+        self.cache: dict = {}
 
     @property
     def size(self) -> int:
@@ -116,16 +122,9 @@ class GradedBasis:
     def index(self, label) -> int:
         return self._index[label]
 
-    def contains(self, label) -> bool:
-        return label in self._index
-
     def __repr__(self) -> str:
         return "GradedBasis(n=%d, D=%d, kind=%r, size=%d)" % (
             self.n, self.D, self.kind, self.size)
-
-
-def enumerate_basis(n: int, D: int, kind: str = ANTIHOLOMORPHIC) -> GradedBasis:
-    return GradedBasis(n, D, kind)
 
 
 class PolyZZbar:
@@ -420,15 +419,6 @@ class FockOperator:
     def apply_poly(self, p: PolyZZbar) -> PolyZZbar:
         return poly_from_coords(self.basis, self.apply_coords(coords_from_poly(self.basis, p)))
 
-    def to_json_dict(self) -> dict:
-        entries = [[i, j, complex(c).real, complex(c).imag]
-                   for (i, j), c in sorted(self.entries.items())]
-        return {"n": self.basis.n, "D": self.basis.D, "kind": self.basis.kind,
-                "entries": entries}
-
-    def dump_json(self, fp) -> None:
-        json.dump(self.to_json_dict(), fp, sort_keys=True)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FockOperator):
             return NotImplemented
@@ -437,15 +427,6 @@ class FockOperator:
     def __repr__(self) -> str:
         return "FockOperator(%r, nnz=%d, parity=%r, exactness_degree=%d)" % (
             self.basis, len(self.entries), self.parity, self.exactness_degree)
-
-
-def operator_from_json(data: dict) -> tuple[GradedBasis, np.ndarray]:
-    """Rebuild the basis and a dense complex matrix from a JSON dump."""
-    basis = GradedBasis(data["n"], data["D"], data["kind"])
-    mat = np.zeros((basis.size, basis.size), dtype=complex)
-    for i, j, re, im in data["entries"]:
-        mat[i, j] = complex(re, im)
-    return basis, mat
 
 
 def coords_from_poly(basis: GradedBasis, p: PolyZZbar) -> dict[int, CRad]:
@@ -485,13 +466,17 @@ def poly_from_coords(basis: GradedBasis, vec: dict[int, CRad]) -> PolyZZbar:
     return PolyZZbar(basis.n, coeffs)
 
 
-def ladder_matrices(basis: GradedBasis) -> tuple[list[FockOperator], list[FockOperator]]:
-    """Lowering and raising matrices (a_i, a_i*) for each variable.
+def ladder_matrices(basis: GradedBasis) -> tuple[tuple[FockOperator, ...],
+                                                  tuple[FockOperator, ...]]:
+    """Lowering and raising matrices (a_i, a_i*) for each variable, built
+    once per basis and shared through its cache.
 
     Antiholomorphic kind: a_i = d/dzbar_i and a_i* = zbar_i in the normalized
     frame, so entries are square roots of occupation numbers.  Full kind:
     a_i = d/dzbar_i and a_i* = zbar_i - d/dz_i on plain monomials.
     """
+    if "ladders" in basis.cache:
+        return basis.cache["ladders"]
     n, D = basis.n, basis.D
     lowers, raises_ = [], []
     for i in range(n):
@@ -514,7 +499,8 @@ def ladder_matrices(basis: GradedBasis) -> tuple[list[FockOperator], list[FockOp
                     high[key] = high.get(key, 0) - a[i]
         lowers.append(FockOperator(basis, low, parity=1, exactness_degree=D))
         raises_.append(FockOperator(basis, high, parity=1, exactness_degree=D - 1))
-    return lowers, raises_
+    basis.cache["ladders"] = (tuple(lowers), tuple(raises_))
+    return basis.cache["ladders"]
 
 
 def rho_ab(basis: GradedBasis, alpha: MultiIndex, beta: MultiIndex) -> FockOperator:
@@ -543,6 +529,8 @@ def rho_tangent(basis: GradedBasis, u, v) -> FockOperator:
     u and v are length-n sequences of exact scalars: the coefficients of the
     frame vectors represented by multiplication and differentiation.
     """
+    if basis.kind != ANTIHOLOMORPHIC:
+        raise ValueError("rho_tangent acts on the antiholomorphic kind")
     n = basis.n
     u = [exact(x) for x in u]
     v = [exact(x) for x in v]
@@ -551,23 +539,10 @@ def rho_tangent(basis: GradedBasis, u, v) -> FockOperator:
     lowers, raises_ = ladder_matrices(basis)
     out = FockOperator.zero(basis)
     for i in range(n):
-        if basis.kind == ANTIHOLOMORPHIC:
-            mult, deriv = raises_[i], lowers[i]
-        else:
-            mult = _mult_zbar(basis, i)
-            deriv = lowers[i]
         if u[i]:
-            out = out + mult.scale(-u[i])
+            out = out + raises_[i].scale(-u[i])
         if v[i]:
-            out = out + deriv.scale(v[i])
+            out = out + lowers[i].scale(v[i])
     ed = basis.D if all(not x for x in u) else basis.D - 1
     return FockOperator(basis, out.entries, parity=1, exactness_degree=ed)
 
-
-def _mult_zbar(basis: GradedBasis, i: int) -> FockOperator:
-    ent: dict = {}
-    n, D = basis.n, basis.D
-    for col, (a, b) in enumerate(basis.labels):
-        if sum(a) + sum(b) <= D - 1:
-            ent[(basis.index((a, mi_add(b, mi_unit(n, i)))), col)] = 1
-    return FockOperator(basis, ent, parity=1, exactness_degree=D - 1)

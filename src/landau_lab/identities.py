@@ -11,10 +11,10 @@ import random
 from fractions import Fraction
 
 from . import bargmann as bg
-from .fock import (ANTIHOLOMORPHIC, FULL, FockOperator, PolyZZbar,
-                   enumerate_basis, ladder_matrices, mi_degree, mi_factorial,
-                   mi_unit, multi_indices, multi_indices_of_degree, pi_m,
-                   rho_ab, rho_tangent)
+from .fock import (ANTIHOLOMORPHIC, FULL, FockOperator, GradedBasis, PolyZZbar,
+                   ladder_matrices, mi_degree, mi_factorial, mi_unit,
+                   multi_indices, multi_indices_of_degree, pi_m, rho_ab,
+                   rho_tangent)
 from .radicals import CRad, Rad
 
 
@@ -42,8 +42,8 @@ def run_identity_checks(n: int, degree: int, seed: int = 0) -> list[dict]:
         results.append({"name": name, "passed": bool(passed), "detail": detail})
 
     D = degree
-    anti = enumerate_basis(n, D, ANTIHOLOMORPHIC)
-    full = enumerate_basis(n, D, FULL)
+    anti = GradedBasis(n, D, ANTIHOLOMORPHIC)
+    full = GradedBasis(n, D, FULL)
     labels = list(anti.labels)
 
     # --- shift relations rho_ab . rho_a'b' = delta_{b,a'} rho_ab'

@@ -62,22 +62,6 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return {"kind": self.kind, "params": self.params, "seed": self.seed}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {"kind", "params", "seed"}
-        extra = set(d) - known
-        if extra:
-            raise ValueError("unknown config fields: %s" % sorted(extra))
-        return cls(kind=d["kind"], params=dict(d.get("params", {})),
-                   seed=int(d.get("seed", 0)))
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(text))
-
 
 def emit_report(body: dict, path=None, timestamp: str | None = None) -> str:
     """Serialize a report with schema version and timestamp; optionally write
@@ -120,16 +104,25 @@ def _run_fock(config: ExperimentConfig) -> dict:
             "all_passed": all(r["passed"] for r in results)}
 
 
+def _rational(text, flag: str) -> Fraction:
+    try:
+        return Fraction(str(text))
+    except ZeroDivisionError:
+        raise ValueError("%s %s has a zero denominator" % (flag, text)) from None
+
+
 def _run_surface(config: ExperimentConfig) -> dict:
     from .surfaces import SurfaceGeometry, landau_spectrum, weitzenbock_iterate
     p = config.params
-    area = Fraction(str(p.get("area_over_pi", 4)))
+    area = _rational(p.get("area_over_pi", 4), "--area-over-pi")
     genus = int(p.get("genus", 0))
     if "B" in p:
-        geom = SurfaceGeometry.from_field(genus, Fraction(str(p["B"])), area)
+        geom = SurfaceGeometry.from_field(genus, _rational(p["B"], "--B"), area)
     else:
         geom = SurfaceGeometry(genus, int(p.get("degree", 1)), area)
     levels = int(p.get("levels", 4))
+    if levels < 1:
+        raise ValueError("--levels must be at least 1, got %d" % levels)
     if p.get("iterate"):
         table = weitzenbock_iterate(geom, max_steps=levels)
     else:

@@ -12,7 +12,6 @@ B + (m+1)*S > 0.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -95,18 +94,6 @@ class SpectrumTable:
             "rows": [r.to_dict() for r in self.rows],
             "stop_reason": self.stop_reason,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
-    def to_csv_rows(self) -> list[list]:
-        out = [["m", "eigenvalue", "multiplicity", "eigenvalue_valid",
-                "multiplicity_valid", "flag"]]
-        for r in self.rows:
-            out.append([r.m, str(r.eigenvalue),
-                        "" if r.multiplicity is None else r.multiplicity,
-                        r.eigenvalue_valid, r.multiplicity_valid, r.flag])
-        return out
 
 
 def landau_eigenvalue(geom: SurfaceGeometry, m: int) -> Fraction:

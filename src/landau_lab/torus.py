@@ -77,10 +77,6 @@ class TrigPoly:
         self.coeffs = {k: complex(c) for k, c in coeffs.items() if c != 0}
 
     @classmethod
-    def constant(cls, side: float, c=1.0) -> "TrigPoly":
-        return cls(side, {(0, 0): c})
-
-    @classmethod
     def cos_x(cls, side: float) -> "TrigPoly":
         return cls(side, {(1, 0): 0.5, (-1, 0): 0.5})
 
@@ -383,6 +379,9 @@ def resolve_levels(d: int, k: int, N: int, top: int,
     The solve asks for the k*d states of levels 0..top + 1 and four more,
     so that the window of level top closes below the largest eigenvalue.
     """
+    if top < 0:
+        raise ValueError("level %d does not exist: --levels must be at least 1, "
+                         "and --m and --ladder m=M at least 0" % top)
     dec = compute_spectrum(d, k, N, count=(top + 2) * k * d + 4, seed=seed)
     return dec, level_clusters(dec, top + 1)
 
@@ -413,9 +412,7 @@ class LandauProjector:
         # is the gram defect.
         self.gram_defect = float(gram_defect)
         self.V = V
-        self.m = m
         self.bundle = dec.bundle
-        self.cluster = cl
 
     @property
     def dim(self) -> int:
@@ -424,64 +421,17 @@ class LandauProjector:
     def apply(self, psi: np.ndarray) -> np.ndarray:
         return self.V @ (self.V.conj().T @ psi)
 
-    def compress(self, A) -> np.ndarray:
-        return self.V.conj().T @ (A @ self.V)
-
     def kernel_column(self, p: int) -> np.ndarray:
         """Column x -> P(x, p) of the projector kernel in continuum
         normalization (1/h^2 per site pair)."""
         return (self.V @ np.conj(self.V[p, :])) / self.bundle.h ** 2
 
 
-def sharpen_projector(A: np.ndarray, gap_tol: float = 1e-3) -> tuple[np.ndarray, float]:
-    """Apply the spectral step function (1 at and above 1/2) to a Hermitian
-    near-projector; refuse when an eigenvalue sits within gap_tol of 1/2."""
-    A = np.asarray(A)
-    herm = np.linalg.norm(A - A.conj().T, 2)
-    if herm > 1e-8 * max(1.0, np.linalg.norm(A, 2)):
-        raise ValueError("input is not hermitian enough to sharpen")
-    Ah = (A + A.conj().T) / 2
-    vals, vecs = np.linalg.eigh(Ah)
-    gap = float(np.min(np.abs(vals - 0.5)))
-    if gap < gap_tol:
-        raise GuardError("spectral gap %g around 1/2 is below %g; refusing to "
-                         "sharpen" % (gap, gap_tol))
-    chi = (vals >= 0.5).astype(float)
-    return (vecs * chi) @ vecs.conj().T, gap
-
-
-@dataclass
-class ToeplitzMatrix:
-    """Compression of a multiplication or derivative chain to one cluster."""
-
-    matrix: np.ndarray
-    label: str
-    m: int
-    k: int
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.matrix, 2))
-
-
-def toeplitz_fn(proj: LandauProjector, f) -> ToeplitzMatrix:
+def toeplitz_fn(proj: LandauProjector, f) -> np.ndarray:
     """Compression of multiplication by f (a TrigPoly or per-site values)."""
     b = proj.bundle
     fv = f.evaluate(b.X, b.Y) if isinstance(f, TrigPoly) else np.asarray(f)
-    mat = proj.V.conj().T @ (fv[:, None] * proj.V)
-    return ToeplitzMatrix(mat, "mult", proj.m, b.k)
-
-
-def toeplitz_invariants(proj: LandauProjector, f: TrigPoly) -> dict:
-    """Residuals of the structural identities: compression of 1 is the
-    identity, and compressing the conjugate function gives the adjoint."""
-    one = toeplitz_fn(proj, TrigPoly.constant(proj.bundle.geometry.side))
-    Tf = toeplitz_fn(proj, f)
-    fbar = TrigPoly(f.side, {(-p, -q): np.conj(c) for (p, q), c in f.coeffs.items()})
-    Tfbar = toeplitz_fn(proj, fbar)
-    return {
-        "unit_defect": float(np.linalg.norm(one.matrix - np.eye(proj.dim), 2)),
-        "adjoint_defect": float(np.linalg.norm(Tf.matrix.conj().T - Tfbar.matrix, 2)),
-    }
+    return proj.V.conj().T @ (fv[:, None] * proj.V)
 
 
 def covariant_field_op(bundle: DiscreteBundle, vf: tuple[TrigPoly, TrigPoly]):
@@ -493,7 +443,7 @@ def covariant_field_op(bundle: DiscreteBundle, vf: tuple[TrigPoly, TrigPoly]):
     return (X + Y).tocsr()
 
 
-def toeplitz_der(proj: LandauProjector, fields: list[tuple[TrigPoly, TrigPoly]]) -> ToeplitzMatrix:
+def toeplitz_der(proj: LandauProjector, fields: list[tuple[TrigPoly, TrigPoly]]) -> np.ndarray:
     """Compression of the derivative chain along the listed vector fields,
     scaled by k^(-p) for 2p fields."""
     if len(fields) % 2:
@@ -503,8 +453,7 @@ def toeplitz_der(proj: LandauProjector, fields: list[tuple[TrigPoly, TrigPoly]])
     for vf in reversed(fields):
         W = covariant_field_op(b, vf) @ W
     p = len(fields) // 2
-    mat = (proj.V.conj().T @ W) / b.k ** p
-    return ToeplitzMatrix(mat, "der", proj.m, b.k)
+    return (proj.V.conj().T @ W) / b.k ** p
 
 
 def hamiltonian_vf(f: TrigPoly) -> tuple[TrigPoly, TrigPoly]:
@@ -540,12 +489,12 @@ def asymptotic_defects(d: int, ks, m: int, f: TrigPoly, g: TrigPoly,
     for k in ks:
         dec, _ = resolve_levels(d, k, N, m, seed=seed)
         proj = LandauProjector(dec, m)
-        Tf = toeplitz_fn(proj, f).matrix
-        Tg = toeplitz_fn(proj, g).matrix
-        Tfg = toeplitz_fn(proj, f * g).matrix
-        Tpb = toeplitz_fn(proj, poisson_bracket(f, g)).matrix
-        Tb1 = toeplitz_fn(proj, b1_correction(f, g, m)).matrix
-        TXY = toeplitz_der(proj, [hamiltonian_vf(f), hamiltonian_vf(g)]).matrix
+        Tf = toeplitz_fn(proj, f)
+        Tg = toeplitz_fn(proj, g)
+        Tfg = toeplitz_fn(proj, f * g)
+        Tpb = toeplitz_fn(proj, poisson_bracket(f, g))
+        Tb1 = toeplitz_fn(proj, b1_correction(f, g, m))
+        TXY = toeplitz_der(proj, [hamiltonian_vf(f), hamiltonian_vf(g)])
         prod = Tf @ Tg
         out["D2"].append(float(np.linalg.norm(prod - Tfg - TXY / k, 2)))
         out["D1"].append(float(np.linalg.norm(1j * k * (prod - Tg @ Tf) - Tpb, 2)))
@@ -672,21 +621,6 @@ def peaked_section(bundle: DiscreteBundle, coeffs, center=None) -> np.ndarray:
     vals = (sqrt(b.k / (2 * pi)) * np.exp(-b.k * rho ** 2 / 4 + 1j * b.k * W)
             * poly * _bump(rho, lam / 8, lam / 4))
     return vals
-
-
-def peaked_defect(d: int, k: int, coeffs, m: int, N: int = 64, seed: int = 0) -> dict:
-    """Norm and cluster-projection defect of a peaked sample.
-
-    For a pure degree-m modulation the peak should lie near cluster m: the
-    report carries ||P_m phi - phi|| / ||phi|| and the continuum norm.
-    """
-    dec, _ = resolve_levels(d, k, N, m, seed=seed)
-    proj = LandauProjector(dec, m)
-    b = proj.bundle
-    phi = peaked_section(b, coeffs)
-    nrm = np.linalg.norm(phi) * b.h
-    defect = np.linalg.norm(proj.apply(phi) - phi) / np.linalg.norm(phi)
-    return {"k": k, "norm": float(nrm), "defect": float(defect)}
 
 
 def peaked_gram(d: int, k: int, coeff_list, N: int = 64, seed: int = 0) -> dict:

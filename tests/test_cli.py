@@ -128,6 +128,32 @@ def test_too_many_levels_for_the_grid_is_config_error(capsys):
     assert "config error" in err and "--levels" in err and "--grid" in err
 
 
+@pytest.mark.parametrize("extra", [
+    ["--levels", "0"],
+    ["--levels", "-3"],
+    ["--ladder", "m=-1"],
+    ["--m", "-1", "--defects", "cosx", "siny"],
+], ids=["levels0", "levels-3", "ladder-1", "m-1"])
+def test_torus_level_that_does_not_exist_is_config_error(capsys, extra):
+    code = main(["torus", "--d", "1", "--k", "4", "--grid", "32"] + extra)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "--levels" in err and "--ladder" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["surface", "--genus", "0", "--B", "1/0"],
+    ["surface", "--genus", "0", "--degree", "2", "--area-over-pi", "1/0"],
+    ["surface", "--degree", "2", "--genus", "0", "--levels", "-1"],
+    ["dim", "--torus", "d=1:2", "--k", "2", "--m", "-1"],
+    ["dim", "--surface", "g=-1,d=2", "--k", "1"],
+], ids=["B", "area", "levels", "dim-torus-m", "dim-surface-g"])
+def test_impossible_surface_and_dim_inputs_are_config_errors(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
 def test_torus_json_with_side_csv(tmp_path, capsys):
     out = tmp_path / "run.json"
     code = main(["--out", str(out), "torus", "--d", "1", "--k", "4",

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from landau_lab.dimensions import (
-    demailly_leading,
     dim_surface,
     dim_torus,
     torus_composition_check,
@@ -47,6 +46,15 @@ def test_torus_count_formula():
         dim_torus(1, 3, [0], 0)
 
 
+def test_counts_reject_levels_and_genera_that_do_not_exist():
+    with pytest.raises(ValueError, match="m=-1"):
+        dim_torus(2, 2, [1, 2], -1)
+    with pytest.raises(ValueError, match="m=-1"):
+        dim_surface(1, 2, 1, -1)
+    with pytest.raises(ValueError, match="g=-1"):
+        dim_surface(1, 2, -1, 0)
+
+
 def test_composition_sum_matches():
     rng = random.Random(31)
     for _ in range(25):
@@ -59,9 +67,10 @@ def test_composition_sum_matches():
 
 
 def test_demailly_leading_matches_torus_count():
-    # on the flat torus the leading term is exact: vol = (2 pi)^n * prod(d)
+    # on the flat torus the leading smooth-volume term
+    # (k/2pi)^n * binom(m+n-1, n-1) * vol is exact: vol = (2 pi)^n * prod(d)
     for n, d_list, m, k in [(1, [2], 0, 6), (2, [1, 3], 1, 4)]:
         vol = (2 * math.pi) ** n * math.prod(d_list)
-        lead = demailly_leading(n, m, vol, k)
+        lead = (k / (2 * math.pi)) ** n * math.comb(m + n - 1, n - 1) * vol
         exact = dim_torus(n, k, d_list, m).value
         assert abs(lead - exact) < 1e-9 * exact

@@ -1,8 +1,6 @@
-import json
 import math
 import random
 from fractions import Fraction
-from io import StringIO
 
 import numpy as np
 import pytest
@@ -14,13 +12,12 @@ from landau_lab.fock import (
     FULL,
     FockOperator,
     PolyZZbar,
+    GradedBasis,
     coords_from_poly,
-    enumerate_basis,
     ladder_matrices,
     mi_degree,
     multi_indices,
     multi_indices_of_degree,
-    operator_from_json,
     pi_m,
     poly_from_coords,
     rho_ab,
@@ -62,11 +59,11 @@ def test_multi_index_order_degree_then_lex():
 
 
 def test_basis_labels_and_lookup():
-    anti = enumerate_basis(2, 3)
+    anti = GradedBasis(2, 3)
     assert anti.size == math.comb(5, 2)
     for i, lab in enumerate(anti):
         assert anti.index(lab) == i
-    full = enumerate_basis(1, 4, FULL)
+    full = GradedBasis(1, 4, FULL)
     assert full.size == sum(1 for a in range(5) for b in range(5) if a + b <= 4)
 
 
@@ -99,7 +96,7 @@ def test_poly_product_degree_and_commutativity():
 
 
 def test_ladder_commutation_on_safe_columns():
-    basis = enumerate_basis(2, 5)
+    basis = GradedBasis(2, 5)
     lowers, raisers = ladder_matrices(basis)
     D = 5
     for i in range(2):
@@ -112,7 +109,7 @@ def test_ladder_commutation_on_safe_columns():
 
 
 def test_rho_shift_rule_spot():
-    basis = enumerate_basis(1, 6)
+    basis = GradedBasis(1, 6)
     r01 = rho_ab(basis, (0,), (1,))
     r12 = rho_ab(basis, (1,), (2,))
     prod = r01 @ r12
@@ -123,7 +120,7 @@ def test_rho_shift_rule_spot():
 
 
 def test_rho_adjoint_swaps_indices():
-    basis = enumerate_basis(2, 4)
+    basis = GradedBasis(2, 4)
     a, b = (1, 0), (0, 2)
     lhs = rho_ab(basis, a, b).adjoint()
     rhs = rho_ab(basis, b, a)
@@ -131,7 +128,7 @@ def test_rho_adjoint_swaps_indices():
 
 
 def test_pi_m_idempotent_and_orthogonal():
-    basis = enumerate_basis(2, 4)
+    basis = GradedBasis(2, 4)
     projs = [pi_m(basis, m) for m in range(3)]
     for m, p in enumerate(projs):
         assert (p @ p).agrees_with(p, 4)
@@ -142,7 +139,7 @@ def test_pi_m_idempotent_and_orthogonal():
 def test_rho_tangent_antisymmetry():
     from fractions import Fraction
 
-    basis = enumerate_basis(2, 4)
+    basis = GradedBasis(2, 4)
     u = [Fraction(1), Fraction(2)]
     zero = [Fraction(0), Fraction(0)]
     lhs = rho_tangent(basis, u, zero).adjoint()
@@ -150,8 +147,17 @@ def test_rho_tangent_antisymmetry():
     assert lhs.agrees_with(rhs, 3)
 
 
+def test_one_ladder_set_per_basis():
+    # the ledger, rho_tangent and the bargmann shifts all read this one set
+    for basis in (GradedBasis(2, 3), GradedBasis(2, 3, FULL)):
+        assert ladder_matrices(basis) is ladder_matrices(basis)
+    assert ladder_matrices(GradedBasis(2, 3)) is not ladder_matrices(GradedBasis(2, 3))
+    with pytest.raises(ValueError, match="antiholomorphic"):
+        rho_tangent(GradedBasis(1, 3, FULL), [1], [0])
+
+
 def test_exactness_degree_drops_under_composition():
-    basis = enumerate_basis(1, 5)
+    basis = GradedBasis(1, 5)
     _, raisers = ladder_matrices(basis)
     r = raisers[0]
     assert r.exactness_degree == 4
@@ -160,7 +166,7 @@ def test_exactness_degree_drops_under_composition():
 
 def test_parity_split_reassembles():
     rng = random.Random(9)
-    basis = enumerate_basis(1, 4)
+    basis = GradedBasis(1, 4)
     entries = {}
     for _ in range(8):
         i, j = rng.randrange(basis.size), rng.randrange(basis.size)
@@ -172,7 +178,7 @@ def test_parity_split_reassembles():
 
 
 def test_poly_coordinate_round_trip():
-    basis = enumerate_basis(2, 4)
+    basis = GradedBasis(2, 4)
     rng = random.Random(10)
     p = _random_poly(2, 4, rng, kind=ANTIHOLOMORPHIC)
     back = poly_from_coords(basis, coords_from_poly(basis, p))
@@ -180,7 +186,7 @@ def test_poly_coordinate_round_trip():
 
 
 def test_apply_poly_matches_matrix():
-    basis = enumerate_basis(1, 5)
+    basis = GradedBasis(1, 5)
     lowers, raisers = ladder_matrices(basis)
     A = raisers[0] @ lowers[0]
     rng = random.Random(12)
@@ -197,22 +203,10 @@ def test_apply_poly_matches_matrix():
     assert np.max(np.abs(got - expect)) < 1e-12
 
 
-def test_json_round_trip():
-    basis = enumerate_basis(2, 3)
-    op = rho_ab(basis, (1, 0), (0, 1))
-    buf = StringIO()
-    op.dump_json(buf)
-    data = json.loads(buf.getvalue())
-    assert data["n"] == 2 and data["D"] == 3
-    basis2, arr = operator_from_json(data)
-    assert basis2.size == basis.size
-    assert np.max(np.abs(arr - op.as_array())) < 1e-15
-
-
 # ---------------------------------------------------------------------------
 # Operators whose entries mix the exact scalar forms
 
-_MIXED_BASIS = enumerate_basis(2, 2)
+_MIXED_BASIS = GradedBasis(2, 2)
 _small = st.integers(-3, 3)
 _scalars = st.one_of(
     _small,
@@ -267,7 +261,7 @@ def test_entry_forms_compare_equal(entries):
 
 
 def test_radical_and_rational_entries_agree():
-    basis = enumerate_basis(1, 2)
+    basis = GradedBasis(1, 2)
     one = FockOperator(basis, {(0, 0): 1, (1, 1): Fraction(1, 2), (2, 2): 2})
     same = FockOperator(basis, {(0, 0): CRad(1), (1, 1): CRad(Fraction(1, 2)),
                                 (2, 2): CRad(Rad.sqrt(4))})

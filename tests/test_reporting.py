@@ -70,14 +70,6 @@ def test_emit_report_reserved_keys():
         emit_report({"generated_at": "now"})
 
 
-def test_config_round_trip():
-    cfg = ExperimentConfig("surface", {"genus": 2, "B": "5"}, seed=3)
-    back = ExperimentConfig.from_json(cfg.to_json())
-    assert back == cfg
-    with pytest.raises(ValueError):
-        ExperimentConfig.from_dict({"kind": "dim", "params": {}, "bogus": 1})
-
-
 def test_write_csv_round_trip(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, ["a", "b"], [[1, 2], [3, 4]])

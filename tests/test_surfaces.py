@@ -121,5 +121,3 @@ def test_table_serialization_round_trip():
     assert d["B"] == "1" and d["S"] == "1"
     assert len(d["rows"]) == 3
     assert d["rows"][1]["eigenvalue"] == str(landau_eigenvalue(geom, 1))
-    csv_rows = table.to_csv_rows()
-    assert csv_rows[0][0] == "m" and len(csv_rows) == 4

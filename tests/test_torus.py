@@ -17,13 +17,10 @@ from landau_lab.torus import (
     hamiltonian_vf,
     kernel_error,
     ladder_map,
-    peaked_defect,
     peaked_gram,
     poisson_bracket,
     resolve_levels,
-    sharpen_projector,
     toeplitz_fn,
-    toeplitz_invariants,
 )
 
 
@@ -161,23 +158,6 @@ def test_projector_rejects_a_miscounted_cluster():
         LandauProjector(short, 1)
 
 
-def test_sharpen_projector_behavior():
-    dec = compute_spectrum(1, 4, 32, count=18)
-    proj = LandauProjector(dec, 0)
-    P = proj.V @ proj.V.conj().T
-    rng = np.random.default_rng(0)
-    noise = rng.standard_normal(P.shape) + 1j * rng.standard_normal(P.shape)
-    noise = 1e-5 * (noise + noise.conj().T)
-    sharpened, gap = sharpen_projector(P + noise)
-    assert gap > 0.4
-    assert np.linalg.norm(sharpened @ sharpened - sharpened, 2) < 1e-12
-    assert np.linalg.norm(sharpened - P, 2) < 1e-3
-    with pytest.raises(ValueError):
-        sharpen_projector(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(GuardError):
-        sharpen_projector(0.5 * np.eye(4))
-
-
 def test_trig_poly_evaluate_and_derivatives():
     side = TorusGeometry(d=1).side
     om = 2 * math.pi / side
@@ -211,13 +191,17 @@ def test_toeplitz_unit_and_adjoint():
     dec = compute_spectrum(1, 4, 32, count=18)
     proj = LandauProjector(dec, 0)
     side = proj.bundle.geometry.side
-    f = TrigPoly.cos_x(side) + TrigPoly.sin_y(side).scale(0.5)
-    rep = toeplitz_invariants(proj, f)
-    assert rep["unit_defect"] < 1e-10
-    assert rep["adjoint_defect"] < 1e-10
-    # real symbols compress to Hermitian matrices
+    f = TrigPoly.cos_x(side) + TrigPoly.sin_y(side).scale(0.5) * 1j
+    one = toeplitz_fn(proj, np.ones(dec.bundle.N ** 2))
+    assert np.linalg.norm(one - np.eye(proj.dim), 2) < 1e-10
+    # the conjugate symbol compresses to the adjoint
+    fbar = TrigPoly(side, {(-p, -q): np.conj(c) for (p, q), c in f.coeffs.items()})
     T = toeplitz_fn(proj, f)
-    assert np.linalg.norm(T.matrix - T.matrix.conj().T, 2) < 1e-10
+    assert np.linalg.norm(T.conj().T - toeplitz_fn(proj, fbar), 2) < 1e-10
+    # real symbols compress to Hermitian matrices
+    g = TrigPoly.cos_x(side) + TrigPoly.sin_y(side).scale(0.5)
+    Tg = toeplitz_fn(proj, g)
+    assert np.linalg.norm(Tg - Tg.conj().T, 2) < 1e-10
 
 
 def test_kernel_error_decays():
@@ -258,11 +242,11 @@ def test_asymptotic_defects_smoke():
 
 
 def test_peaked_sections_live_in_lowest_cluster():
-    rep = peaked_defect(6, 8, [1.0], 0, N=48)
-    assert abs(rep["norm"] - 1.0) < 0.05
-    assert rep["defect"] < 0.1
-    rep2 = peaked_defect(6, 12, [1.0], 0, N=48)
-    assert rep2["defect"] < rep["defect"]
+    rep = peaked_gram(6, 8, [[1.0]], N=48)
+    assert abs(np.sqrt(rep["gram"][0, 0].real) - 1.0) < 0.05
+    assert rep["defects"][0] < 0.1
+    rep2 = peaked_gram(6, 12, [[1.0]], N=48)
+    assert rep2["defects"][0] < rep["defects"][0]
 
 
 def test_peaked_gram_structure():
