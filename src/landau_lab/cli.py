@@ -153,12 +153,9 @@ def _emit(args, body: dict) -> None:
             rows = [(r["m"], r["eigenvalue"], r["multiplicity"], r["flag"])
                     for r in body["surface"]["rows"]]
             header = ("m", "eigenvalue", "multiplicity", "flag")
-        elif args.command == "torus":
+        else:  # torus: main() turns csv down for the other reports
             rows = eigen_rows or []
             header = ("k", "index", "eigenvalue")
-        else:
-            raise ValueError("csv output is only available for surface and "
-                             "torus reports")
         if args.out is None:
             print(",".join(header))
             for row in rows:
@@ -180,6 +177,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
+        if args.format == "csv" and args.command not in ("surface", "torus"):
+            raise ValueError("csv output is only available for surface and "
+                             "torus reports")
         body = run_experiment(config)
         _emit(args, body)
     except GuardError as exc:

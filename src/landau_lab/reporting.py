@@ -161,51 +161,52 @@ def _run_torus(config: ExperimentConfig) -> dict:
     seed = config.seed
 
     body: dict = {"config": config.to_dict(), "clusters": {}, "dims": {},
-                  "residuals": {}}
+                  "residuals": {}, "solver": {}}
+    if p.get("defects"):
+        fname, gname = p["defects"]
+        side = T.TorusGeometry(d).side
+        f = _trig_by_name(fname, side)
+        g = _trig_by_name(gname, side)
+        body["defects"] = {"f": fname, "g": gname, "m": m,
+                           "D2": [], "D1": [], "DB": []}
+    if p.get("kernel_compare"):
+        body["kernel_compare"] = []
+    if p.get("ladder") is not None:
+        lm = int(p["ladder"])
+        body["ladder"] = []
     eigen_rows = []
+    # Every block of one k runs before the next k is solved, so each
+    # spectrum is reused while it is the most recent one in the cache.
     for k in ks:
         dec, cls = T.resolve_levels(d, k, N, levels - 1, seed=seed)
         body["residuals"][str(k)] = dec.residual_max
+        body["solver"][str(k)] = dec.solver
         body["clusters"][str(k)] = [
             {"m": c["m"], "count": c["count"], "center": c["center"],
              "mean_scaled": c["mean_scaled"]} for c in cls]
         body["dims"][str(k)] = {str(c["m"]): c["count"] for c in cls}
         for i, lam in enumerate(dec.eigenvalues):
             eigen_rows.append((k, i, repr(float(lam))))
-    body["eigenvalue_rows"] = len(eigen_rows)
-
-    if p.get("defects"):
-        fname, gname = p["defects"]
-        side = T.TorusGeometry(d).side
-        f = _trig_by_name(fname, side)
-        g = _trig_by_name(gname, side)
-        table = T.asymptotic_defects(d, ks, m, f, g, N=N, seed=seed)
-        block = {"f": fname, "g": gname, "m": m,
-                 "D2": table["D2"], "D1": table["D1"], "DB": table["DB"]}
-        if len(ks) >= 4:
-            block["slopes"] = {
-                name: fit_slope(ks, table[name]).to_dict()
-                for name in ("D2", "D1", "DB")}
-        body["defects"] = block
-
-    if p.get("kernel_compare"):
-        block = []
-        for k in ks:
+        if "defects" in body:
+            table = T.asymptotic_defects(d, [k], m, f, g, N=N, seed=seed)
+            for name in ("D2", "D1", "DB"):
+                body["defects"][name] += table[name]
+        if "kernel_compare" in body:
             for mm in range(min(levels, 3)):
                 r = T.kernel_error(d, k, mm, N=N, seed=seed)
-                block.append({"k": k, "m": mm, "diag_err": r["diag_err"],
-                              "offdiag_err": r["offdiag_err"]})
-        body["kernel_compare"] = block
-
-    if p.get("ladder") is not None:
-        lm = int(p["ladder"])
-        block = []
-        for k in ks:
+                body["kernel_compare"].append(
+                    {"k": k, "m": mm, "diag_err": r["diag_err"],
+                     "offdiag_err": r["offdiag_err"]})
+        if "ladder" in body:
             r = T.ladder_map(d, k, lm, N=N, seed=seed)
-            block.append({"k": k, "m": lm, "vtv_defect": r["vtv_defect"],
-                          "vvt_defect": r["vvt_defect"],
-                          "max_angle": r["max_angle"]})
-        body["ladder"] = block
+            body["ladder"].append({"k": k, "m": lm, "vtv_defect": r["vtv_defect"],
+                                   "vvt_defect": r["vvt_defect"],
+                                   "max_angle": r["max_angle"]})
+    body["eigenvalue_rows"] = len(eigen_rows)
+    if "defects" in body and len(ks) >= 4:
+        body["defects"]["slopes"] = {
+            name: fit_slope(ks, body["defects"][name]).to_dict()
+            for name in ("D2", "D1", "DB")}
 
     body["_eigen_rows"] = eigen_rows
     return body

@@ -15,23 +15,29 @@ assembled and checked for hermiticity once per bundle.
 The solver uses the Landau gauge.  A discrete Fourier transform in y makes
 the y-links diagonal, and the wrap column shifts the y-mode by k*d, so H
 splits exactly into g = gcd(N, k*d) independent real symmetric Harper rings
-of N^2/g sites (Harper 1955; Hofstadter 1976).  LAPACK bisection on each
-ring finds the lowest eigenvalues and how many of them each ring holds;
-shift-invert Lanczos on each ring finds the vectors.  A completeness guard
-requires the Lanczos values to equal the bisection ones, so a skipped
+of N^2/g sites (Harper 1955; Hofstadter 1976).  When gcd(k*d, N^2) divides
+N, the finite magnetic translations carry ring 0 onto every other ring by
+a cyclic shift (Zak 1964): then only ring 0 is solved, for ceil(count/g)
+eigenpairs, and the other rings' vectors are its vectors rolled.  Otherwise
+LAPACK bisection on each ring, asked for two values past its even share
+and asked again for twice as many while it may hold more below the cut,
+finds the lowest eigenvalues and how many of them each ring holds.
+Shift-invert Lanczos on each solved ring finds the vectors.  A completeness
+guard requires the Lanczos values to equal the bisection ones, so a skipped
 eigenvalue trips a GuardError, and every pair, mapped back to the grid by
-an inverse FFT in y, is checked against the real-space H.  `resolve_levels` is
-the one spectral entry point: from (d, k, N, top level, seed) it returns the
-spectrum, cached per (d, k, N, seed) and shared by the experiment drivers,
-and the clusters of levels 0..top.  Each cluster is a unit window of
-lambda/k (`detect_clusters`), and its count must equal the Riemann-Roch
-number k*d of its level; a mismatch trips a GuardError instead of
-mislabelling the levels above it.
+an inverse FFT in y, is checked against the real-space H, which also
+checks the shift.  `resolve_levels` is the one spectral entry point: from
+(d, k, N, top level, seed) it returns the spectrum, cached per
+(d, k, N, seed) in a byte-capped least-recently-used cache shared by the
+experiment drivers, and the clusters of levels 0..top.  Each cluster is a
+unit window of lambda/k (`detect_clusters`), and its count must equal the
+Riemann-Roch number k*d of its level; a mismatch trips a GuardError
+instead of mislabelling the levels above it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import factorial, gcd, pi, sqrt
 
 import numpy as np
@@ -217,10 +223,11 @@ class SpectralDecomposition:
     vectors: np.ndarray
     residual_max: float
     seed: int = 0
+    solver: dict = field(default_factory=dict)
 
 
 def _harper_rings(bundle: DiscreteBundle):
-    """The Landau-gauge rings of H, as (modes, ring matrix) per ring.
+    """The Landau-gauge rings of H, as (modes, diagonal) per ring.
 
     Ring q0 < g = gcd(N, k*d) visits the sites s = v*N + i <-> (i, modes[v])
     with modes[v] = (q0 - k*d*v) mod N.  Its diagonal is
@@ -230,74 +237,70 @@ def _harper_rings(bundle: DiscreteBundle):
     N, kd = bundle.N, bundle.k * bundle.geometry.d
     c = 1.0 / (2 * bundle.h ** 2)
     g = gcd(N, kd)
-    L = N * N // g
-    s = np.arange(L)
-    rows = np.concatenate([s, s, (s + 1) % L])
-    cols = np.concatenate([s, (s + 1) % L, s])
+    s = np.arange(N * N // g)
     for q0 in range(g):
-        diag = c * (4 - 2 * np.cos(2 * pi * q0 / N - 2 * pi * kd * s / N ** 2))
-        vals = np.concatenate([diag, np.full(2 * L, -c)])
         yield ((q0 - kd * np.arange(N // g)) % N,
-               sp.csc_matrix((vals, (rows, cols)), shape=(L, L)))
+               c * (4 - 2 * np.cos(2 * pi * q0 / N - 2 * pi * kd * s / N ** 2)))
 
 
-def _zigzag_band(A: sp.csc_matrix) -> np.ndarray:
-    """Lower band form of a ring matrix in the order 0, L-1, 1, L-2, ...,
-    in which every ring link joins rows at most two apart."""
-    L = A.shape[0]
+def _ring_matrix(diag: np.ndarray, hop: float) -> sp.csc_matrix:
+    """The ring with this diagonal and hopping on every link s -- s + 1
+    (mod L), as a sparse matrix."""
+    L = len(diag)
+    return sp.diags([hop, hop, diag, hop, hop], [1 - L, -1, 0, 1, L - 1],
+                    format="csc")
+
+
+def _ring_band(diag: np.ndarray, hop: float) -> np.ndarray:
+    """Lower band form of the ring in the order 0, L-1, 1, L-2, ...  Rows two
+    apart hold ring neighbours; rows one apart do so only at the wrap link
+    0 -- L-1 (rows 0, 1) and at the middle of the ring (rows L-2, L-1)."""
+    L = len(diag)
     perm = np.empty(L, dtype=int)
     perm[0::2] = np.arange((L + 1) // 2)
     perm[1::2] = L - 1 - np.arange(L // 2)
-    Z = A[perm][:, perm]
-    return np.array([np.pad(Z.diagonal(-off), (0, off)) for off in range(3)])
+    band = np.zeros((3, L))
+    band[0] = diag[perm]
+    band[1, [0, L - 2]] = hop
+    band[2, :L - 2] = hop
+    return band
 
 
-def lowest_spectrum(bundle: DiscreteBundle, count: int,
-                    seed: int = 0) -> SpectralDecomposition:
-    """Lowest eigenpairs of H from its Landau-gauge rings.
+def _magnetic_shift(N: int, kd: int) -> int | None:
+    """The shift t with k*d*t = -N (mod N^2) that carries ring 0's diagonal
+    onto ring 1's, or None when there is none.
 
-    LAPACK bisection gives each ring's lowest eigenvalues; merged, they fix
-    the global lowest `count` and each ring's share.  Shift-invert Lanczos
-    on each real ring, from a seeded start vector, gives the vectors, and
-    its values must match the bisection ones, or it skipped an eigenvalue.
-    Vectors map back to the grid by an inverse FFT in y, and every pair is
-    checked against the real-space H.
+    Ring q0's diagonal at s is ring 0's at s + q0*t (mod L), so every ring
+    is ring 0 rolled and all g rings share one spectrum.  The shift exists
+    when G = gcd(k*d, N^2) divides N; then G = g, k*d/g is invertible
+    modulo L = N^2/g, and t is unique modulo L.
     """
-    H = bundle.laplacian()
-    N = bundle.N
-    norm_bound = float(abs(H).sum(axis=0).max())
-    rings = list(_harper_rings(bundle))
-    L = rings[0][1].shape[0]
-    if count > N * N:
-        raise ValueError("%d eigenvalues asked of a grid of %d sites: ask for "
-                         "fewer levels (--levels) or a finer grid (--grid)"
-                         % (count, N * N))
-    lows = [eig_banded(_zigzag_band(A), lower=True, eigvals_only=True,
-                       select="i", select_range=(0, min(count, L) - 1))
-            for _, A in rings]
-    owner = np.repeat(np.arange(len(rings)), [len(v) for v in lows])
-    lowest = np.argsort(np.concatenate(lows), kind="stable")[:count]
-    shares = np.bincount(owner[lowest], minlength=len(rings))
-    if shares.max() > L - 1:
-        raise ValueError("%d eigenvalues asked of a Landau-gauge ring of %d sites, "
-                         "where eigsh takes at most %d: ask for fewer levels "
-                         "(--levels) or a finer grid (--grid)"
-                         % (shares.max(), L, L - 1))
-    rng = np.random.default_rng(seed)
-    found = []
-    for (modes, A), low, n_r in zip(rings, lows, shares):
-        if n_r == 0:
-            continue
-        vals, vecs = spla.eigsh(A, k=n_r, sigma=0, which="LM",
-                                v0=rng.standard_normal(L))
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        skip = np.max(np.abs(vals - low[:n_r]))
-        if skip > RESIDUAL_TOL * norm_bound:
-            raise GuardError("ring eigensolve missed an eigenvalue: its values "
-                             "are %g from the bisection ones" % skip)
-        found.append((modes, vals, vecs))
+    G = gcd(kd, N * N)
+    if N % G:
+        return None
+    L = N * N // G
+    return -(N // G) * pow(kd // G, -1, L) % L
+
+
+# Values bisected per ring past its even share ceil(count/g) when the rings'
+# spectra differ.  Every ring holds k*d/g values of each level, so a cut
+# between levels gives each ring its even share; inside a level near-equal
+# values decide the shares, which can run over.  A ring that fills its
+# request is bisected again for twice as many.
+_BISECT_MARGIN = 2
+
+# Columns per sparse product in the residual check, which bounds its scratch
+# memory at two N^2 x 16 complex arrays.  Wider batches were no faster at
+# N = 64 and 192, and their scratch raised the peak memory of a solve.
+_RESIDUAL_BATCH = 16
+
+
+def _to_grid(found, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ring eigenpairs, as (modes, values, ring vectors) per ring, as grid
+    eigenpairs sorted by value: an inverse FFT in y of each vector's
+    (y-mode, x-site) amplitudes."""
     vals = np.concatenate([f[1] for f in found])
+    count = len(vals)
     order = np.argsort(vals, kind="stable")
     column = np.empty(count, dtype=int)
     column[order] = np.arange(count)
@@ -311,28 +314,135 @@ def lowest_spectrum(bundle: DiscreteBundle, count: int,
             vecs.reshape(len(modes), N, n_r)
         start += n_r
     # Back to the grid, p = i + N*j: row j*N + i of the transformed array.
-    vecs = (np.fft.ifft(phi, axis=0) * sqrt(N)).reshape(N * N, count)
-    vals = vals[order]
-    resid = max(np.linalg.norm(H @ vecs[:, j] - vals[j] * vecs[:, j])
-                for j in range(count))
+    return vals[order], np.fft.ifft(phi, axis=0, norm="ortho").reshape(N * N, count)
+
+
+def lowest_spectrum(bundle: DiscreteBundle, count: int,
+                    seed: int = 0) -> SpectralDecomposition:
+    """Lowest eigenpairs of H from its Landau-gauge rings.
+
+    LAPACK bisection gives each ring's lowest eigenvalues; merged, they fix
+    the global lowest `count` and each ring's share.  When the magnetic
+    translations carry ring 0 onto every other ring (`_magnetic_shift`),
+    only ring 0 is solved, for ceil(count/g) values, and its values stand
+    for every ring's.  Otherwise each ring is bisected for ceil(count/g) + 2
+    values, and a ring whose last value is not above the count-th smallest
+    merged one is bisected again for twice as many, until none is.
+    Shift-invert Lanczos on each solved ring, from a seeded start vector,
+    gives the vectors, and its values must match the bisection ones, or it
+    skipped an eigenvalue; on the translation path the other rings' vectors
+    are ring 0's, rolled by the shift.  Vectors map back to the grid by an
+    inverse FFT in y, and every pair is checked against the real-space H,
+    which does not use the symmetry.  `solver` records the rings, their
+    shares, the path taken and the values bisected.
+    """
+    H = bundle.laplacian()
+    N, kd = bundle.N, bundle.k * bundle.geometry.d
+    norm_bound = float(abs(H).sum(axis=0).max())
+    if count > N * N:
+        raise ValueError("%d eigenvalues asked of a grid of %d sites: ask for "
+                         "fewer levels (--levels) or a finer grid (--grid)"
+                         % (count, N * N))
+    hop = -1.0 / (2 * bundle.h ** 2)
+    rings = list(_harper_rings(bundle))
+    g = len(rings)
+    L = N * N // g
+    shift = _magnetic_shift(N, kd)
+    bisected = 0
+
+    def bisect(r: int, n: int) -> np.ndarray:
+        nonlocal bisected
+        bisected += n
+        return eig_banded(_ring_band(rings[r][1], hop), lower=True,
+                          eigvals_only=True, select="i", select_range=(0, n - 1))
+
+    even_share = -(-count // g)
+    if shift is not None:
+        lows = [bisect(0, even_share)] * g
+    else:
+        want = [min(even_share + _BISECT_MARGIN, L)] * g
+        lows = [bisect(r, n) for r, n in enumerate(want)]
+        while True:
+            tau = np.partition(np.concatenate(lows), count - 1)[count - 1]
+            short = [r for r in range(g) if want[r] < L and lows[r][-1] <= tau]
+            if not short:
+                break
+            for r in short:
+                want[r] = min(2 * want[r], L)
+                lows[r] = bisect(r, want[r])
+    owner = np.repeat(np.arange(g), [len(v) for v in lows])
+    lowest = np.argsort(np.concatenate(lows), kind="stable")[:count]
+    shares = np.bincount(owner[lowest], minlength=g)
+    if shares.max() > L - 1:
+        raise ValueError("%d eigenvalues asked of a Landau-gauge ring of %d sites, "
+                         "where eigsh takes at most %d: ask for fewer levels "
+                         "(--levels) or a finer grid (--grid)"
+                         % (shares.max(), L, L - 1))
+    rng = np.random.default_rng(seed)
+    pairs = {}
+    for r in ([0] if shift is not None else np.nonzero(shares)[0]):
+        n_r = shares[r]
+        vals, vecs = spla.eigsh(_ring_matrix(rings[r][1], hop), k=n_r, sigma=0,
+                                which="LM", v0=rng.standard_normal(L))
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
+        skip = np.max(np.abs(vals - lows[r][:n_r]))
+        if skip > RESIDUAL_TOL * norm_bound:
+            raise GuardError("ring eigensolve missed an eigenvalue: its values "
+                             "are %g from the bisection ones" % skip)
+        pairs[r] = vals, vecs
+    if shift is not None:
+        vals0, vecs0 = pairs[0]
+        for r in range(1, g):
+            if shares[r]:
+                pairs[r] = (vals0[:shares[r]],
+                            np.roll(vecs0[:, :shares[r]], -(r * shift) % L, axis=0))
+    vals, vecs = _to_grid([(rings[r][0], *pairs[r]) for r in sorted(pairs)], N)
+    resid = 0.0
+    for b in range(0, count, _RESIDUAL_BATCH):
+        V = vecs[:, b:b + _RESIDUAL_BATCH]
+        R = H @ V
+        R -= V * vals[b:b + _RESIDUAL_BATCH]
+        resid = max(resid, float(np.linalg.norm(R, axis=0).max()))
     if resid > RESIDUAL_TOL * norm_bound:
         raise GuardError("eigen-residual %g exceeds %g" % (resid, RESIDUAL_TOL * norm_bound))
-    return SpectralDecomposition(bundle, vals, vecs, resid, seed)
+    solver = {"rings": g, "ring_sites": L, "shares": [int(n) for n in shares],
+              "translation": shift is not None, "bisected": bisected}
+    return SpectralDecomposition(bundle, vals, vecs, resid, seed, solver)
 
 
+# Byte cap of the spectrum cache.  A torus run reuses one spectrum at a
+# time; acceptance criterion 3 reuses five (d = 4, N = 16k, 179 MB of
+# vectors at k = 4..12), solved at m = 1 and read again at m = 0.
+SPECTRUM_CACHE_BYTES = 256 * 2 ** 20
+
+# Least recently used first: a hit is moved to the end.
 _SPECTRUM_CACHE: dict[tuple, SpectralDecomposition] = {}
+
+
+def _spectrum_bytes(dec: SpectralDecomposition) -> int:
+    return dec.vectors.nbytes + dec.eigenvalues.nbytes
 
 
 def compute_spectrum(d: int, k: int, N: int, count: int,
                      seed: int = 0) -> SpectralDecomposition:
-    """Cached lowest count eigenpairs of the (d, k, N) lattice model."""
+    """Cached lowest count eigenpairs of the (d, k, N) lattice model.
+
+    The cache keeps the most recently used spectra whose arrays fit in
+    SPECTRUM_CACHE_BYTES together; a spectrum larger than that is returned
+    but not kept.
+    """
     key = (d, k, N, seed)
-    cached = _SPECTRUM_CACHE.get(key)
+    cached = _SPECTRUM_CACHE.pop(key, None)
     if cached is not None and len(cached.eigenvalues) >= count:
+        _SPECTRUM_CACHE[key] = cached
         return cached
     bundle = DiscreteBundle(TorusGeometry(d), k, N)
     dec = lowest_spectrum(bundle, count, seed=seed)
     _SPECTRUM_CACHE[key] = dec
+    total = sum(_spectrum_bytes(v) for v in _SPECTRUM_CACHE.values())
+    while total > SPECTRUM_CACHE_BYTES:
+        total -= _spectrum_bytes(_SPECTRUM_CACHE.pop(next(iter(_SPECTRUM_CACHE))))
     return dec
 
 

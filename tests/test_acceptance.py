@@ -201,3 +201,14 @@ def test_criterion_8_dimension_consistency():
     assert res["match"]
     print("    two-torus composition: direct %d == level sum %d"
           % (res["direct"], res["composition_sum"]))
+
+
+def test_translation_path_on_every_acceptance_grid():
+    # The lattice criteria solve (d, N) = (1, 64) and (2, 64) at every k, and
+    # (4, 16k) and (1, 16k).  Their spectra are cached by now; a grid that
+    # was evicted is solved again for one value.
+    grids = {(d, k, N) for k in KS
+             for d, N in ((1, 64), (2, 64), (4, 16 * k), (1, 16 * k))}
+    for d, k, N in sorted(grids):
+        solver = compute_spectrum(d, k, N, count=1).solver
+        assert solver["translation"], (d, k, N, solver)

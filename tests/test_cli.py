@@ -93,6 +93,17 @@ def test_csv_unavailable_for_fock(capsys):
     assert code == 2
 
 
+def test_csv_format_is_rejected_before_any_work(capsys, monkeypatch):
+    def must_not_run(config):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(cli, "run_experiment", must_not_run)
+    code = main(["--format", "csv", "fock", "--check-identities",
+                 "--n", "2", "--degree", "8"])
+    assert code == 2
+    assert "csv output is only available" in capsys.readouterr().err
+
+
 def test_unknown_defect_observable(capsys):
     code = main(["torus", "--d", "1", "--k", "4", "--grid", "32",
                  "--levels", "1", "--defects", "f=cosq", "g=siny"])

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from landau_lab import torus
 from landau_lab.reporting import (
     SCHEMA_VERSION,
     ExperimentConfig,
@@ -100,15 +101,41 @@ def test_run_dim_experiment():
     assert body["composition"]["match"] is True
 
 
-def test_run_torus_experiment_smoke():
+def test_run_torus_experiment_smoke(monkeypatch):
+    monkeypatch.setattr(torus, "_SPECTRUM_CACHE", {})  # solve for this count
     cfg = ExperimentConfig("torus", {"d": 1, "ks": [4], "N": 32, "levels": 2})
     body = run_experiment(cfg)
     assert body["dims"]["4"] == {"0": 4, "1": 4}
     assert body["residuals"]["4"] < 1e-8
+    # levels 0..1 ask for 3 * k*d + 4 = 16 eigenvalues of 4 rings of 256 sites
+    assert body["solver"]["4"] == {"rings": 4, "ring_sites": 256,
+                                   "shares": [4, 4, 4, 4], "translation": True,
+                                   "bisected": 4}
     rows = body.pop("_eigen_rows")
     assert body["eigenvalue_rows"] == len(rows)
     # the remaining body must serialize cleanly
     emit_report(body, timestamp="t")
+
+
+def test_torus_run_solves_each_power_once(monkeypatch):
+    # The cache has room for one of the two spectra, so blocks that each
+    # walked all the powers would evict and solve again.
+    monkeypatch.setattr(torus, "_SPECTRUM_CACHE", {})
+    monkeypatch.setattr(torus, "SPECTRUM_CACHE_BYTES", 400_000)
+    solve, calls = torus.lowest_spectrum, []
+
+    def counting(bundle, count, seed=0):
+        calls.append(bundle.k)
+        return solve(bundle, count, seed)
+
+    monkeypatch.setattr(torus, "lowest_spectrum", counting)
+    body = run_experiment(ExperimentConfig("torus", {
+        "d": 1, "ks": [4, 6], "N": 32, "levels": 2, "defects": ["cosx", "siny"],
+        "kernel_compare": True, "ladder": 1}))
+    assert calls == [4, 6]
+    assert [r["k"] for r in body["kernel_compare"]] == [4, 4, 6, 6]
+    assert [r["k"] for r in body["ladder"]] == [4, 6]
+    assert len(body["defects"]["D2"]) == 2
 
 
 def test_unknown_kind_rejected():

@@ -119,6 +119,70 @@ def test_ring_share_beyond_eigsh_is_a_value_error():
         torus.lowest_spectrum(bundle, 257)
 
 
+@pytest.mark.parametrize("d,k,N,holds", [(1, 4, 64, True), (4, 4, 64, True),
+                                         (2, 8, 72, False)])
+def test_translation_predicate(d, k, N, holds):
+    # gcd(k*d, N^2) is 4, 16 and 16: it divides N = 64 but not N = 72.
+    t = torus._magnetic_shift(N, k * d)
+    assert (t is not None) == holds
+    if holds:
+        assert (k * d * t + N) % (N * N) == 0
+
+
+def test_translation_path_solves_ring_zero_only(monkeypatch):
+    eigsh, calls = torus.spla.eigsh, []
+
+    def counting(A, k, **kwargs):
+        calls.append(k)
+        return eigsh(A, k=k, **kwargs)
+
+    monkeypatch.setattr(torus.spla, "eigsh", counting)
+    bundle = DiscreteBundle(TorusGeometry(d=1), 4, 32)
+    dec = torus.lowest_spectrum(bundle, 18)
+    assert calls == [5]
+    assert dec.solver == {"rings": 4, "ring_sites": 256, "shares": [5, 5, 4, 4],
+                          "translation": True, "bisected": 5}
+
+
+def test_wrong_magnetic_shift_trips_the_residual_guard(monkeypatch):
+    shift = torus._magnetic_shift
+    monkeypatch.setattr(torus, "_magnetic_shift", lambda N, kd: shift(N, kd) + 1)
+    bundle = DiscreteBundle(TorusGeometry(d=1), 4, 32)
+    with pytest.raises(GuardError, match="eigen-residual"):
+        torus.lowest_spectrum(bundle, 18)
+
+
+def test_bisection_request_doubles_until_it_passes_the_cut(monkeypatch):
+    # gcd(8, 400) = 8 does not divide N = 20, so the 4 rings are bisected
+    # apart.  With no margin each ring is asked for its even share of the
+    # three lowest levels, 6 values, and fills it, so every request doubles
+    # to 12, whose last value lies above the cut.
+    monkeypatch.setattr(torus, "_BISECT_MARGIN", 0)
+    bundle = DiscreteBundle(TorusGeometry(d=1), 8, 20)
+    dec = torus.lowest_spectrum(bundle, 24)
+    assert dec.solver == {"rings": 4, "ring_sites": 100, "shares": [6, 6, 6, 6],
+                          "translation": False, "bisected": 4 * 6 + 4 * 12}
+    vals, vecs = np.linalg.eigh(bundle.laplacian().toarray())
+    assert np.max(np.abs(dec.eigenvalues - vals[:24]) / vals[:24]) < 1e-10
+    P, Q = dec.vectors @ dec.vectors.conj().T, vecs[:, :24] @ vecs[:, :24].conj().T
+    assert np.linalg.norm(P - Q, 2) < 1e-9
+
+
+def test_spectrum_cache_evicts_least_recently_used(monkeypatch):
+    monkeypatch.setattr(torus, "_SPECTRUM_CACHE", {})
+    small = compute_spectrum(1, 4, 16, count=8)
+    cap = 2 * torus._spectrum_bytes(small) + 1
+    monkeypatch.setattr(torus, "SPECTRUM_CACHE_BYTES", cap)
+    compute_spectrum(1, 4, 16, count=8, seed=1)
+    assert compute_spectrum(1, 4, 16, count=8) is small  # now the most recent
+    compute_spectrum(1, 4, 16, count=8, seed=2)  # evicts seed 1
+    assert list(torus._SPECTRUM_CACHE) == [(1, 4, 16, 0), (1, 4, 16, 2)]
+    assert sum(map(torus._spectrum_bytes, torus._SPECTRUM_CACHE.values())) <= cap
+    monkeypatch.setattr(torus, "SPECTRUM_CACHE_BYTES", 1)
+    big = compute_spectrum(1, 4, 16, count=9)  # too large to keep
+    assert len(big.eigenvalues) == 9 and torus._SPECTRUM_CACHE == {}
+
+
 def test_cluster_counts_and_centers():
     dec = compute_spectrum(1, 4, 32, count=18)
     clusters = detect_clusters(dec.eigenvalues, k=4, levels=3)
