@@ -21,10 +21,10 @@ from math import comb, factorial
 
 import numpy as np
 
-from .fock import (FULL, FockOperator, GradedBasis, PolyZZbar, ladder_matrices,
-                   mi_add, mi_degree, mi_factorial, mi_leq, mi_sub, mi_unit,
-                   multi_indices_of_degree)
-from .radicals import CRad, Rad
+from .fock import (FULL, FockOperator, GradedBasis, PolyZZbar, Scalar,
+                   ladder_matrices, mi_add, mi_degree, mi_factorial, mi_leq,
+                   mi_sub, mi_unit, multi_indices_of_degree)
+from .radicals import CRad, Rad, exact
 
 # ---------------------------------------------------------------------------
 # Laguerre family
@@ -107,11 +107,14 @@ def laguerre_sum_identity(m: int, n: int) -> bool:
 
 
 def gram_inner(f: PolyZZbar, g: PolyZZbar) -> CRad:
-    """Exact pairing, antilinear in the second argument."""
+    """Exact pairing, antilinear in the second argument.  The sums run in the
+    coefficients' cheapest exact form, and each term of f multiplies its
+    integer-weighted sum over g once; the value is returned as a CRad."""
     if f.n != g.n:
         raise ValueError("variable count mismatch")
-    acc = CRad()
+    acc = 0
     for (a, b), cf in f.terms():
+        inner = 0
         for (c, d), cg in g.terms():
             weight = 1
             for ai, bi, ci, di in zip(a, b, c, d):
@@ -120,8 +123,10 @@ def gram_inner(f: PolyZZbar, g: PolyZZbar) -> CRad:
                     break
                 weight *= factorial(ai + di)
             if weight:
-                acc = acc + cf * cg.conjugate() * weight
-    return acc
+                inner = inner + cg * weight
+        if inner:
+            acc = acc + cf * inner.conjugate()
+    return CRad.of(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +260,14 @@ def tilde_rho(basis: GradedBasis, alpha, beta) -> FockOperator:
     return _shift(basis, alpha, beta).scale(_normalization(alpha, beta))
 
 
-def _shift_coefficients(n: int, q: PolyZZbar) -> dict[tuple, CRad]:
+def _shift_coefficients(n: int, q: PolyZZbar) -> dict[tuple, Scalar]:
     """Write q as a combination of the integer shift symbols; triangular
     back-substitution from the top total degree down (each shift symbol is
     its leading monomial, with coefficient +-1, plus corrections of total
     degree lower by multiples of two).  The coefficients are rational when
     q is: the normalization of the p-symbols never enters."""
     remaining = PolyZZbar(n, dict(q.coeffs))
-    coeffs: dict[tuple, CRad] = {}
+    coeffs: dict[tuple, Scalar] = {}
     while not remaining.is_zero():
         deg = remaining.degree()
         top = [(key, c) for key, c in remaining.terms()
@@ -296,17 +301,17 @@ def op_of(basis: GradedBasis, q: PolyZZbar) -> FockOperator:
     return out
 
 
-def op_trace_antiholo(basis_full: GradedBasis, op: FockOperator) -> CRad:
+def op_trace_antiholo(basis_full: GradedBasis, op: FockOperator) -> Scalar:
     """Trace of the operator restricted to the antiholomorphic monomials of
     the full-kind basis (finite once the cutoff exceeds the symbol degree)."""
     zero = (0,) * basis_full.n
-    acc = CRad()
+    acc = 0
     for i, (a, b) in enumerate(basis_full.labels):
         if a == zero:
-            val = op.entries.get((i, i))
+            val = op.unscaled.get((i, i))
             if val:
                 acc = acc + val
-    return acc
+    return exact(acc * op.scalar)
 
 
 def op_compose_law(basis: GradedBasis, q1: PolyZZbar, q2: PolyZZbar) -> dict:

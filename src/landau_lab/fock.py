@@ -9,12 +9,20 @@ mixed monomials are not orthogonal.
 
 Operators are sparse exact matrices, tagged with a parity and with the
 largest input degree on which they agree with their untruncated
-counterparts.  Each entry is kept in its cheapest exact form
-(:func:`.radicals.exact`): a real rational is an ``int`` or a ``Fraction``,
-and an entry is in the exact radical ring only where it is complex or
-irrational.  Full-kind ladders, the vacuum projection and the operators of
-rational symbols are rational throughout, so their algebra runs on Python
-integers; radicals enter through the normalized antiholomorphic frame.
+counterparts.  Each is stored as one exact scalar times a dict of unscaled
+entries.  The scalar is an ``int``, a ``Fraction`` or a single-term radical
+(a rational times sqrt(s), or i times one), and each entry is kept in its
+cheapest exact form (:func:`.radicals.exact`): a real rational is an
+``int`` or a ``Fraction``, and an entry is in the exact radical ring only
+where it is complex or irrational.  Scaling multiplies the scalar and shares
+the entries, composition multiplies the two scalars once and runs its entry
+loop on the unscaled entries, and a sum keeps the scalar when both terms
+carry the same one.  So the normalized shifts, (alpha! beta!)^(-1/2) times
+an integer matrix, keep their integer entries.  Full-kind ladders, the
+vacuum projection and the operators of rational symbols are rational
+throughout, so their algebra runs on Python integers; radicals enter through
+the normalized antiholomorphic frame and the shift normalizations.
+Polynomial coefficients are kept in the same cheapest exact form.
 
 Each basis carries one cache dict for the operators built on it: the ladder
 set from :func:`ladder_matrices` and, on the full kind, the vacuum
@@ -127,23 +135,32 @@ class GradedBasis:
             self.n, self.D, self.kind, self.size)
 
 
-class PolyZZbar:
-    """Polynomial in (z, zbar) with exact complex-radical coefficients.
+def _exact_entries(entries) -> dict:
+    """A fresh entry dict with every value in its cheapest exact form and
+    the zeros dropped."""
+    out = {}
+    for key, c in entries.items():
+        if type(c) is not int:
+            c = exact(c)
+        if c:
+            out[key] = c
+    return out
 
-    Stored as {(z_exponents, zbar_exponents): CRad}.  Purely antiholomorphic
-    polynomials simply have zero z-exponents.
+
+class PolyZZbar:
+    """Polynomial in (z, zbar) with exact coefficients.
+
+    Stored as {(z_exponents, zbar_exponents): coefficient}, each coefficient
+    in its cheapest exact form.  Purely antiholomorphic polynomials simply
+    have zero z-exponents.
     """
 
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n: int, coeffs=None):
         self.n = n
-        self.coeffs: dict[tuple[MultiIndex, MultiIndex], CRad] = {}
-        if coeffs:
-            for key, c in coeffs.items():
-                c = CRad.of(c)
-                if c:
-                    self.coeffs[key] = c
+        self.coeffs: dict[tuple[MultiIndex, MultiIndex], Scalar] = \
+            _exact_entries(coeffs) if coeffs else {}
 
     @classmethod
     def monomial(cls, n: int, a: MultiIndex, b: MultiIndex, coeff=1) -> "PolyZZbar":
@@ -165,8 +182,8 @@ class PolyZZbar:
     def terms(self):
         return self.coeffs.items()
 
-    def coefficient(self, a: MultiIndex, b: MultiIndex) -> CRad:
-        return self.coeffs.get((tuple(a), tuple(b)), CRad())
+    def coefficient(self, a: MultiIndex, b: MultiIndex) -> Scalar:
+        return self.coeffs.get((tuple(a), tuple(b)), 0)
 
     def conjugate(self) -> "PolyZZbar":
         return PolyZZbar(self.n, {(b, a): c.conjugate() for (a, b), c in self.coeffs.items()})
@@ -197,7 +214,7 @@ class PolyZZbar:
                     out[key] = prod if cur is None else cur + prod
             return PolyZZbar(self.n, out)
         try:
-            scal = CRad.of(other)
+            scal = exact(other)
         except TypeError:
             return NotImplemented
         return PolyZZbar(self.n, {k: c * scal for k, c in self.coeffs.items()})
@@ -215,7 +232,7 @@ class PolyZZbar:
         out = np.zeros(z.shape[0], dtype=complex)
         zc = np.conj(z)
         for (a, b), c in self.coeffs.items():
-            term = np.full(z.shape[0], c.value(), dtype=complex)
+            term = np.full(z.shape[0], complex(c), dtype=complex)
             for i, (ai, bi) in enumerate(zip(a, b)):
                 if ai:
                     term = term * z[:, i] ** ai
@@ -229,15 +246,33 @@ class PolyZZbar:
             return "PolyZZbar(0)"
         parts = []
         for (a, b), c in sorted(self.coeffs.items()):
-            parts.append("%s z^%s zbar^%s" % (c.value(), a, b))
+            parts.append("%s z^%s zbar^%s" % (complex(c), a, b))
         return "PolyZZbar(%s)" % " + ".join(parts)
 
 
 _AUTO = object()
 
 
+def _single_term(c) -> bool:
+    """Whether an exact nonzero scalar is a rational times sqrt(s), or i times
+    one: the scalars whose products are again single terms."""
+    return type(c) is not CRad or len(c.re.terms) + len(c.im.terms) == 1
+
+
+def _is_one(c) -> bool:
+    # exact() keeps a real rational out of CRad, so only an int can be 1
+    return type(c) is int and c == 1
+
+
 class FockOperator:
-    """Sparse exact matrix on a GradedBasis.
+    """Sparse exact matrix on a GradedBasis: one exact scalar times a dict
+    of unscaled entries.
+
+    The scalar is an int, a Fraction or a single-term CRad (a rational times
+    sqrt(s), or i times one), so products of scalars stay single terms.
+    The unscaled entries are in their cheapest exact form, and an entry dict
+    is never mutated once an operator holds it: scaling shares it, and so
+    does every operation that only retags or keeps it whole.
 
     parity is 0 (preserves degree mod 2), 1 (flips it), or None (mixed).
     exactness_degree is the largest input degree on which the matrix agrees
@@ -245,34 +280,55 @@ class FockOperator:
     asserted on columns up to that degree.
     """
 
-    __slots__ = ("basis", "entries", "parity", "exactness_degree", "_columns")
+    __slots__ = ("basis", "scalar", "unscaled", "parity", "exactness_degree",
+                 "_columns")
 
     def __init__(self, basis: GradedBasis, entries, parity=_AUTO, exactness_degree=None):
         self.basis = basis
-        self.entries: dict[tuple[int, int], Scalar] = {}
-        if entries:
-            for (i, j), c in entries.items():
-                if type(c) is not int:
-                    c = exact(c)
-                if c:
-                    self.entries[(i, j)] = c
+        self.scalar: Scalar = 1
+        self.unscaled: dict[tuple[int, int], Scalar] = \
+            _exact_entries(entries) if entries else {}
         self.parity = self._infer_parity() if parity is _AUTO else parity
         self.exactness_degree = basis.D if exactness_degree is None else exactness_degree
         self._columns = None
 
+    @classmethod
+    def _scaled(cls, basis: GradedBasis, unscaled: dict, scalar, parity,
+                exactness_degree) -> "FockOperator":
+        """The operator scalar * unscaled, holding the given dict (already in
+        exact form) without copying it."""
+        op = cls.__new__(cls)
+        op.basis = basis
+        op.scalar = scalar
+        op.unscaled = unscaled
+        op.parity = parity
+        op.exactness_degree = exactness_degree
+        op._columns = None
+        return op
+
+    @property
+    def entries(self) -> dict[tuple[int, int], Scalar]:
+        """The true entries, in their cheapest exact form.  With scalar 1 this
+        is the stored dict itself, which must not be mutated; otherwise it is
+        built on each call and kept by nobody."""
+        s = self.scalar
+        if _is_one(s):
+            return self.unscaled
+        return {k: exact(c * s) for k, c in self.unscaled.items()}
+
     def columns(self) -> dict[int, list]:
-        """The entries grouped by column, j -> [(i, entry)], built on first
-        use; compose and apply_coords both walk a matrix this way."""
+        """The unscaled entries grouped by column, j -> [(i, entry)], built on
+        first use; compose and apply_coords both walk a matrix this way."""
         if self._columns is None:
             cols: dict[int, list] = {}
-            for (i, j), c in self.entries.items():
+            for (i, j), c in self.unscaled.items():
                 cols.setdefault(j, []).append((i, c))
             self._columns = cols
         return self._columns
 
     def _infer_parity(self):
         degs = self.basis.degrees
-        seen = {(degs[i] - degs[j]) % 2 for i, j in self.entries}
+        seen = {(degs[i] - degs[j]) % 2 for i, j in self.unscaled}
         if len(seen) == 1:
             return seen.pop()
         return None if seen else 0
@@ -286,21 +342,21 @@ class FockOperator:
         return cls(basis, {(i, i): 1 for i in range(basis.size)}, parity=0)
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.unscaled
 
     def raise_amount(self) -> int:
         """Largest degree increase across nonzero entries (negative if the
         operator only lowers degree; zero for the empty matrix)."""
         degs = self.basis.degrees
-        if not self.entries:
+        if not self.unscaled:
             return 0
-        return max(degs[i] - degs[j] for i, j in self.entries)
+        return max(degs[i] - degs[j] for i, j in self.unscaled)
 
     def fall_amount(self) -> int:
         degs = self.basis.degrees
-        if not self.entries:
+        if not self.unscaled:
             return 0
-        return max(degs[j] - degs[i] for i, j in self.entries)
+        return max(degs[j] - degs[i] for i, j in self.unscaled)
 
     def _combine_parity(self, other):
         if self.parity is None or other.parity is None:
@@ -309,12 +365,13 @@ class FockOperator:
 
     def compose(self, other: "FockOperator") -> "FockOperator":
         """self o other, with the exactness bookkeeping
-        ed = min(ed(other), ed(self) - raise(other))."""
+        ed = min(ed(other), ed(self) - raise(other)).  The scalars multiply
+        once; the entry loop runs on the unscaled entries."""
         if other.basis is not self.basis:
             raise ValueError("operators live on different bases")
         by_col = self.columns()
         out: dict[tuple[int, int], Scalar] = {}
-        for (j, k), b in other.entries.items():
+        for (j, k), b in other.unscaled.items():
             for i, a in by_col.get(j, ()):
                 key = (i, k)
                 prod = a * b
@@ -322,36 +379,59 @@ class FockOperator:
                 out[key] = prod if cur is None else cur + prod
         ed = min(other.exactness_degree, self.exactness_degree - other.raise_amount())
         ed = min(ed, self.basis.D)
-        return FockOperator(self.basis, out, parity=self._combine_parity(other),
-                            exactness_degree=ed)
+        return FockOperator._scaled(self.basis, _exact_entries(out),
+                                    exact(self.scalar * other.scalar),
+                                    self._combine_parity(other), ed)
 
     def __matmul__(self, other):
         return self.compose(other)
 
+    def _plus(self, other: "FockOperator", sign: int) -> "FockOperator":
+        """self + sign * other.  Equal scalars add the unscaled entries and
+        keep the scalar; unequal ones fall back to the true entries."""
+        if other.basis is not self.basis:
+            raise ValueError("operators live on different bases")
+        par = self.parity if self.parity == other.parity else None
+        ed = min(self.exactness_degree, other.exactness_degree)
+        if not other.unscaled:
+            return FockOperator._scaled(self.basis, self.unscaled, self.scalar, par, ed)
+        if not self.unscaled:
+            scalar = other.scalar if sign > 0 else -other.scalar
+            return FockOperator._scaled(self.basis, other.unscaled, scalar, par, ed)
+        if self.scalar == other.scalar:
+            scalar, mine, theirs = self.scalar, self.unscaled, other.unscaled
+        else:
+            scalar, mine, theirs = 1, self.entries, other.entries
+        out = dict(mine)
+        for k, c in theirs.items():
+            if sign < 0:
+                c = -c
+            cur = out.get(k)
+            out[k] = c if cur is None else cur + c
+        return FockOperator._scaled(self.basis, _exact_entries(out), scalar, par, ed)
+
     def __add__(self, other):
         if not isinstance(other, FockOperator):
             return NotImplemented
-        if other.basis is not self.basis:
-            raise ValueError("operators live on different bases")
-        out = dict(self.entries)
-        for k, c in other.entries.items():
-            cur = out.get(k)
-            out[k] = c if cur is None else cur + c
-        par = self.parity if self.parity == other.parity else None
-        return FockOperator(self.basis, out, parity=par,
-                            exactness_degree=min(self.exactness_degree, other.exactness_degree))
+        return self._plus(other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, FockOperator):
             return NotImplemented
-        return self + other.scale(-1)
+        return self._plus(other, -1)
 
     def scale(self, c) -> "FockOperator":
+        """c times the operator: O(1) for a single-term c, which multiplies
+        the scalar and shares the entries."""
         c = exact(c)
         if not c:
             return FockOperator.zero(self.basis)
-        return FockOperator(self.basis, {k: v * c for k, v in self.entries.items()},
-                            parity=self.parity, exactness_degree=self.exactness_degree)
+        if _single_term(c):
+            return FockOperator._scaled(self.basis, self.unscaled, exact(self.scalar * c),
+                                        self.parity, self.exactness_degree)
+        return FockOperator._scaled(self.basis,
+                                    _exact_entries({k: v * c for k, v in self.unscaled.items()}),
+                                    self.scalar, self.parity, self.exactness_degree)
 
     def adjoint(self) -> "FockOperator":
         """Conjugate transpose, valid as the adjoint only on the
@@ -365,17 +445,17 @@ class FockOperator:
                              "the antiholomorphic kind; full-kind adjoints need "
                              "the pairing in the bargmann module")
         ed = min(self.exactness_degree, self.basis.D - max(0, self.fall_amount()))
-        return FockOperator(self.basis,
-                            {(j, i): c.conjugate() for (i, j), c in self.entries.items()},
-                            parity=self.parity, exactness_degree=ed)
+        return FockOperator._scaled(
+            self.basis, {(j, i): c.conjugate() for (i, j), c in self.unscaled.items()},
+            self.scalar.conjugate(), self.parity, ed)
 
     def parity_split(self) -> tuple["FockOperator", "FockOperator"]:
         degs = self.basis.degrees
         even, odd = {}, {}
-        for (i, j), c in self.entries.items():
+        for (i, j), c in self.unscaled.items():
             ((even, odd)[(degs[i] - degs[j]) % 2])[(i, j)] = c
-        return (FockOperator(self.basis, even, parity=0, exactness_degree=self.exactness_degree),
-                FockOperator(self.basis, odd, parity=1, exactness_degree=self.exactness_degree))
+        return (FockOperator._scaled(self.basis, even, self.scalar, 0, self.exactness_degree),
+                FockOperator._scaled(self.basis, odd, self.scalar, 1, self.exactness_degree))
 
     def agrees_with(self, other: "FockOperator", max_degree=None) -> bool:
         """Exact entry equality on all columns of degree <= max_degree
@@ -383,38 +463,48 @@ class FockOperator:
         if max_degree is None:
             max_degree = min(self.exactness_degree, other.exactness_degree)
         degs = self.basis.degrees
-        keys = set(self.entries) | set(other.entries)
-        for key in keys:
+        mine, theirs = self.unscaled, other.unscaled
+        s, t = self.scalar, other.scalar
+        same = s == t
+        for key in mine.keys() | theirs.keys():
             if degs[key[1]] > max_degree:
                 continue
-            if self.entries.get(key, 0) != other.entries.get(key, 0):
+            a, b = mine.get(key, 0), theirs.get(key, 0)
+            if (a != b) if same else (a * s != b * t):
                 return False
         return True
 
     def restrict_columns(self, max_degree: int) -> "FockOperator":
         degs = self.basis.degrees
-        kept = {k: c for k, c in self.entries.items() if degs[k[1]] <= max_degree}
-        return FockOperator(self.basis, kept, parity=self.parity,
-                            exactness_degree=min(self.exactness_degree, max_degree))
+        kept = {k: c for k, c in self.unscaled.items() if degs[k[1]] <= max_degree}
+        return FockOperator._scaled(self.basis, kept, self.scalar, self.parity,
+                                    min(self.exactness_degree, max_degree))
 
     def as_array(self) -> np.ndarray:
         out = np.zeros((self.basis.size, self.basis.size), dtype=complex)
-        for (i, j), c in self.entries.items():
+        for (i, j), c in self.unscaled.items():
             out[i, j] = complex(c)
-        return out
+        return out * complex(self.scalar)
 
     def max_abs(self) -> float:
-        return max((abs(complex(c)) for c in self.entries.values()), default=0.0)
+        return abs(complex(self.scalar)) * max(
+            (abs(complex(c)) for c in self.unscaled.values()), default=0.0)
 
-    def apply_coords(self, vec: dict[int, CRad]) -> dict[int, CRad]:
+    def apply_coords(self, vec: dict[int, Scalar]) -> dict[int, Scalar]:
+        """The operator applied to a coordinate vector: the entry loop runs
+        on the unscaled entries, and the scalar multiplies each output
+        coordinate once."""
         by_col = self.columns()
-        out: dict[int, CRad] = {}
+        out: dict[int, Scalar] = {}
         for j, x in vec.items():
             for i, c in by_col.get(j, ()):
                 cur = out.get(i)
                 term = c * x
                 out[i] = term if cur is None else cur + term
-        return {i: c for i, c in out.items() if c}
+        s = self.scalar
+        if _is_one(s):
+            return {i: c for i, c in out.items() if c}
+        return {i: c * s for i, c in out.items() if c}
 
     def apply_poly(self, p: PolyZZbar) -> PolyZZbar:
         return poly_from_coords(self.basis, self.apply_coords(coords_from_poly(self.basis, p)))
@@ -422,14 +512,22 @@ class FockOperator:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FockOperator):
             return NotImplemented
-        return self.basis is other.basis and self.entries == other.entries
+        if self.basis is not other.basis:
+            return False
+        if self.scalar == other.scalar:
+            return self.unscaled == other.unscaled
+        return self.entries == other.entries
 
     def __repr__(self) -> str:
         return "FockOperator(%r, nnz=%d, parity=%r, exactness_degree=%d)" % (
-            self.basis, len(self.entries), self.parity, self.exactness_degree)
+            self.basis, len(self.unscaled), self.parity, self.exactness_degree)
 
 
-def coords_from_poly(basis: GradedBasis, p: PolyZZbar) -> dict[int, CRad]:
+def _root(q) -> Scalar:
+    return exact(Rad.sqrt(q))
+
+
+def coords_from_poly(basis: GradedBasis, p: PolyZZbar) -> dict[int, Scalar]:
     """Coordinates of a polynomial in the basis frame.
 
     Antiholomorphic kind: p must be a polynomial in zbar alone, and the
@@ -438,7 +536,7 @@ def coords_from_poly(basis: GradedBasis, p: PolyZZbar) -> dict[int, CRad]:
     """
     if p.n != basis.n:
         raise ValueError("variable count mismatch")
-    out: dict[int, CRad] = {}
+    out: dict[int, Scalar] = {}
     for (a, b), c in p.coeffs.items():
         if basis.kind == ANTIHOLOMORPHIC:
             if any(a):
@@ -446,7 +544,7 @@ def coords_from_poly(basis: GradedBasis, p: PolyZZbar) -> dict[int, CRad]:
                                  "antiholomorphic space")
             if sum(b) > basis.D:
                 raise ValueError("degree %d exceeds cutoff %d" % (sum(b), basis.D))
-            out[basis.index(b)] = c * Rad.sqrt(mi_factorial(b))
+            out[basis.index(b)] = c * _root(mi_factorial(b))
         else:
             if sum(a) + sum(b) > basis.D:
                 raise ValueError("degree %d exceeds cutoff %d" % (sum(a) + sum(b), basis.D))
@@ -454,13 +552,13 @@ def coords_from_poly(basis: GradedBasis, p: PolyZZbar) -> dict[int, CRad]:
     return out
 
 
-def poly_from_coords(basis: GradedBasis, vec: dict[int, CRad]) -> PolyZZbar:
+def poly_from_coords(basis: GradedBasis, vec: dict[int, Scalar]) -> PolyZZbar:
     zero = (0,) * basis.n
     coeffs: dict = {}
     for i, c in vec.items():
         lab = basis.labels[i]
         if basis.kind == ANTIHOLOMORPHIC:
-            coeffs[(zero, lab)] = c / Rad.sqrt(mi_factorial(lab))
+            coeffs[(zero, lab)] = c * _root(Fraction(1, mi_factorial(lab)))
         else:
             coeffs[lab] = c
     return PolyZZbar(basis.n, coeffs)
@@ -544,5 +642,5 @@ def rho_tangent(basis: GradedBasis, u, v) -> FockOperator:
         if v[i]:
             out = out + lowers[i].scale(v[i])
     ed = basis.D if all(not x for x in u) else basis.D - 1
-    return FockOperator(basis, out.entries, parity=1, exactness_degree=ed)
+    return FockOperator._scaled(basis, out.unscaled, out.scalar, 1, ed)
 

@@ -76,7 +76,7 @@ def run_identity_checks(n: int, degree: int, seed: int = 0) -> list[dict]:
         a2, b2 = rng.choice(labels), rng.choice(labels)
         A, B = rho_ab(anti, a1, b1), rho_ab(anti, a2, b2)
         C = A @ B
-        if C.entries and C.parity != (A.parity + B.parity) % 2:
+        if not C.is_zero() and C.parity != (A.parity + B.parity) % 2:
             ok = False
     mixed = rho_ab(anti, labels[0], labels[0]) + rho_tangent(
         anti, [1] * n, [0] * n)
@@ -141,16 +141,15 @@ def run_identity_checks(n: int, degree: int, seed: int = 0) -> list[dict]:
             want = CRad.of(mi_factorial(tuple(ai + bi for ai, bi in zip(a, b))))
             if diag != want:
                 ok = False
+    norms = {a: Rad.sqrt(Fraction(1, mi_factorial(a))) for a in mis}
+    antis = {a: PolyZZbar.monomial(n, zero, a, norms[a]) for a in mis}
+    holos = {a: PolyZZbar.monomial(n, a, zero, norms[a]) for a in mis}
     for a in mis:
         for b in mis:
-            na = PolyZZbar.monomial(n, zero, a, Rad.sqrt(Fraction(1, mi_factorial(a))))
-            nb = PolyZZbar.monomial(n, zero, b, Rad.sqrt(Fraction(1, mi_factorial(b))))
             want = CRad.of(1 if a == b else 0)
-            if bg.gram_inner(na, nb) != want:
+            if bg.gram_inner(antis[a], antis[b]) != want:
                 ok = False
-            ha = PolyZZbar.monomial(n, a, zero, Rad.sqrt(Fraction(1, mi_factorial(a))))
-            hb = PolyZZbar.monomial(n, b, zero, Rad.sqrt(Fraction(1, mi_factorial(b))))
-            if bg.gram_inner(ha, hb) != want:
+            if bg.gram_inner(holos[a], holos[b]) != want:
                 ok = False
     frame = {}
     for alpha in multi_indices(n, 3):
@@ -287,12 +286,13 @@ def run_identity_checks(n: int, degree: int, seed: int = 0) -> list[dict]:
 
 
 def _ladder_frame_poly(n: int, alpha, hdeg) -> PolyZZbar:
-    """Orthonormal ladder-adapted element: normalized (a*)^alpha z^hdeg."""
+    """Orthonormal ladder-adapted element: normalized (a*)^alpha z^hdeg.  The
+    ladders act on the integer monomial; the normalization multiplies the
+    result once."""
     zero = (0,) * n
-    p = PolyZZbar.monomial(n, hdeg, zero,
-                           Rad.sqrt(Fraction(1, mi_factorial(alpha) * mi_factorial(hdeg))))
+    p = PolyZZbar.monomial(n, hdeg, zero)
     for i in range(n):
         for _ in range(alpha[i]):
             p = bg.apply_raise(p, i)
-    return p
+    return p * Rad.sqrt(Fraction(1, mi_factorial(alpha) * mi_factorial(hdeg)))
 

@@ -21,7 +21,7 @@ from landau_lab.bargmann import (
     star_product,
     tilde_rho,
 )
-from landau_lab.fock import FULL, GradedBasis, PolyZZbar, ladder_matrices
+from landau_lab.fock import FULL, FockOperator, GradedBasis, PolyZZbar, ladder_matrices
 from landau_lab.radicals import CRad
 
 
@@ -261,3 +261,59 @@ def test_star_product_with_unit_projects():
     f = PolyZZbar.monomial(1, (2,), (1,), 3)
     assert star_product(one, f) == _project(f)
 
+
+
+def test_shift_cache_survives_arithmetic_on_its_scaled_copies():
+    """tilde_rho shares the cached integer shift's entries; no operation on
+    its results may write into them."""
+    basis = GradedBasis(2, 4, FULL)
+    pairs = [((1, 0), (0, 1)), ((0, 1), (0, 1)), ((1, 1), (0, 0))]
+    shifts = [bargmann._shift(basis, a, b) for a, b in pairs]
+    before = [(S.scalar, dict(S.unscaled), S.as_array()) for S in shifts]
+    x, y, z = [tilde_rho(basis, a, b) for a, b in pairs]
+    assert all(op.unscaled is S.unscaled for op, S in zip((x, y, z), shifts))
+    results = [x + y, x - y, x + x, x - x, (x + y) - z, x @ y, y @ x, x.scale(3),
+               x.scale(CRad(0, 1)) + y, x.restrict_columns(2), *x.parity_split(),
+               op_of(basis, p_ab(2, (1, 0), (0, 1))) + x, y + FockOperator.zero(basis)]
+    for r in results:
+        r.entries
+        r.apply_coords({0: 1, 1: CRad(0, 2)})
+    after = [(S.scalar, dict(S.unscaled), S.as_array()) for S in shifts]
+    for (s0, e0, a0), (s1, e1, a1) in zip(before, after):
+        assert s0 == s1 and e0 == e1 and np.array_equal(a0, a1)
+
+
+def test_symbol_map_scales_each_shift_once(monkeypatch):
+    """op_of of a p-symbol and tilde_rho carry the normalization as one
+    scalar: far fewer radical products than the shift has entries."""
+    basis = GradedBasis(2, 8, FULL)
+    calls = []
+    mul = CRad.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    for alpha, beta in [((1, 1), (2, 0)), ((0, 3), (1, 2)), ((2, 1), (1, 0))]:
+        shift = bargmann._shift(basis, alpha, beta)
+        sym = p_ab(2, alpha, beta)
+        with monkeypatch.context() as m:
+            m.setattr(CRad, "__mul__", counted)
+            m.setattr(CRad, "__rmul__", counted)
+            calls.clear()
+            op, rho = op_of(basis, sym), tilde_rho(basis, alpha, beta)
+            assert op.agrees_with(rho)
+            used = len(calls)
+        assert len(shift.unscaled) >= 100
+        assert 10 * used < len(shift.unscaled), (alpha, beta, used)
+
+
+def test_gram_inner_returns_crad():
+    p = PolyZZbar.monomial
+    v = gram_inner(p(1, (2,), (1,)), p(1, (1,), (0,)))
+    assert type(v) is CRad and v == CRad.of(2)
+    half = p(1, (0,), (0,), Fraction(1, 2))
+    v = gram_inner(half, half)
+    assert type(v) is CRad and v.im.is_zero() and v.re.as_fraction() == Fraction(1, 4)
+    v = gram_inner(p(1, (0,), (2,)), p(1, (0,), (1,)))
+    assert type(v) is CRad and v.is_zero()

@@ -74,7 +74,7 @@ def test_poly_evaluate_against_numpy():
     val = p.evaluate(z)
     direct = 0
     for (a, b), c in p.terms():
-        direct += c.value() * np.prod(z ** a) * np.prod(np.conj(z) ** b)
+        direct += complex(c) * np.prod(z ** a) * np.prod(np.conj(z) ** b)
     assert abs(val - direct) < 1e-12
 
 
@@ -195,11 +195,11 @@ def test_apply_poly_matches_matrix():
     coords = coords_from_poly(basis, p)
     vec = np.zeros(basis.size, dtype=complex)
     for i, c in coords.items():
-        vec[i] = c.value()
+        vec[i] = complex(c)
     expect = A.as_array() @ vec
     got = np.zeros_like(expect)
     for i, c in coords_from_poly(basis, image).items():
-        got[i] = c.value()
+        got[i] = complex(c)
     assert np.max(np.abs(got - expect)) < 1e-12
 
 
@@ -271,3 +271,72 @@ def test_radical_and_rational_entries_agree():
     assert root2 @ root2 == FockOperator(basis, {(0, 0): 2})
     with pytest.raises(TypeError):
         FockOperator(basis, {(0, 0): 0.5})
+
+
+# ---------------------------------------------------------------------------
+# Operators that carry a scalar: one exact scalar times unscaled entries
+
+_nonzero = st.integers(-3, 3).filter(bool)
+_single_terms = st.one_of(
+    _nonzero,
+    st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool),
+    st.builds(lambda s, c: CRad(Rad.sqrt(s) * c, 0), st.sampled_from([2, 3, 6]), _nonzero),
+    st.builds(lambda s, c: CRad(0, Rad.sqrt(s) * c), st.sampled_from([1, 2, 3]), _nonzero),
+)
+_vectors = st.dictionaries(st.integers(0, _MIXED_BASIS.size - 1), _scalars, max_size=4)
+
+
+def _value(c):
+    return CRad.of(c).value()
+
+
+def _with_scalar(entries, s):
+    op = FockOperator(_MIXED_BASIS, entries).scale(s)
+    assert op.scalar == s
+    return op
+
+
+@settings(deadline=None)
+@given(_entries, _entries, _single_terms, _single_terms, _scalars, _vectors)
+def test_scaled_operator_algebra_matches_numpy(ea, eb, s, t, c, vec):
+    A, B, Bs = _with_scalar(ea, s), _with_scalar(eb, t), _with_scalar(eb, s)
+    a, b, bs = _dense(ea) * _value(s), _dense(eb) * _value(t), _dense(eb) * _value(s)
+    assert _close(A.as_array(), a)
+    assert _close((A @ B).as_array(), a @ b)
+    assert _close((A + Bs).as_array(), a + bs)
+    assert _close((A - Bs).as_array(), a - bs)
+    assert _close((A + B).as_array(), a + b)
+    assert _close((A - B).as_array(), a - b)
+    assert _close(A.scale(c).as_array(), _value(c) * a)
+    assert _close(A.adjoint().as_array(), a.conj().T)
+    low = np.array([d <= 1 for d in _MIXED_BASIS.degrees])
+    assert _close(A.restrict_columns(1).as_array(), a * low[None, :])
+    v = np.zeros(_MIXED_BASIS.size, dtype=complex)
+    for i, x in vec.items():
+        v[i] = _value(x)
+    got = np.zeros_like(v)
+    for i, x in A.apply_coords(vec).items():
+        got[i] = _value(x)
+    assert _close(got, a @ v)
+    assert A.max_abs() == pytest.approx(np.max(np.abs(a), initial=0.0), abs=1e-12)
+    if not (A.is_zero() or B.is_zero()):
+        # equal scalars stay factored out of a sum
+        assert (A + Bs).scalar == s and (A @ B).scalar == CRad.of(s) * CRad.of(t)
+
+
+@settings(deadline=None)
+@given(_entries, _single_terms)
+def test_scalar_form_equals_entry_form(entries, s):
+    scaled = _with_scalar(entries, s)
+    plain = FockOperator(_MIXED_BASIS, {k: CRad.of(c) * CRad.of(s)
+                                        for k, c in entries.items()})
+    assert plain.scalar == 1
+    assert scaled == plain and plain == scaled
+    assert scaled.agrees_with(plain) and plain.agrees_with(scaled)
+    assert scaled.entries == plain.entries
+    for c in scaled.entries.values():
+        if isinstance(c, CRad):
+            assert not c.im.is_zero() or not c.re.is_rational()
+    if not plain.is_zero():
+        other = plain.scale(2)
+        assert scaled != other and not scaled.agrees_with(other)

@@ -2,9 +2,11 @@
 package.
 
 A public name that only tests call is API kept alive by its tests: their
-checks pin behaviour that no command runs.  The scan matches by name, so a
-method counts as called when any name or attribute in src/ spells it outside
-the method's own body.
+checks pin behaviour that no command runs.  The scan matches by name, and it
+resolves a receiver that is a class of the package: `Cls.name` counts only
+for the method `Cls.name`.  Any other name or attribute in src/ (a bare
+call, `self.name`, `obj.name`, `module.name`) counts for every function and
+method it spells, outside that function's own body.
 """
 
 import ast
@@ -30,24 +32,35 @@ ALLOWED = {
 def _uncalled() -> set[str]:
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
              for p in sorted(SRC.glob("*.py"))}
+    classes = {node.name for tree in trees.values() for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    # (qualified name, owning class or None, definition)
     defs = []
     for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                defs.append(("%s.%s" % (module, node.name), node))
+                defs.append(("%s.%s" % (module, node.name), None, node))
             elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-                defs += [("%s.%s.%s" % (module, node.name, sub.name), sub)
+                defs += [("%s.%s.%s" % (module, node.name, sub.name), node.name, sub)
                          for sub in node.body
                          if isinstance(sub, ast.FunctionDef)
                          and not sub.name.startswith("_")]
-    refs = [(node.id if isinstance(node, ast.Name) else node.attr, node)
-            for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute))]
+    # (spelled name, the package class it is looked up on or None, node)
+    refs = []
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.append((node.id, None, node))
+            elif isinstance(node, ast.Attribute):
+                owner = node.value.id if (isinstance(node.value, ast.Name)
+                                          and node.value.id in classes) else None
+                refs.append((node.attr, owner, node))
     out = set()
-    for qualname, node in defs:
+    for qualname, cls, node in defs:
         name = node.name
         own = {id(n) for n in ast.walk(node)}
-        if not any(r == name and id(n) not in own for r, n in refs):
+        if not any(r == name and owner in (None, cls) and id(n) not in own
+                   for r, owner, n in refs):
             out.add(qualname)
     return out
 

@@ -203,8 +203,11 @@ def test_projector_structure():
     proj = LandauProjector(dec, 1)
     assert proj.dim == 4
     assert proj.gram_defect < 1e-10
-    P = proj.V @ proj.V.conj().T
-    assert np.linalg.norm(P @ P - P, 2) < 1e-10
+    # P = V V* has P^2 - P = V (G - I) V* with G = V* V.  On the thin SVD
+    # V = U S W*, that is U S^2 (S^2 - I) U*, so the 2-norm of P^2 - P is
+    # exactly max |g (g - 1)| over the eigenvalues g of the small G.
+    g = np.linalg.eigvalsh(proj.V.conj().T @ proj.V)
+    assert np.max(np.abs(g * (g - 1))) < 1e-10
     # kernel diagonal is real and positive
     col = proj.kernel_column(proj.bundle.site_index(16, 16))
     p = proj.bundle.site_index(16, 16)
