@@ -95,10 +95,6 @@ def _kv_value(kv: dict, key: str, what: str) -> str:
     return kv[key]
 
 
-def _strip_prefix(token: str, prefix: str) -> str:
-    return token[len(prefix):] if token.startswith(prefix) else token
-
-
 def _config_from_args(args) -> ExperimentConfig:
     if args.command == "fock":
         if not args.check_identities:
@@ -135,13 +131,12 @@ def _config_from_args(args) -> ExperimentConfig:
         params = {"d": args.d, "ks": ks, "N": args.grid,
                   "levels": args.levels, "m": args.m}
         if args.defects:
-            fname = _strip_prefix(args.defects[0], "f=")
-            gname = _strip_prefix(args.defects[1], "g=")
-            params["defects"] = [fname, gname]
+            params["defects"] = [args.defects[0].removeprefix("f="),
+                                 args.defects[1].removeprefix("g=")]
         if args.kernel_compare:
             params["kernel_compare"] = True
         if args.ladder is not None:
-            params["ladder"] = int(_strip_prefix(args.ladder, "m="))
+            params["ladder"] = int(args.ladder.removeprefix("m="))
         return ExperimentConfig("torus", params, seed=args.seed)
     raise ValueError("unknown command %r" % args.command)
 

@@ -8,9 +8,9 @@ binom(m+n-1, n-1) * k^n * prod(d_i).  Levels start at m = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from .fock import multi_indices_of_degree
 
@@ -23,8 +23,7 @@ class DimReport:
     inputs: dict
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "value": self.value,
-                "threshold_ok": self.threshold_ok, "inputs": self.inputs}
+        return asdict(self)
 
 
 def dim_surface(k: int, d: int, g: int, m: int) -> DimReport:
@@ -56,10 +55,7 @@ def dim_torus(n: int, k: int, d_list, m: int) -> DimReport:
         raise ValueError("k and all degrees must be positive")
     if m < 0:
         raise ValueError("level must be nonnegative, got m=%d" % m)
-    prod = 1
-    for d in d_list:
-        prod *= d
-    val = comb(m + n - 1, n - 1) * k ** n * prod
+    val = comb(m + n - 1, n - 1) * k ** n * prod(d_list)
     return DimReport("torus", val, True,
                      {"n": n, "k": k, "d_list": d_list, "m": m})
 

@@ -84,10 +84,12 @@ def multi_indices(n: int, max_degree: int) -> list[MultiIndex]:
 
 
 def multi_indices_of_degree(n: int, degree: int) -> list[MultiIndex]:
-    """The multi-indices of total degree exactly `degree`, in
-    lexicographic order (the order of that block in multi_indices)."""
-    return [a for a in itertools.product(range(degree + 1), repeat=n)
-            if sum(a) == degree]
+    """The compositions of `degree` into n parts, in lexicographic order
+    (the order of that degree's block in multi_indices)."""
+    if n == 1:
+        return [(degree,)]
+    return [(first,) + rest for first in range(degree + 1)
+            for rest in multi_indices_of_degree(n - 1, degree - first)]
 
 
 class GradedBasis:

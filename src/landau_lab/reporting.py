@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -26,8 +26,7 @@ class SlopeFit:
     points: int
 
     def to_dict(self) -> dict:
-        return {"slope": self.slope, "intercept": self.intercept,
-                "r_squared": self.r_squared, "points": self.points}
+        return asdict(self)
 
 
 def fit_slope(xs, ys) -> SlopeFit:
@@ -60,7 +59,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": self.params, "seed": self.seed}
+        return asdict(self)
 
 
 def emit_report(body: dict, path=None, timestamp: str | None = None) -> str:
@@ -165,8 +164,7 @@ def _run_torus(config: ExperimentConfig) -> dict:
     if p.get("defects"):
         fname, gname = p["defects"]
         side = T.TorusGeometry(d).side
-        f = _trig_by_name(fname, side)
-        g = _trig_by_name(gname, side)
+        f, g = (_trig_by_name(name, side) for name in (fname, gname))
         body["defects"] = {"f": fname, "g": gname, "m": m,
                            "D2": [], "D1": [], "DB": []}
     if p.get("kernel_compare"):
@@ -178,6 +176,8 @@ def _run_torus(config: ExperimentConfig) -> dict:
     # Every block of one k runs before the next k is solved, so each
     # spectrum is reused while it is the most recent one in the cache.
     for k in ks:
+        # This k's cluster projectors, built once for the observables below.
+        obs = {"N": N, "seed": seed, "projectors": {}}
         dec, cls = T.resolve_levels(d, k, N, levels - 1, seed=seed)
         body["residuals"][str(k)] = dec.residual_max
         body["solver"][str(k)] = dec.solver
@@ -188,17 +188,17 @@ def _run_torus(config: ExperimentConfig) -> dict:
         for i, lam in enumerate(dec.eigenvalues):
             eigen_rows.append((k, i, repr(float(lam))))
         if "defects" in body:
-            table = T.asymptotic_defects(d, [k], m, f, g, N=N, seed=seed)
+            table = T.asymptotic_defects(d, [k], m, f, g, **obs)
             for name in ("D2", "D1", "DB"):
                 body["defects"][name] += table[name]
         if "kernel_compare" in body:
             for mm in range(min(levels, 3)):
-                r = T.kernel_error(d, k, mm, N=N, seed=seed)
+                r = T.kernel_error(d, k, mm, **obs)
                 body["kernel_compare"].append(
                     {"k": k, "m": mm, "diag_err": r["diag_err"],
                      "offdiag_err": r["offdiag_err"]})
         if "ladder" in body:
-            r = T.ladder_map(d, k, lm, N=N, seed=seed)
+            r = T.ladder_map(d, k, lm, **obs)
             body["ladder"].append({"k": k, "m": lm, "vtv_defect": r["vtv_defect"],
                                    "vvt_defect": r["vvt_defect"],
                                    "max_angle": r["max_angle"]})

@@ -38,12 +38,13 @@ instead of mislabelling the levels above it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import factorial, gcd, pi, sqrt
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eig_banded, subspace_angles
+from scipy.linalg import eig_banded
 
 from .bargmann import laguerre_q
 from .dimensions import dim_torus
@@ -52,6 +53,9 @@ from .dimensions import dim_torus
 RESIDUAL_TOL = 1e-9
 # Orthonormality bound for a cluster frame.
 GRAM_TOL = 1e-10
+# Gram defect up to which a Cholesky-QR frame counts as orthonormal; it moves
+# a squared sine by at most its square.  One pass leaves 7e-15 at N = 192.
+_ORTHO_TOL = 1e-12
 
 
 class GuardError(RuntimeError):
@@ -98,13 +102,14 @@ class TrigPoly:
     def sin_y(cls, side: float) -> "TrigPoly":
         return cls(side, {(0, 1): -0.5j, (0, -1): 0.5j})
 
-    def evaluate(self, x, y) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = np.zeros(np.broadcast(x, y).shape, dtype=complex)
+    def evaluate(self, xs, ys) -> np.ndarray:
+        """Values on the tensor grid xs x ys, out[i, j] = f(xs[i], ys[j]):
+        per term, the outer product of its exponentials in x and in y."""
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        out = np.zeros((len(xs), len(ys)), dtype=complex)
         w = 2 * pi / self.side
         for (p, q), c in self.coeffs.items():
-            out += c * np.exp(1j * w * (p * x + q * y))
+            out += np.outer(c * np.exp(1j * w * p * xs), np.exp(1j * w * q * ys))
         return out
 
     def d_dx(self) -> "TrigPoly":
@@ -141,9 +146,6 @@ class TrigPoly:
 
     __rmul__ = __mul__
 
-    def __repr__(self) -> str:
-        return "TrigPoly(%r)" % (self.coeffs,)
-
 
 class DiscreteBundle:
     """Link-phase realization of the power-k bundle on an N x N grid."""
@@ -160,19 +162,14 @@ class DiscreteBundle:
         if k * self.h ** 2 > 0.3:
             raise GuardError("k*h^2 = %.3f exceeds the hard limit 0.3; refine "
                              "the grid" % (k * self.h ** 2))
-        i = np.arange(N)
-        self.xs = i * self.h
-        ii, jj = np.meshgrid(i, i, indexing="ij")
-        self.X = (ii * self.h).ravel(order="F")
-        self.Y = (jj * self.h).ravel(order="F")
+        self.xs = np.arange(N) * self.h
+        # Coordinates of the sites p = i + N*j.
+        self.X, self.Y = np.tile(self.xs, N), np.repeat(self.xs, N)
         ux = np.ones((N, N), dtype=complex)
         ux[N - 1, :] = np.exp(1j * k * geometry.side * self.xs)  # y_j = j*h
         uy = np.exp(-1j * k * self.h * self.xs)[:, None] * np.ones((1, N))
-        self._ux = ux
-        self._uy = uy
-        self._shift_x = self._shift(ux, axis=0)
-        self._shift_y = self._shift(uy, axis=1)
-        Sx, Sy = self._shift_x, self._shift_y
+        self._ux, self._uy = ux, uy
+        Sx, Sy = self._shift(ux, axis=0), self._shift(uy, axis=1)
         H = (4 * sp.identity(N * N, dtype=complex, format="csr")
              - Sx - Sx.getH() - Sy - Sy.getH()) / (2 * self.h ** 2)
         herm = abs(H - H.getH()).max()
@@ -182,16 +179,10 @@ class DiscreteBundle:
 
     def _shift(self, phases: np.ndarray, axis: int) -> sp.csr_matrix:
         """Matrix sending psi(p) to phases(p) * psi(p + e_axis)."""
-        N = self.N
-        ii, jj = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
-        if axis == 0:
-            ti, tj = (ii + 1) % N, jj
-        else:
-            ti, tj = ii, (jj + 1) % N
-        rows = (ii + N * jj).ravel(order="F")
-        cols = (ti + N * tj).ravel(order="F")
-        vals = phases.ravel(order="F")
-        return sp.csr_matrix((vals, (rows, cols)), shape=(N * N, N * N))
+        n = self.N ** 2
+        cols = np.roll(np.arange(n).reshape(self.N, self.N, order="F"), -1, axis=axis)
+        return sp.csr_matrix((phases.ravel(order="F"), (np.arange(n), cols.ravel(order="F"))),
+                             shape=(n, n))
 
     def site_index(self, i: int, j: int) -> int:
         return i % self.N + self.N * (j % self.N)
@@ -207,13 +198,17 @@ class DiscreteBundle:
         return self._H
 
     def cov_x(self) -> sp.csr_matrix:
-        """Central covariant x-derivative; anti-Hermitian."""
-        Sx = self._shift_x
-        return (Sx - Sx.getH()) / (2 * self.h)
+        """Central covariant x-derivative (S_x - S_x*)/2h; anti-Hermitian."""
+        S = self._shift(self._ux, axis=0)
+        return ((S - S.getH()) / (2 * self.h)).tocsr()
 
     def cov_y(self) -> sp.csr_matrix:
-        Sy = self._shift_y
-        return (Sy - Sy.getH()) / (2 * self.h)
+        S = self._shift(self._uy, axis=1)
+        return ((S - S.getH()) / (2 * self.h)).tocsr()
+
+    def site_values(self, f: TrigPoly) -> np.ndarray:
+        """f at every site, in the site order p = i + N*j."""
+        return f.evaluate(self.xs, self.xs).ravel(order="F")
 
 
 @dataclass
@@ -222,7 +217,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     vectors: np.ndarray
     residual_max: float
-    seed: int = 0
     solver: dict = field(default_factory=dict)
 
 
@@ -408,7 +402,7 @@ def lowest_spectrum(bundle: DiscreteBundle, count: int,
         raise GuardError("eigen-residual %g exceeds %g" % (resid, RESIDUAL_TOL * norm_bound))
     solver = {"rings": g, "ring_sites": L, "shares": [int(n) for n in shares],
               "translation": shift is not None, "bisected": bisected}
-    return SpectralDecomposition(bundle, vals, vecs, resid, seed, solver)
+    return SpectralDecomposition(bundle, vals, vecs, resid, solver)
 
 
 # Byte cap of the spectrum cache.  A torus run reuses one spectrum at a
@@ -437,8 +431,7 @@ def compute_spectrum(d: int, k: int, N: int, count: int,
     if cached is not None and len(cached.eigenvalues) >= count:
         _SPECTRUM_CACHE[key] = cached
         return cached
-    bundle = DiscreteBundle(TorusGeometry(d), k, N)
-    dec = lowest_spectrum(bundle, count, seed=seed)
+    dec = lowest_spectrum(DiscreteBundle(TorusGeometry(d), k, N), count, seed=seed)
     _SPECTRUM_CACHE[key] = dec
     total = sum(_spectrum_bytes(v) for v in _SPECTRUM_CACHE.values())
     while total > SPECTRUM_CACHE_BYTES:
@@ -528,42 +521,46 @@ class LandauProjector:
     def dim(self) -> int:
         return self.V.shape[1]
 
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        return self.V @ (self.V.conj().T @ psi)
+    @cached_property
+    def derivatives(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        """The bundle's (cov_x, cov_y), built on first use and kept as long as
+        this projector: the observables that share it build them once, and a
+        bundle cached with its spectrum keeps none."""
+        return self.bundle.cov_x(), self.bundle.cov_y()
 
-    def kernel_column(self, p: int) -> np.ndarray:
-        """Column x -> P(x, p) of the projector kernel in continuum
-        normalization (1/h^2 per site pair)."""
-        return (self.V @ np.conj(self.V[p, :])) / self.bundle.h ** 2
+
+def _cluster_projector(dec: SpectralDecomposition, m: int,
+                       projectors: dict | None) -> LandauProjector:
+    """The projector of dec's cluster m: the one in `projectors`, a caller's
+    dict by level, if it was built from this spectrum, else a new one, added."""
+    projectors = {} if projectors is None else projectors
+    proj = projectors.get(m)
+    if proj is None or proj.bundle is not dec.bundle:
+        proj = projectors[m] = LandauProjector(dec, m)
+    return proj
 
 
 def toeplitz_fn(proj: LandauProjector, f) -> np.ndarray:
     """Compression of multiplication by f (a TrigPoly or per-site values)."""
-    b = proj.bundle
-    fv = f.evaluate(b.X, b.Y) if isinstance(f, TrigPoly) else np.asarray(f)
+    fv = proj.bundle.site_values(f) if isinstance(f, TrigPoly) else np.asarray(f)
     return proj.V.conj().T @ (fv[:, None] * proj.V)
-
-
-def covariant_field_op(bundle: DiscreteBundle, vf: tuple[TrigPoly, TrigPoly]):
-    """Sparse operator for the covariant derivative along the vector field."""
-    fx, fy = vf
-    dx, dy = bundle.cov_x(), bundle.cov_y()
-    X = sp.diags(fx.evaluate(bundle.X, bundle.Y)) @ dx
-    Y = sp.diags(fy.evaluate(bundle.X, bundle.Y)) @ dy
-    return (X + Y).tocsr()
 
 
 def toeplitz_der(proj: LandauProjector, fields: list[tuple[TrigPoly, TrigPoly]]) -> np.ndarray:
     """Compression of the derivative chain along the listed vector fields,
-    scaled by k^(-p) for 2p fields."""
+    scaled by k^(-p) for 2p fields.  Each field acts on the frame per
+    component with terms: derivative matvec, then per-site weight."""
     if len(fields) % 2:
         raise ValueError("derivative compressions take an even number of fields")
-    b = proj.bundle
-    W = proj.V
+    b, W = proj.bundle, proj.V
     for vf in reversed(fields):
-        W = covariant_field_op(b, vf) @ W
-    p = len(fields) // 2
-    return (proj.V.conj().T @ W) / b.k ** p
+        parts = []
+        for c, D in zip(vf, proj.derivatives):
+            if c.coeffs:
+                parts.append(D @ W)
+                parts[-1] *= b.site_values(c)[:, None]  # in place: frames are large
+        W = sum(parts[1:], parts[0]) if parts else np.zeros_like(W)
+    return (proj.V.conj().T @ W) / b.k ** (len(fields) // 2)
 
 
 def hamiltonian_vf(f: TrigPoly) -> tuple[TrigPoly, TrigPoly]:
@@ -586,7 +583,8 @@ def b1_correction(f: TrigPoly, g: TrigPoly, m: int) -> TrigPoly:
 
 
 def asymptotic_defects(d: int, ks, m: int, f: TrigPoly, g: TrigPoly,
-                       N: int = 64, seed: int = 0) -> dict:
+                       N: int = 64, seed: int = 0, *,
+                       projectors: dict | None = None) -> dict:
     """Product, commutator, and corrected-product defects of cluster
     compressions across a range of powers k.
 
@@ -594,16 +592,15 @@ def asymptotic_defects(d: int, ks, m: int, f: TrigPoly, g: TrigPoly,
       D2: T(f)T(g) - T(fg) - k^(-1) T(X_f, X_g)
       D1: i k [T(f), T(g)] - T({f, g})
       DB: T(f)T(g) - T(fg) - k^(-1) T(B_1(f, g))
+    A `projectors` dict shares cluster projectors between calls (see
+    `_cluster_projector`); each is built, with its guards, once per dict.
     """
     out = {"ks": list(ks), "D2": [], "D1": [], "DB": [], "dims": []}
     for k in ks:
         dec, _ = resolve_levels(d, k, N, m, seed=seed)
-        proj = LandauProjector(dec, m)
-        Tf = toeplitz_fn(proj, f)
-        Tg = toeplitz_fn(proj, g)
-        Tfg = toeplitz_fn(proj, f * g)
-        Tpb = toeplitz_fn(proj, poisson_bracket(f, g))
-        Tb1 = toeplitz_fn(proj, b1_correction(f, g, m))
+        proj = _cluster_projector(dec, m, projectors)
+        Tf, Tg, Tfg, Tpb, Tb1 = (toeplitz_fn(proj, s) for s in (
+            f, g, f * g, poisson_bracket(f, g), b1_correction(f, g, m)))
         TXY = toeplitz_der(proj, [hamiltonian_vf(f), hamiltonian_vf(g)])
         prod = Tf @ Tg
         out["D2"].append(float(np.linalg.norm(prod - Tfg - TXY / k, 2)))
@@ -611,14 +608,6 @@ def asymptotic_defects(d: int, ks, m: int, f: TrigPoly, g: TrigPoly,
         out["DB"].append(float(np.linalg.norm(prod - Tfg - Tb1 / k, 2)))
         out["dims"].append(proj.dim)
     return out
-
-
-def _laguerre_values(m: int, x: np.ndarray) -> np.ndarray:
-    coeffs = [float(c) for c in laguerre_q(m, 0)]
-    acc = np.zeros_like(x)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def kernel_model(bundle: DiscreteBundle, m: int, x: np.ndarray, y: np.ndarray,
@@ -629,76 +618,97 @@ def kernel_model(bundle: DiscreteBundle, m: int, x: np.ndarray, y: np.ndarray,
     k = bundle.k
     rho2 = (x - x0) ** 2 + (y - y0) ** 2
     W = (x + x0) * (y - y0) / 2
-    return (k / (2 * pi) * np.exp(-k * rho2 / 4) * _laguerre_values(m, k * rho2 / 2)
-            * np.exp(1j * k * W))
+    laguerre = np.polyval([float(c) for c in reversed(laguerre_q(m, 0))], k * rho2 / 2)
+    return k / (2 * pi) * np.exp(-k * rho2 / 4) * laguerre * np.exp(1j * k * W)
 
 
-def kernel_error(d: int, k: int, m: int, N: int = 64, seed: int = 0) -> dict:
+def _kernel_pairs(b: DiscreteBundle):
+    """Sites of the kernel's base points, stepping N/8 through [N/4, 3N/4)
+    in x and y, and the (site, base column) pairs with |x - x0| <= Lambda/4."""
+    steps = np.arange(b.N // 4, (3 * b.N) // 4, max(1, b.N // 8))
+    i0, j0 = np.tile(steps, len(steps)), np.repeat(steps, len(steps))
+    x0, y0 = i0 * b.h, j0 * b.h
+    dist2 = (b.X[:, None] - x0) ** 2 + (b.Y[:, None] - y0) ** 2
+    return b.site_index(i0, j0), np.nonzero(dist2 <= (b.geometry.side / 4) ** 2)
+
+
+def kernel_error(d: int, k: int, m: int, N: int = 64, seed: int = 0, *,
+                 projectors: dict | None = None) -> dict:
     """Diagonal and off-diagonal comparison of the cluster kernel against the
     flat model, in units of the diagonal height k/2pi.
 
-    Off-diagonal pairs keep |x - y| <= Lambda/4 with base points in the
-    interior half-window, so no straight segment crosses the chart seam.
+    The base points' kernel columns are one product V V[bases]* / h^2,
+    compared with `kernel_model` on all pairs of `_kernel_pairs` at once:
+    |x - y| <= Lambda/4 with base points in the interior half-window, so no
+    straight segment crosses the chart seam.  `projectors` as in `asymptotic_defects`.
     """
     dec, _ = resolve_levels(d, k, N, m, seed=seed)
-    proj = LandauProjector(dec, m)
+    proj = _cluster_projector(dec, m, projectors)
     b = proj.bundle
-    lam = b.geometry.side
     diag = np.sum(np.abs(proj.V) ** 2, axis=1) / b.h ** 2
     diag_err = float(np.max(np.abs(2 * pi * diag / k - 1)))
 
-    step = max(1, b.N // 8)
-    base_range = range(b.N // 4, (3 * b.N) // 4, step)
-    off_err = 0.0
-    for i0 in base_range:
-        for j0 in base_range:
-            p = b.site_index(i0, j0)
-            col = proj.kernel_column(p)
-            x0, y0 = i0 * b.h, j0 * b.h
-            dist2 = (b.X - x0) ** 2 + (b.Y - y0) ** 2
-            mask = dist2 <= (lam / 4) ** 2
-            model = kernel_model(b, m, b.X[mask], b.Y[mask], x0, y0)
-            err = np.max(np.abs(col[mask] - model)) * 2 * pi / k
-            off_err = max(off_err, float(err))
+    bases, (sites, cols) = _kernel_pairs(b)
+    kernel = (proj.V @ proj.V[bases].conj().T) / b.h ** 2
+    x0, y0 = b.X[bases][cols], b.Y[bases][cols]
+    model = kernel_model(b, m, b.X[sites], b.Y[sites], x0, y0)
+    off_err = float(np.max(np.abs(kernel[sites, cols] - model)) * 2 * pi / k)
     return {"k": k, "diag_err": diag_err, "offdiag_err": off_err}
 
 
-def ladder_map(d: int, k: int, m: int, N: int = 64, seed: int = 0) -> dict:
+def _ladder(proj: LandauProjector, W: np.ndarray, m: int, sign: int) -> np.ndarray:
+    """(cov_x + sign * i cov_y)/sqrt(2) applied m times to the columns of W:
+    the lowering derivative for sign 1, the raising one for -1."""
+    dx, dy = proj.derivatives
+    for _ in range(m):
+        W = (dx @ W + sign * 1j * (dy @ W)) / sqrt(2)
+    return W
+
+
+def _max_principal_angle(U: np.ndarray, V: np.ndarray) -> float:
+    """Largest principal angle between span(U) and span(V), V orthonormal:
+    Cholesky-QR of U (U L^(-*), L L* = U* U), once more if not orthonormal
+    yet, then the largest eigenvalue of S* S, S = U (U* V) - V."""
+    G = U.conj().T @ U
+    for _ in range(2):
+        U = U @ np.linalg.inv(np.linalg.cholesky(G)).conj().T
+        G = U.conj().T @ U
+        defect = np.linalg.norm(G - np.eye(len(G)), 2)
+        if defect <= _ORTHO_TOL:
+            break
+    else:
+        raise GuardError("raised frame does not orthonormalize: gram defect %g"
+                         % defect)
+    S = U @ (U.conj().T @ V)
+    S -= V
+    sin2 = np.linalg.eigvalsh(S.conj().T @ S)[-1]
+    return float(np.arcsin(np.sqrt(min(max(sin2, 0.0), 1.0))))
+
+
+def ladder_map(d: int, k: int, m: int, N: int = 64, seed: int = 0, *,
+               projectors: dict | None = None) -> dict:
     """Down-ladder from cluster m to cluster 0 and its isometry defects.
 
-    The map is (m!)^(-1/2) k^(-m/2) P_0 D^m with D the unit-frame lowering
-    derivative (cov_x + i cov_y)/sqrt(2).  Also reports the principal angles
-    between cluster m and the raised image of cluster 0.
+    The map is (m!)^(-1/2) k^(-m/2) P_0 D^m with D = (cov_x + i cov_y)/sqrt(2)
+    the unit-frame lowering derivative, applied as matvecs (`_ladder`).  Also
+    reports the largest principal angle between cluster m and cluster 0
+    raised m times.  `projectors` is as in `asymptotic_defects`.
     """
     dec, _ = resolve_levels(d, k, N, m, seed=seed)
-    p0 = LandauProjector(dec, 0)
-    pm = LandauProjector(dec, m)
-    b = p0.bundle
-    D = (b.cov_x() + 1j * b.cov_y()) / sqrt(2)
-    W = pm.V
-    for _ in range(m):
-        W = D @ W
-    Vop = (p0.V.conj().T @ W) / (sqrt(factorial(m)) * k ** (m / 2))
-    eye = np.eye(Vop.shape[1])
-    vtv = float(np.linalg.norm(Vop.conj().T @ Vop - eye, 2))
+    p0 = _cluster_projector(dec, 0, projectors)
+    pm = _cluster_projector(dec, m, projectors)
+    Vop = (p0.V.conj().T @ _ladder(p0, pm.V, m, 1)) / (sqrt(factorial(m)) * k ** (m / 2))
+    vtv = float(np.linalg.norm(Vop.conj().T @ Vop - np.eye(Vop.shape[1]), 2))
     vvt = float(np.linalg.norm(Vop @ Vop.conj().T - np.eye(Vop.shape[0]), 2))
-    R = (b.cov_x() - 1j * b.cov_y()) / sqrt(2)
-    U = p0.V
-    for _ in range(m):
-        U = R @ U
-    angles = subspace_angles(U, pm.V)
     return {"k": k, "vtv_defect": vtv, "vvt_defect": vvt,
-            "max_angle": float(np.max(angles)) if len(angles) else 0.0,
+            "max_angle": _max_principal_angle(_ladder(p0, p0.V, m, -1), pm.V),
             "dim0": p0.dim, "dimm": pm.dim}
 
 
 def _bump(r: np.ndarray, inner: float, outer: float) -> np.ndarray:
     """Smooth plateau: 1 up to inner, 0 beyond outer."""
     def gl(s):
-        out = np.zeros_like(s)
-        pos = s > 0
-        out[pos] = np.exp(-1.0 / s[pos])
-        return out
+        return np.where(s > 0, np.exp(-1.0 / np.where(s > 0, s, 1.0)), 0.0)
 
     t = (outer - r) / (outer - inner)
     num = gl(t)
@@ -720,8 +730,7 @@ def peaked_section(bundle: DiscreteBundle, coeffs, center=None) -> np.ndarray:
     if center is None:
         center = (b.N // 2, b.N // 2)
     x0, y0 = center[0] * b.h, center[1] * b.h
-    xi_x = b.X - x0
-    xi_y = b.Y - y0
+    xi_x, xi_y = b.X - x0, b.Y - y0
     rho = np.hypot(xi_x, xi_y)
     w = sqrt(b.k) * (xi_x + 1j * xi_y) / sqrt(2)
     poly = np.zeros_like(w)
@@ -747,15 +756,11 @@ def peaked_gram(d: int, k: int, coeff_list, N: int = 64, seed: int = 0) -> dict:
     proj = LandauProjector(dec, 0)
     b = proj.bundle
     phis = [peaked_section(b, c) for c in coeff_list]
-    nsec = len(phis)
-    gram = np.array([[b.h ** 2 * np.vdot(phis[i], phis[j])
-                      for j in range(nsec)] for i in range(nsec)])
-    model = np.zeros((nsec, nsec), dtype=complex)
-    for i, ci in enumerate(coeff_list):
-        for j, cj in enumerate(coeff_list):
-            model[i, j] = sum(np.conj(a) * bb * factorial(deg)
-                              for deg, (a, bb) in enumerate(zip(ci, cj)))
-    defects = [float(np.linalg.norm(proj.apply(p) - p) / np.linalg.norm(p))
-               for p in phis]
+    gram = np.array([[b.h ** 2 * np.vdot(p, q) for q in phis] for p in phis])
+    model = np.array([[sum(np.conj(a) * bb * factorial(deg)
+                           for deg, (a, bb) in enumerate(zip(ci, cj)))
+                       for cj in coeff_list] for ci in coeff_list], dtype=complex)
+    defects = [float(np.linalg.norm(proj.V @ (proj.V.conj().T @ p) - p)
+                     / np.linalg.norm(p)) for p in phis]
     return {"k": k, "gram": gram, "model": model,
             "max_dev": float(np.abs(gram - model).max()), "defects": defects}

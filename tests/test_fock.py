@@ -44,8 +44,12 @@ def test_multi_index_enumeration_counts():
         for D in (0, 1, 4):
             got = len(multi_indices(n, D))
             assert got == math.comb(D + n, n)
-            assert multi_indices_of_degree(n, D) == [
-                a for a in multi_indices(n, D) if mi_degree(a) == D]
+    # each degree block, in the order of multi_indices
+    for n in (1, 2, 3, 4):
+        for D in range(9):
+            block = multi_indices_of_degree(n, D)
+            assert block == [a for a in multi_indices(n, D) if mi_degree(a) == D]
+            assert len(block) == math.comb(D + n - 1, n - 1)
     assert len(multi_indices_of_degree(2, 3)) == 4
 
 

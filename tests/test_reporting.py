@@ -138,6 +138,27 @@ def test_torus_run_solves_each_power_once(monkeypatch):
     assert len(body["defects"]["D2"]) == 2
 
 
+def test_torus_run_builds_each_cluster_projector_once(monkeypatch):
+    # --defects (level 0), --kernel-compare (levels 0, 1) and --ladder m=1
+    # (levels 0, 1) need two cluster projectors per k; each is built once
+    # per run, with its guards, and none outlives the run.
+    init, built = torus.LandauProjector.__init__, []
+
+    def counting(self, dec, m):
+        built.append((dec.bundle.k, m))
+        init(self, dec, m)
+
+    monkeypatch.setattr(torus.LandauProjector, "__init__", counting)
+    cfg = ExperimentConfig("torus", {
+        "d": 1, "ks": [4, 6], "N": 32, "levels": 2, "defects": ["cosx", "siny"],
+        "kernel_compare": True, "ladder": 1})
+    first = run_experiment(cfg)
+    assert sorted(built) == [(4, 0), (4, 1), (6, 0), (6, 1)]
+    built.clear()
+    assert run_experiment(cfg) == first
+    assert sorted(built) == [(4, 0), (4, 1), (6, 0), (6, 1)]
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         run_experiment(ExperimentConfig("nope", {}))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.linalg import subspace_angles
 
 from landau_lab import torus
 from landau_lab.torus import (
@@ -56,8 +58,64 @@ def test_laplacian_hermitian_covariant_antihermitian():
     b = DiscreteBundle(TorusGeometry(d=1), k=4, N=16)
     H = b.laplacian()
     assert abs(H - H.conj().T).max() < 1e-13
+    # <u, D v> = -<D u, v> for the bundle's derivatives
+    rng = np.random.default_rng(3)
+    u, v = (rng.standard_normal((b.N ** 2, 2)) @ [1, 1j] for _ in range(2))
     for D in (b.cov_x(), b.cov_y()):
-        assert abs(D + D.conj().T).max() < 1e-13
+        assert abs(np.vdot(u, D @ v) + np.vdot(D @ u, v)) < 1e-13 * b.N ** 2 / b.h
+
+
+def _explicit_derivatives(b):
+    """cov_x and cov_y as dense matrices, entry by entry from the link
+    phases: (D psi)(p) = (u(p) psi(p + e) - conj(u(p - e)) psi(p - e)) / 2h."""
+    N = b.N
+    Dx = np.zeros((N * N, N * N), dtype=complex)
+    Dy = np.zeros((N * N, N * N), dtype=complex)
+    for i in range(N):
+        for j in range(N):
+            p = b.site_index(i, j)
+            for D, u, q in ((Dx, b._ux, b.site_index(i + 1, j)),
+                            (Dy, b._uy, b.site_index(i, j + 1))):
+                D[p, q] += u[i, j] / (2 * b.h)
+                D[q, p] -= np.conj(u[i, j]) / (2 * b.h)
+    return Dx, Dy
+
+
+@pytest.mark.parametrize("N", [8, 12])
+def test_bundle_derivatives_match_the_link_phases(N):
+    b = DiscreteBundle(TorusGeometry(d=1), k=3, N=N)
+    assert np.max(np.abs(b._ux[N - 1, :] - 1)) > 0.1  # the wrap column is twisted
+    Dx, Dy = _explicit_derivatives(b)
+    assert np.max(np.abs(b.cov_x().toarray() - Dx)) < 1e-13
+    assert np.max(np.abs(b.cov_y().toarray() - Dy)) < 1e-13
+
+
+def _sites_pointwise(b, f):
+    """f at every site, term by term from its coefficients."""
+    w = 2 * math.pi / f.side
+    return sum(c * np.exp(1j * w * (p * b.X + q * b.Y))
+               for (p, q), c in f.coeffs.items()) + np.zeros(b.N ** 2)
+
+
+def test_toeplitz_der_matches_the_sparse_operator_chain():
+    dec = compute_spectrum(1, 4, 32, count=18)
+    proj = LandauProjector(dec, 1)
+    b = proj.bundle
+    side = b.geometry.side
+    f, g = TrigPoly.cos_x(side), TrigPoly.sin_y(side)
+    # hamiltonian_vf(cos x) has no x-component, hamiltonian_vf(sin y) no
+    # y-component; the last pair has both
+    for fields in ([hamiltonian_vf(f), hamiltonian_vf(g)],
+                   [hamiltonian_vf(f + g), hamiltonian_vf(f * g)]):
+        W = proj.V
+        for fx, fy in reversed(fields):
+            op = (sp.diags(_sites_pointwise(b, fx)) @ b.cov_x()
+                  + sp.diags(_sites_pointwise(b, fy)) @ b.cov_y())
+            W = op @ W
+        want = proj.V.conj().T @ W / b.k
+        got = torus.toeplitz_der(proj, fields)
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+    assert proj.derivatives is proj.derivatives  # built once per projector
 
 
 def test_spectrum_residuals_and_cache():
@@ -209,8 +267,8 @@ def test_projector_structure():
     g = np.linalg.eigvalsh(proj.V.conj().T @ proj.V)
     assert np.max(np.abs(g * (g - 1))) < 1e-10
     # kernel diagonal is real and positive
-    col = proj.kernel_column(proj.bundle.site_index(16, 16))
     p = proj.bundle.site_index(16, 16)
+    col = proj.V @ proj.V[p].conj() / proj.bundle.h ** 2
     assert abs(col[p].imag) < 1e-12 * abs(col[p])
     assert col[p].real > 0
 
@@ -231,13 +289,19 @@ def test_trig_poly_evaluate_and_derivatives():
     f = TrigPoly.cos_x(side)
     xs = np.linspace(0, side, 9, endpoint=False)
     ys = np.linspace(0, side, 9, endpoint=False)
-    assert np.max(np.abs(f.evaluate(xs, ys) - np.cos(om * xs))) < 1e-12
+    # values on the grid xs x ys: out[i, j] = f(xs[i], ys[j])
+    assert f.evaluate(xs, ys[:5]).shape == (9, 5)
+    assert np.max(np.abs(f.evaluate(xs, ys) - np.cos(om * xs)[:, None])) < 1e-12
     dfx = f.d_dx()
-    assert np.max(np.abs(dfx.evaluate(xs, ys) + om * np.sin(om * xs))) < 1e-12
+    assert np.max(np.abs(dfx.evaluate(xs, ys) + om * np.sin(om * xs)[:, None])) < 1e-12
     g = TrigPoly.sin_y(side)
     prod = f * g
-    want = np.cos(om * xs) * np.sin(om * ys)
+    want = np.outer(np.cos(om * xs), np.sin(om * ys))
     assert np.max(np.abs(prod.evaluate(xs, ys) - want)) < 1e-12
+    # a bundle's site values follow its site order p = i + N*j
+    b = DiscreteBundle(TorusGeometry(d=1), k=2, N=12)
+    h = prod + f.scale(0.5j)
+    assert np.max(np.abs(b.site_values(h) - _sites_pointwise(b, h))) < 1e-12
 
 
 def test_poisson_bracket_formula():
@@ -248,7 +312,7 @@ def test_poisson_bracket_formula():
     br = poisson_bracket(f, g)
     xs = np.linspace(0, side, 7, endpoint=False)
     ys = np.linspace(0.1, side, 7, endpoint=False)
-    want = -(om ** 2) * np.sin(om * xs) * np.cos(om * ys)
+    want = -(om ** 2) * np.outer(np.sin(om * xs), np.cos(om * ys))
     assert np.max(np.abs(br.evaluate(xs, ys) - want)) < 1e-12
     Xf = hamiltonian_vf(f)
     assert np.max(np.abs(Xf[0].evaluate(xs, ys))) < 1e-12  # -df/dy = 0
@@ -277,6 +341,70 @@ def test_kernel_error_decays():
     assert e8["diag_err"] < e4["diag_err"]
     assert e8["offdiag_err"] < e4["offdiag_err"]
     assert e4["diag_err"] < 0.05
+
+
+def _per_base_pairs(b):
+    """The (site, base) pairs of the kernel comparison, base by base with
+    the float mask |x - x0|^2 <= (Lambda/4)^2."""
+    pairs = []
+    base_range = range(b.N // 4, (3 * b.N) // 4, max(1, b.N // 8))
+    for j0 in base_range:
+        for i0 in base_range:
+            dist2 = (b.X - i0 * b.h) ** 2 + (b.Y - j0 * b.h) ** 2
+            sites = np.nonzero(dist2 <= (b.geometry.side / 4) ** 2)[0]
+            pairs += [(int(s), b.site_index(i0, j0)) for s in sites]
+    return sorted(pairs)
+
+
+@pytest.mark.parametrize("d,k,N", [(1, 4, 32), (1, 4, 30), (2, 6, 48), (1, 10, 64)])
+def test_kernel_pairs_match_the_per_base_mask(d, k, N):
+    # When N % 4 == 0 grid points lie on the Lambda/4 circle itself, where
+    # only the float comparison decides.
+    b = DiscreteBundle(TorusGeometry(d), k, N)
+    bases, (sites, cols) = torus._kernel_pairs(b)
+    assert sorted(zip(sites.tolist(), bases[cols].tolist())) == _per_base_pairs(b)
+
+
+def test_kernel_error_matches_column_by_column():
+    dec, _ = resolve_levels(1, 4, 32, 1)
+    for m in (0, 1):
+        V = LandauProjector(dec, m).V
+        b = dec.bundle
+        err = 0.0
+        for s, p in _per_base_pairs(b):
+            col = V[s] @ V[p].conj() / b.h ** 2
+            model = torus.kernel_model(b, m, b.X[s], b.Y[s], b.X[p], b.Y[p])
+            err = max(err, abs(col - model) * 2 * math.pi / 4)
+        got = kernel_error(1, 4, m, N=32)["offdiag_err"]
+        assert abs(got - err) < 1e-12 * err
+
+
+@pytest.mark.parametrize("d,k,N", [(1, 4, 64), (1, 10, 64)])
+def test_ladder_angle_matches_subspace_angles(d, k, N):
+    dec, _ = resolve_levels(d, k, N, 1)
+    b = dec.bundle
+    V0, V1 = LandauProjector(dec, 0).V, LandauProjector(dec, 1).V
+    raised = (b.cov_x() @ V0 - 1j * (b.cov_y() @ V0)) / math.sqrt(2)
+    want = np.max(subspace_angles(raised, V1))
+    got = ladder_map(d, k, 1, N=N)["max_angle"]
+    assert abs(got - want) < 1e-9 * want
+
+
+@pytest.mark.parametrize("theta", [1e-8, 1e-6, 1e-4, 1e-2])
+@pytest.mark.parametrize("cond", [1.0, 1e6])
+def test_principal_angle_of_a_rotated_frame(theta, cond):
+    # V turns the orthonormal frame A towards its complement C by angles up
+    # to theta; U spans A through a basis of condition number cond, and at
+    # 1e6 one Cholesky-QR pass leaves it short of orthonormal.  Forming
+    # U = A M in floating point moves its span by about cond * eps.
+    rng = np.random.default_rng(11)
+    Q, _ = np.linalg.qr(rng.standard_normal((300, 10)) + 1j * rng.standard_normal((300, 10)))
+    A, C = Q[:, :5], Q[:, 5:]
+    angles = theta * np.array([1.0, 0.5, 0.25, 0.1, 0.0])
+    V = A * np.cos(angles) + C * np.sin(angles)
+    (W1, _), (W2, _) = (np.linalg.qr(rng.standard_normal((5, 5))) for _ in range(2))
+    U = A @ (W1 * np.logspace(0, -np.log10(cond), 5)) @ W2
+    assert abs(torus._max_principal_angle(U, V) - theta) < 1e-6 * theta + 1e-15 * cond
 
 
 def test_ladder_level_zero_is_trivial():
