@@ -15,24 +15,26 @@ assembled and checked for hermiticity once per bundle.
 The solver uses the Landau gauge.  A discrete Fourier transform in y makes
 the y-links diagonal, and the wrap column shifts the y-mode by k*d, so H
 splits exactly into g = gcd(N, k*d) independent real symmetric Harper rings
-of N^2/g sites (Harper 1955; Hofstadter 1976).  When gcd(k*d, N^2) divides
-N, the finite magnetic translations carry ring 0 onto every other ring by
-a cyclic shift (Zak 1964): then only ring 0 is solved, for ceil(count/g)
-eigenpairs, and the other rings' vectors are its vectors rolled.  Otherwise
-LAPACK bisection on each ring, asked for two values past its even share
-and asked again for twice as many while it may hold more below the cut,
-finds the lowest eigenvalues and how many of them each ring holds.
-Shift-invert Lanczos on each solved ring finds the vectors.  A completeness
-guard requires the Lanczos values to equal the bisection ones, so a skipped
-eigenvalue trips a GuardError, and every pair, mapped back to the grid by
-an inverse FFT in y, is checked against the real-space H, which also
-checks the shift.  `resolve_levels` is the one spectral entry point: from
-(d, k, N, top level, seed) it returns the spectrum, cached per
-(d, k, N, seed) in a byte-capped least-recently-used cache shared by the
-experiment drivers, and the clusters of levels 0..top.  Each cluster is a
-unit window of lambda/k (`detect_clusters`), and its count must equal the
-Riemann-Roch number k*d of its level; a mismatch trips a GuardError
-instead of mislabelling the levels above it.
+of N^2/g sites (Harper 1955; Hofstadter 1976).  The finite magnetic
+translations (Zak 1964) carry each ring onto the rings of its class by a
+cyclic shift, and the g rings fall into c = gcd(k*d, N^2)/g classes: only
+one ring per class is solved, and the others' vectors are its vectors
+rolled.  A ring that the reflection s -> s* - s maps onto itself, as ring 0
+always is, splits into an even and an odd open chain, and Sturm bisection
+of the two finds its lowest eigenvalues in O(L) per value; a ring without
+one is bisected on its band.  With more than one class, each is asked for
+two values past its even share, and again for twice as many while it may
+hold more below the cut.  Shift-invert Lanczos on each solved ring finds
+the vectors.  A completeness guard requires the Lanczos values to equal the
+bisection ones, so a skipped eigenvalue trips a GuardError, and every pair,
+mapped back to the grid by an inverse FFT in y, is checked against the
+real-space H, which also checks the shift.  `resolve_levels` is the one
+spectral entry point: from (d, k, N, top level, seed) it returns the
+spectrum, cached per (d, k, N, seed) in a byte-capped least-recently-used
+cache shared by the experiment drivers, and the clusters of levels 0..top.
+Each cluster is a unit window of lambda/k (`detect_clusters`), and its count
+must equal the Riemann-Roch number k*d of its level; a mismatch trips a
+GuardError instead of mislabelling the levels above it.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from math import factorial, gcd, pi, sqrt
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eig_banded
+from scipy.linalg import eig_banded, eigvalsh_tridiagonal
 
 from .bargmann import laguerre_q
 from .dimensions import dim_torus
@@ -260,27 +262,54 @@ def _ring_band(diag: np.ndarray, hop: float) -> np.ndarray:
     return band
 
 
-def _magnetic_shift(N: int, kd: int) -> int | None:
-    """The shift t with k*d*t = -N (mod N^2) that carries ring 0's diagonal
-    onto ring 1's, or None when there is none.
-
-    Ring q0's diagonal at s is ring 0's at s + q0*t (mod L), so every ring
-    is ring 0 rolled and all g rings share one spectrum.  The shift exists
-    when G = gcd(k*d, N^2) divides N; then G = g, k*d/g is invertible
-    modulo L = N^2/g, and t is unique modulo L.
-    """
-    G = gcd(kd, N * N)
-    if N % G:
+def _congruence(a: int, b: int, m: int) -> int | None:
+    """The least t >= 0 with a*t = b (mod m), or None when there is none."""
+    G = gcd(a, m)
+    if b % G:
         return None
-    L = N * N // G
-    return -(N // G) * pow(kd // G, -1, L) % L
+    return b // G * pow(a // G, -1, m // G) % (m // G)
 
 
-# Values bisected per ring past its even share ceil(count/g) when the rings'
-# spectra differ.  Every ring holds k*d/g values of each level, so a cut
-# between levels gives each ring its even share; inside a level near-equal
-# values decide the shares, which can run over.  A ring that fills its
-# request is bisected again for twice as many.
+def _translation_class(N: int, kd: int, q0: int) -> tuple[int, int]:
+    """Ring q0's representative r and the roll t with ring q0's diagonal at s
+    equal to ring r's at s + t (mod L): k*d*t = (r - q0)*N (mod N^2), which
+    is solvable exactly when c = gcd(k*d, N^2)/g divides q0 - r."""
+    r = q0 % (gcd(kd, N * N) // gcd(N, kd))
+    return r, _congruence(kd, (r - q0) * N, N * N)
+
+
+def _reflection_sectors(diag: np.ndarray, hop: float, centre: int):
+    """The even and odd sectors of a ring symmetric under s -> centre - s
+    (mod L), as open chains (diagonal, off-diagonal): a link next to a fixed
+    site carries sqrt(2), and a fixed link adds its hop to the even sector's
+    diagonal and subtracts it from the odd one's."""
+    L = len(diag)
+    M = L // 2
+    if centre % 2 and not L % 2:
+        # Bond-centred: s pairs with -1 - s, and the links -1 -- 0 and
+        # M-1 -- M are fixed.
+        d = np.roll(diag, -((centre + 1) // 2))[:M]
+        ends = np.r_[hop, np.zeros(M - 2), hop]
+        e = np.full(M - 1, hop)
+        return (d + ends, e), (d - ends, e)
+    # Site-centred: s pairs with -s, and the site 0 is fixed.
+    d = np.roll(diag, -(centre * (M + 1) % L if L % 2 else centre // 2))[:M + 1]
+    e = np.full(M, hop)
+    e[0] *= sqrt(2)
+    if L % 2:
+        # The link M -- M+1 is fixed.
+        end = np.r_[np.zeros(M), hop]
+        return (d + end, e), ((d - end)[1:], e[1:])
+    # The site M is fixed.
+    e[-1] *= sqrt(2)
+    return (d, e), (d[1:-1], e[1:-1])
+
+
+# Values bisected per class past its even share ceil(count/g) when the rings
+# fall into more than one translation class.  Every ring holds k*d/g values
+# of each level, so a cut between levels gives each ring its even share;
+# inside a level near-equal values decide the shares, which can run over.  A
+# class that fills its request is bisected again for twice as many.
 _BISECT_MARGIN = 2
 
 # Columns per sparse product in the residual check, which bounds its scratch
@@ -315,20 +344,21 @@ def lowest_spectrum(bundle: DiscreteBundle, count: int,
                     seed: int = 0) -> SpectralDecomposition:
     """Lowest eigenpairs of H from its Landau-gauge rings.
 
-    LAPACK bisection gives each ring's lowest eigenvalues; merged, they fix
-    the global lowest `count` and each ring's share.  When the magnetic
-    translations carry ring 0 onto every other ring (`_magnetic_shift`),
-    only ring 0 is solved, for ceil(count/g) values, and its values stand
-    for every ring's.  Otherwise each ring is bisected for ceil(count/g) + 2
-    values, and a ring whose last value is not above the count-th smallest
-    merged one is bisected again for twice as many, until none is.
-    Shift-invert Lanczos on each solved ring, from a seeded start vector,
-    gives the vectors, and its values must match the bisection ones, or it
-    skipped an eigenvalue; on the translation path the other rings' vectors
-    are ring 0's, rolled by the shift.  Vectors map back to the grid by an
-    inverse FFT in y, and every pair is checked against the real-space H,
-    which does not use the symmetry.  `solver` records the rings, their
-    shares, the path taken and the values bisected.
+    One ring per translation class is solved (`_translation_class`).  It is
+    bisected on its reflection sectors (`_reflection_sectors`) or, without
+    a reflection, on its band; merged, the values fix the global lowest
+    `count` and each ring's share, ties going to the lower ring.  A single
+    class is bisected for ceil(count/g) values; otherwise each class is
+    bisected for ceil(count/g) + 2, and one whose last value is not above
+    the count-th smallest merged one again for twice as many, until none
+    is.  Shift-invert Lanczos on each solved ring, from a seeded start
+    vector and for the largest share in its class, gives the vectors, and
+    its values must match the bisection ones, or one of them skipped an
+    eigenvalue; the class's other rings get its vectors rolled.  Vectors map
+    back to the grid by an inverse FFT in y, and every pair is checked
+    against the real-space H, which does not use the symmetry.  `solver`
+    records the rings, the classes solved, how many through a reflection,
+    the shares, whether one class held all rings and the values bisected.
     """
     H = bundle.laplacian()
     N, kd = bundle.N, bundle.k * bundle.geometry.d
@@ -341,31 +371,38 @@ def lowest_spectrum(bundle: DiscreteBundle, count: int,
     rings = list(_harper_rings(bundle))
     g = len(rings)
     L = N * N // g
-    shift = _magnetic_shift(N, kd)
+    classes = [_translation_class(N, kd, q0) for q0 in range(g)]
+    reps = sorted({r for r, _ in classes})
+    centres = {r: _congruence(kd, 2 * r * N, N * N) for r in reps}
     bisected = 0
 
     def bisect(r: int, n: int) -> np.ndarray:
         nonlocal bisected
         bisected += n
-        return eig_banded(_ring_band(rings[r][1], hop), lower=True,
-                          eigvals_only=True, select="i", select_range=(0, n - 1))
+        if centres[r] is None:
+            return eig_banded(_ring_band(rings[r][1], hop), lower=True,
+                              eigvals_only=True, select="i", select_range=(0, n - 1))
+        sectors = [eigvalsh_tridiagonal(d, e, select="i",
+                                        select_range=(0, min(n, len(d)) - 1))
+                   for d, e in _reflection_sectors(rings[r][1], hop, centres[r])]
+        return np.sort(np.concatenate(sectors))[:n]
 
-    even_share = -(-count // g)
-    if shift is not None:
-        lows = [bisect(0, even_share)] * g
-    else:
-        want = [min(even_share + _BISECT_MARGIN, L)] * g
-        lows = [bisect(r, n) for r, n in enumerate(want)]
-        while True:
-            tau = np.partition(np.concatenate(lows), count - 1)[count - 1]
-            short = [r for r in range(g) if want[r] < L and lows[r][-1] <= tau]
-            if not short:
-                break
-            for r in short:
-                want[r] = min(2 * want[r], L)
-                lows[r] = bisect(r, want[r])
-    owner = np.repeat(np.arange(g), [len(v) for v in lows])
-    lowest = np.argsort(np.concatenate(lows), kind="stable")[:count]
+    # A single class is g copies of one spectrum: its even share suffices.
+    margin = _BISECT_MARGIN if len(reps) > 1 else 0
+    want = {r: min(-(-count // g) + margin, L) for r in reps}
+    lows = {r: bisect(r, n) for r, n in want.items()}
+    while len(reps) > 1:
+        tau = np.partition(np.concatenate([lows[r] for r, _ in classes]),
+                           count - 1)[count - 1]
+        short = [r for r in reps if want[r] < L and lows[r][-1] <= tau]
+        if not short:
+            break
+        for r in short:
+            want[r] = min(2 * want[r], L)
+            lows[r] = bisect(r, want[r])
+    merged = [lows[r] for r, _ in classes]
+    owner = np.repeat(np.arange(g), [len(v) for v in merged])
+    lowest = np.argsort(np.concatenate(merged), kind="stable")[:count]
     shares = np.bincount(owner[lowest], minlength=g)
     if shares.max() > L - 1:
         raise ValueError("%d eigenvalues asked of a Landau-gauge ring of %d sites, "
@@ -374,8 +411,10 @@ def lowest_spectrum(bundle: DiscreteBundle, count: int,
                          % (shares.max(), L, L - 1))
     rng = np.random.default_rng(seed)
     pairs = {}
-    for r in ([0] if shift is not None else np.nonzero(shares)[0]):
-        n_r = shares[r]
+    for r in reps:
+        n_r = max(shares[q] for q, (rq, _) in enumerate(classes) if rq == r)
+        if not n_r:
+            continue
         vals, vecs = spla.eigsh(_ring_matrix(rings[r][1], hop), k=n_r, sigma=0,
                                 which="LM", v0=rng.standard_normal(L))
         order = np.argsort(vals)
@@ -384,13 +423,9 @@ def lowest_spectrum(bundle: DiscreteBundle, count: int,
         if skip > RESIDUAL_TOL * norm_bound:
             raise GuardError("ring eigensolve missed an eigenvalue: its values "
                              "are %g from the bisection ones" % skip)
-        pairs[r] = vals, vecs
-    if shift is not None:
-        vals0, vecs0 = pairs[0]
-        for r in range(1, g):
-            if shares[r]:
-                pairs[r] = (vals0[:shares[r]],
-                            np.roll(vecs0[:, :shares[r]], -(r * shift) % L, axis=0))
+        for q, (rq, t) in enumerate(classes):
+            if rq == r and shares[q]:
+                pairs[q] = vals[:shares[q]], np.roll(vecs[:, :shares[q]], -t, axis=0)
     vals, vecs = _to_grid([(rings[r][0], *pairs[r]) for r in sorted(pairs)], N)
     resid = 0.0
     for b in range(0, count, _RESIDUAL_BATCH):
@@ -400,8 +435,10 @@ def lowest_spectrum(bundle: DiscreteBundle, count: int,
         resid = max(resid, float(np.linalg.norm(R, axis=0).max()))
     if resid > RESIDUAL_TOL * norm_bound:
         raise GuardError("eigen-residual %g exceeds %g" % (resid, RESIDUAL_TOL * norm_bound))
-    solver = {"rings": g, "ring_sites": L, "shares": [int(n) for n in shares],
-              "translation": shift is not None, "bisected": bisected}
+    solver = {"rings": g, "ring_sites": L, "classes": len(reps),
+              "sectors": sum(centres[r] is not None for r in reps),
+              "shares": [int(n) for n in shares], "translation": len(reps) == 1,
+              "bisected": bisected}
     return SpectralDecomposition(bundle, vals, vecs, resid, solver)
 
 

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import subspace_angles
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eig_banded, eigvalsh_tridiagonal, subspace_angles
 
 from landau_lab import torus
 from landau_lab.torus import (
@@ -126,10 +128,12 @@ def test_spectrum_residuals_and_cache():
 
 
 @pytest.mark.parametrize("d,k,N", [(1, 2, 16), (2, 1, 16), (1, 3, 24),
-                                   (1, 8, 20)])
+                                   (1, 8, 20), (1, 16, 20), (3, 1, 15)])
 def test_ring_solver_matches_dense_oracle(d, k, N):
-    # (1, 8, 20): gcd(k*d, N^2) = 16 does not divide N, so the rings have
-    # different spectra.
+    # (1, 8, 20): gcd(k*d, N^2) = 8 does not divide N, so the rings fall
+    # into two classes.  (1, 16, 20): four classes, and rings 1 and 3 have
+    # no reflection, so they are bisected on their band.  (3, 1, 15): rings
+    # of odd length 75.
     dec, clusters = resolve_levels(d, k, N, 1)
     H = dec.bundle.laplacian().toarray()
     vals, vecs = np.linalg.eigh(H)
@@ -166,6 +170,59 @@ def test_completeness_guard_catches_a_skipped_eigenvalue(monkeypatch):
         torus.lowest_spectrum(bundle, 18)
 
 
+@pytest.mark.parametrize("d,k,N", [(1, 4, 32), (1, 6, 64), (2, 8, 72)])
+@pytest.mark.parametrize("mutation", ["drop the odd sector", "drop sqrt(2)"])
+def test_sector_mutation_trips_the_completeness_guard(monkeypatch, mutation, d, k, N):
+    sectors = torus._reflection_sectors
+
+    def mutated(diag, hop, centre):
+        if mutation == "drop the odd sector":
+            return sectors(diag, hop, centre)[:1]
+        return [(a, np.full_like(e, hop)) for a, e in sectors(diag, hop, centre)]
+
+    monkeypatch.setattr(torus, "_reflection_sectors", mutated)
+    bundle = DiscreteBundle(TorusGeometry(d=d), k, N)
+    with pytest.raises(GuardError, match="missed an eigenvalue"):
+        torus.lowest_spectrum(bundle, 3 * k * d + 4)
+
+
+@st.composite
+def fine_grids(draw):
+    N = draw(st.integers(8, 24))
+    d = draw(st.integers(1, 3))
+    # k*h^2 = 2*pi*d*k/N^2 <= 0.3
+    k = draw(st.integers(1, max(1, int(0.3 * N * N / (2 * math.pi * d)))))
+    return d, k, N
+
+
+def test_reflection_sectors_match_the_ring_band():
+    seen = set()
+
+    @settings(max_examples=30, deadline=None)
+    @given(fine_grids())
+    @example((1, 8, 20))  # bond-centred ring 1
+    @example((3, 1, 15))  # odd L = 75
+    def check(grid):
+        d, k, N = grid
+        bundle = DiscreteBundle(TorusGeometry(d=d), k, N)
+        hop = -1.0 / (2 * bundle.h ** 2)
+        for q0, (_, diag) in enumerate(torus._harper_rings(bundle)):
+            centre = torus._congruence(k * d, 2 * q0 * N, N * N)
+            if centre is None:
+                continue
+            L = len(diag)
+            seen.add("odd L" if L % 2 else
+                     "bond-centred" if centre % 2 else "site-centred")
+            vals = np.sort(np.concatenate([
+                eigvalsh_tridiagonal(a, e, select="i", select_range=(0, len(a) - 1))
+                for a, e in torus._reflection_sectors(diag, hop, centre)]))
+            ref = eig_banded(torus._ring_band(diag, hop), lower=True, eigvals_only=True)
+            assert np.max(np.abs(vals - ref) / ref) < 1e-12, (grid, q0)
+
+    check()
+    assert seen == {"odd L", "site-centred", "bond-centred"}
+
+
 def test_ring_share_beyond_eigsh_is_a_value_error():
     # k*d = 4 splits the 16 x 16 grid into 4 rings of 64 sites with one
     # spectrum: 250 eigenvalues give each ring at most 63, 253 give one 64
@@ -177,14 +234,16 @@ def test_ring_share_beyond_eigsh_is_a_value_error():
         torus.lowest_spectrum(bundle, 257)
 
 
-@pytest.mark.parametrize("d,k,N,holds", [(1, 4, 64, True), (4, 4, 64, True),
-                                         (2, 8, 72, False)])
-def test_translation_predicate(d, k, N, holds):
-    # gcd(k*d, N^2) is 4, 16 and 16: it divides N = 64 but not N = 72.
-    t = torus._magnetic_shift(N, k * d)
-    assert (t is not None) == holds
-    if holds:
-        assert (k * d * t + N) % (N * N) == 0
+@pytest.mark.parametrize("d,k,N,classes", [(1, 4, 64, 1), (4, 4, 64, 1),
+                                           (2, 8, 72, 2), (1, 16, 20, 4)])
+def test_translation_classes(d, k, N, classes):
+    # c = gcd(k*d, N^2)/g: 4/4, 16/16, 16/8 and 16/4.
+    bundle = DiscreteBundle(TorusGeometry(d=d), k, N)
+    rings = [diag for _, diag in torus._harper_rings(bundle)]
+    found = [torus._translation_class(N, k * d, q0) for q0 in range(len(rings))]
+    assert sorted({r for r, _ in found}) == list(range(classes))
+    for diag, (r, t) in zip(rings, found):
+        assert np.max(np.abs(diag - np.roll(rings[r], -t))) < 1e-12 * diag.max()
 
 
 def test_translation_path_solves_ring_zero_only(monkeypatch):
@@ -198,28 +257,36 @@ def test_translation_path_solves_ring_zero_only(monkeypatch):
     bundle = DiscreteBundle(TorusGeometry(d=1), 4, 32)
     dec = torus.lowest_spectrum(bundle, 18)
     assert calls == [5]
-    assert dec.solver == {"rings": 4, "ring_sites": 256, "shares": [5, 5, 4, 4],
+    assert dec.solver == {"rings": 4, "ring_sites": 256, "classes": 1,
+                          "sectors": 1, "shares": [5, 5, 4, 4],
                           "translation": True, "bisected": 5}
 
 
 def test_wrong_magnetic_shift_trips_the_residual_guard(monkeypatch):
-    shift = torus._magnetic_shift
-    monkeypatch.setattr(torus, "_magnetic_shift", lambda N, kd: shift(N, kd) + 1)
+    roll = torus._translation_class
+
+    def off_by_one(N, kd, q0):
+        r, t = roll(N, kd, q0)
+        return r, t + 1
+
+    monkeypatch.setattr(torus, "_translation_class", off_by_one)
     bundle = DiscreteBundle(TorusGeometry(d=1), 4, 32)
     with pytest.raises(GuardError, match="eigen-residual"):
         torus.lowest_spectrum(bundle, 18)
 
 
 def test_bisection_request_doubles_until_it_passes_the_cut(monkeypatch):
-    # gcd(8, 400) = 8 does not divide N = 20, so the 4 rings are bisected
-    # apart.  With no margin each ring is asked for its even share of the
-    # three lowest levels, 6 values, and fills it, so every request doubles
-    # to 12, whose last value lies above the cut.
+    # gcd(8, 400) = 8 does not divide N = 20, so the 4 rings fall into
+    # c = 8/4 = 2 translation classes, and rings 0 and 1 are bisected.  With
+    # no margin each is asked for its even share of the three lowest levels,
+    # 6 values, and fills it, so both requests double to 12, whose last
+    # value lies above the cut.
     monkeypatch.setattr(torus, "_BISECT_MARGIN", 0)
     bundle = DiscreteBundle(TorusGeometry(d=1), 8, 20)
     dec = torus.lowest_spectrum(bundle, 24)
-    assert dec.solver == {"rings": 4, "ring_sites": 100, "shares": [6, 6, 6, 6],
-                          "translation": False, "bisected": 4 * 6 + 4 * 12}
+    assert dec.solver == {"rings": 4, "ring_sites": 100, "classes": 2,
+                          "sectors": 2, "shares": [6, 6, 6, 6],
+                          "translation": False, "bisected": 2 * 6 + 2 * 12}
     vals, vecs = np.linalg.eigh(bundle.laplacian().toarray())
     assert np.max(np.abs(dec.eigenvalues - vals[:24]) / vals[:24]) < 1e-10
     P, Q = dec.vectors @ dec.vectors.conj().T, vecs[:, :24] @ vecs[:, :24].conj().T
