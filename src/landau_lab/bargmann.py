@@ -19,8 +19,6 @@ import itertools
 from fractions import Fraction
 from math import comb, factorial
 
-import numpy as np
-
 from .fock import (FULL, FockOperator, GradedBasis, PolyZZbar, Scalar,
                    ladder_matrices, mi_add, mi_degree, mi_factorial, mi_leq,
                    mi_sub, mi_unit, multi_indices_of_degree)
@@ -127,36 +125,6 @@ def gram_inner(f: PolyZZbar, g: PolyZZbar) -> CRad:
         if inner:
             acc = acc + cf * inner.conjugate()
     return CRad.of(acc)
-
-
-# ---------------------------------------------------------------------------
-# Quadrature oracle for the vacuum projection
-
-
-def bargmann_project_quadrature(f: PolyZZbar, points: np.ndarray,
-                                nodes: int = 40) -> np.ndarray:
-    """Oracle for the vacuum projection: evaluate
-    (2 pi)^{-n} integral e^{u.vbar - |v|^2} f(v) dmu(v)
-    at the given complex points by the tensor-product Gauss-Hermite rule with
-    the stated number of nodes per real dimension.
-
-    The kernel e^{u.vbar} and every monomial factor over the variables, so
-    the rule on a monomial is a product of one-variable sums over the
-    nodes^2 points of the complex plane."""
-    n = f.n
-    t, w = np.polynomial.hermite.hermgauss(nodes)
-    v = (t[:, None] + 1j * t[None, :]).ravel()
-    weights = np.outer(w, w).ravel() / np.pi
-    points = np.atleast_2d(np.asarray(points, dtype=complex).reshape(-1, n))
-    # kernel[p, i, g]: e^{u_i vbar_g} at point p, scaled by the weight of g
-    kernel = np.exp(points[:, :, None] * np.conj(v)) * weights
-    out = np.zeros(points.shape[0], dtype=complex)
-    for (a, b), c in f.terms():
-        term = np.full(points.shape[0], complex(c))
-        for i in range(n):
-            term *= kernel[:, i, :] @ (v ** a[i] * np.conj(v) ** b[i])
-        out += term
-    return out
 
 
 # ---------------------------------------------------------------------------

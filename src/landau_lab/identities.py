@@ -241,9 +241,9 @@ def run_identity_checks(n: int, degree: int, seed: int = 0) -> list[dict]:
             ok = False
     record("trace_law", ok)
 
-    # --- Laguerre addition across variables
+    # --- Laguerre addition across variables, up to this input's n and degree
     ok = all(bg.laguerre_sum_identity(m, nn)
-             for nn in range(1, 5) for m in range(0, min(9, 13 - nn)))
+             for nn in range(1, n + 1) for m in range(0, min(D, 12 - nn) + 1))
     record("laguerre_sum", ok)
 
     # --- diagonal p-symbols are the parameter-0 family of |z|^2

@@ -13,8 +13,6 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 
-import numpy as np
-
 SCHEMA_VERSION = 1
 
 
@@ -35,6 +33,7 @@ def fit_slope(xs, ys) -> SlopeFit:
     Requires at least four strictly positive pairs.  A constant sequence has
     r_squared 1.0 by convention (the fit is exact).
     """
+    import numpy as np
     xs = np.asarray(list(xs), dtype=float)
     ys = np.asarray(list(ys), dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1:
@@ -173,6 +172,7 @@ def _run_torus(config: ExperimentConfig) -> dict:
         lm = int(p["ladder"])
         body["ladder"] = []
     eigen_rows = []
+    flat: dict = {}  # the kernel comparison's pairs and one k's flat-model factors
     # Every block of one k runs before the next k is solved, so each
     # spectrum is reused while it is the most recent one in the cache.
     for k in ks:
@@ -193,7 +193,7 @@ def _run_torus(config: ExperimentConfig) -> dict:
                 body["defects"][name] += table[name]
         if "kernel_compare" in body:
             for mm in range(min(levels, 3)):
-                r = T.kernel_error(d, k, mm, **obs)
+                r = T.kernel_error(d, k, mm, flat=flat, **obs)
                 body["kernel_compare"].append(
                     {"k": k, "m": mm, "diag_err": r["diag_err"],
                      "offdiag_err": r["offdiag_err"]})

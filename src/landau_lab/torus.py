@@ -50,6 +50,7 @@ from scipy.linalg import eig_banded, eigvalsh_tridiagonal
 
 from .bargmann import laguerre_q
 from .dimensions import dim_torus
+from .errors import GuardError
 
 # Eigen-residual bound, relative to a norm bound of H.
 RESIDUAL_TOL = 1e-9
@@ -58,10 +59,6 @@ GRAM_TOL = 1e-10
 # Gram defect up to which a Cholesky-QR frame counts as orthonormal; it moves
 # a squared sine by at most its square.  One pass leaves 7e-15 at N = 192.
 _ORTHO_TOL = 1e-12
-
-
-class GuardError(RuntimeError):
-    """A numerical validity guard failed; results would not be trustworthy."""
 
 
 @dataclass(frozen=True)
@@ -647,16 +644,22 @@ def asymptotic_defects(d: int, ks, m: int, f: TrigPoly, g: TrigPoly,
     return out
 
 
-def kernel_model(bundle: DiscreteBundle, m: int, x: np.ndarray, y: np.ndarray,
-                 x0: float, y0: float) -> np.ndarray:
-    """Flat-model cluster kernel at (x, y) against base point (x0, y0):
-    (k/2pi) e^{-k rho^2/4} L_m(k rho^2/2) times the straight-segment
-    transport phase of the gauge A = k x dy."""
-    k = bundle.k
+def kernel_model(m: int, envelope: np.ndarray, arg: np.ndarray,
+                 phase: np.ndarray) -> np.ndarray:
+    """Flat-model cluster kernel of level m from its level-free factors
+    (`_flat_factors`): envelope times L_m(arg) times phase."""
+    laguerre = np.polyval([float(c) for c in reversed(laguerre_q(m, 0))], arg)
+    return envelope * laguerre * phase
+
+
+def _flat_factors(k: int, x: np.ndarray, y: np.ndarray, x0: np.ndarray,
+                  y0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The factors of the flat-model kernel at (x, y) against base point
+    (x0, y0) that no level changes: (k/2pi) e^{-k rho^2/4}, k rho^2/2, and the
+    straight-segment transport phase e^{ikW} of the gauge A = k x dy."""
     rho2 = (x - x0) ** 2 + (y - y0) ** 2
     W = (x + x0) * (y - y0) / 2
-    laguerre = np.polyval([float(c) for c in reversed(laguerre_q(m, 0))], k * rho2 / 2)
-    return k / (2 * pi) * np.exp(-k * rho2 / 4) * laguerre * np.exp(1j * k * W)
+    return k / (2 * pi) * np.exp(-k * rho2 / 4), k * rho2 / 2, np.exp(1j * k * W)
 
 
 def _kernel_pairs(b: DiscreteBundle):
@@ -670,7 +673,7 @@ def _kernel_pairs(b: DiscreteBundle):
 
 
 def kernel_error(d: int, k: int, m: int, N: int = 64, seed: int = 0, *,
-                 projectors: dict | None = None) -> dict:
+                 projectors: dict | None = None, flat: dict | None = None) -> dict:
     """Diagonal and off-diagonal comparison of the cluster kernel against the
     flat model, in units of the diagonal height k/2pi.
 
@@ -678,6 +681,8 @@ def kernel_error(d: int, k: int, m: int, N: int = 64, seed: int = 0, *,
     compared with `kernel_model` on all pairs of `_kernel_pairs` at once:
     |x - y| <= Lambda/4 with base points in the interior half-window, so no
     straight segment crosses the chart seam.  `projectors` as in `asymptotic_defects`.
+    A `flat` dict keeps the pairs of one (d, N) and the `_flat_factors` of one
+    k between calls, so that only the Laguerre factor is evaluated per level.
     """
     dec, _ = resolve_levels(d, k, N, m, seed=seed)
     proj = _cluster_projector(dec, m, projectors)
@@ -685,10 +690,15 @@ def kernel_error(d: int, k: int, m: int, N: int = 64, seed: int = 0, *,
     diag = np.sum(np.abs(proj.V) ** 2, axis=1) / b.h ** 2
     diag_err = float(np.max(np.abs(2 * pi * diag / k - 1)))
 
-    bases, (sites, cols) = _kernel_pairs(b)
+    flat = {} if flat is None else flat
+    if flat.get("grid") != (d, N):
+        flat.update(grid=(d, N), pairs=_kernel_pairs(b), k=None)
+    bases, (sites, cols) = flat["pairs"]
+    if flat.get("k") != k:
+        flat.update(k=k, factors=_flat_factors(k, b.X[sites], b.Y[sites],
+                                               b.X[bases][cols], b.Y[bases][cols]))
     kernel = (proj.V @ proj.V[bases].conj().T) / b.h ** 2
-    x0, y0 = b.X[bases][cols], b.Y[bases][cols]
-    model = kernel_model(b, m, b.X[sites], b.Y[sites], x0, y0)
+    model = kernel_model(m, *flat["factors"])
     off_err = float(np.max(np.abs(kernel[sites, cols] - model)) * 2 * pi / k)
     return {"k": k, "diag_err": diag_err, "offdiag_err": off_err}
 

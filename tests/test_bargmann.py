@@ -9,7 +9,6 @@ from scipy.special import genlaguerre
 from landau_lab import bargmann
 from landau_lab.bargmann import (
     bargmann_project_operator,
-    bargmann_project_quadrature,
     compare_star_orders,
     gram_inner,
     laguerre_q,
@@ -76,8 +75,10 @@ def test_laguerre_endpoint_values():
 
 
 def test_laguerre_sum_identity_range():
-    for n in range(1, 4):
-        for m in range(0, 13 - n, 3):
+    # every case up to the guard m + n <= 12: the ledger's cases at every
+    # input (m <= min(degree, 12 - n), degree <= 8, n <= 3) and beyond them
+    for n in range(1, 5):
+        for m in range(0, 13 - n):
             assert laguerre_sum_identity(m, n)
     with pytest.raises(ValueError):
         laguerre_sum_identity(12, 4)
@@ -135,6 +136,31 @@ def test_norm_sq_positive():
         v = v.re.as_fraction()
         assert v >= 0
         assert (v == 0) == f.is_zero()
+
+
+def bargmann_project_quadrature(f, points, nodes=40):
+    """Oracle for the vacuum projection: evaluate
+    (2 pi)^{-n} integral e^{u.vbar - |v|^2} f(v) dmu(v)
+    at the given complex points by the tensor-product Gauss-Hermite rule with
+    the stated number of nodes per real dimension.
+
+    The kernel e^{u.vbar} and every monomial factor over the variables, so
+    the rule on a monomial is a product of one-variable sums over the
+    nodes^2 points of the complex plane."""
+    n = f.n
+    t, w = np.polynomial.hermite.hermgauss(nodes)
+    v = (t[:, None] + 1j * t[None, :]).ravel()
+    weights = np.outer(w, w).ravel() / np.pi
+    points = np.atleast_2d(np.asarray(points, dtype=complex).reshape(-1, n))
+    # kernel[p, i, g]: e^{u_i vbar_g} at point p, scaled by the weight of g
+    kernel = np.exp(points[:, :, None] * np.conj(v)) * weights
+    out = np.zeros(points.shape[0], dtype=complex)
+    for (a, b), c in f.terms():
+        term = np.full(points.shape[0], complex(c))
+        for i in range(n):
+            term *= kernel[:, i, :] @ (v ** a[i] * np.conj(v) ** b[i])
+        out += term
+    return out
 
 
 def test_projection_matches_quadrature():

@@ -1,11 +1,15 @@
 import csv
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from landau_lab import cli, torus
+from landau_lab import cli, errors, torus
 from landau_lab.cli import main
 
 
@@ -117,6 +121,42 @@ def test_torus_guard_exit(capsys):
                  "--levels", "1"])
     assert code == 1
     assert "guard tripped" in capsys.readouterr().err
+
+
+# Runs main in a fresh interpreter and prints its exit code and the numerical
+# packages loaded by then.
+_FRESH_RUN = """
+import contextlib, io, sys
+from landau_lab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = main(sys.argv[1:])
+print(rc, sorted({"numpy", "scipy"} & set(sys.modules)))
+"""
+
+
+def _fresh_run(argv):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _FRESH_RUN, *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    return proc.stdout.split(" ", 1), proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["fock", "--check-identities", "--n", "1", "--degree", "4"],
+    ["dim", "--surface", "g=2,d=10", "--k", "3"],
+    ["surface", "--genus", "2", "--B", "5", "--levels", "2"],
+], ids=lambda argv: argv[0])
+def test_exact_side_runs_load_no_numerical_stack(argv):
+    (rc, loaded), err = _fresh_run(argv)
+    assert (rc, loaded.strip()) == ("0", "[]"), err
+
+
+def test_fresh_torus_guard_is_the_class_main_catches():
+    # the lazily imported lattice raises the error main was loaded with
+    assert torus.GuardError is errors.GuardError
+    (rc, _), err = _fresh_run(["torus", "--d", "1", "--k", "12", "--grid", "8"])
+    assert rc == "1" and "guard tripped" in err, err
 
 
 def test_torus_count_guard_exit(capsys):

@@ -16,8 +16,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "landau_lab"
 
 # Public names with no caller in the package, each kept on purpose.
 ALLOWED = {
-    "bargmann.bargmann_project_quadrature":
-        "quadrature oracle the exact vacuum projection is tested against",
     "torus.DiscreteBundle.plaquette_phases":
         "gauge oracle: the bundle's plaquette holonomy is tested with it",
     "fock.FockOperator.as_array":

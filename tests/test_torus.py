@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from scipy.linalg import eig_banded, eigvalsh_tridiagonal, subspace_angles
 
 from landau_lab import torus
+from landau_lab.bargmann import laguerre_q
+from landau_lab.reporting import ExperimentConfig, run_experiment
 from landau_lab.torus import (
     DiscreteBundle,
     GuardError,
@@ -432,6 +434,16 @@ def test_kernel_pairs_match_the_per_base_mask(d, k, N):
     assert sorted(zip(sites.tolist(), bases[cols].tolist())) == _per_base_pairs(b)
 
 
+def _direct_kernel_model(b, m, x, y, x0, y0):
+    """The flat-model kernel evaluated whole at one level, in the operand
+    order kernel_error keeps: envelope, Laguerre factor, transport phase."""
+    k = b.k
+    rho2 = (x - x0) ** 2 + (y - y0) ** 2
+    W = (x + x0) * (y - y0) / 2
+    laguerre = np.polyval([float(c) for c in reversed(laguerre_q(m, 0))], k * rho2 / 2)
+    return k / (2 * math.pi) * np.exp(-k * rho2 / 4) * laguerre * np.exp(1j * k * W)
+
+
 def test_kernel_error_matches_column_by_column():
     dec, _ = resolve_levels(1, 4, 32, 1)
     for m in (0, 1):
@@ -440,10 +452,32 @@ def test_kernel_error_matches_column_by_column():
         err = 0.0
         for s, p in _per_base_pairs(b):
             col = V[s] @ V[p].conj() / b.h ** 2
-            model = torus.kernel_model(b, m, b.X[s], b.Y[s], b.X[p], b.Y[p])
+            model = _direct_kernel_model(b, m, b.X[s], b.Y[s], b.X[p], b.Y[p])
             err = max(err, abs(col - model) * 2 * math.pi / 4)
         got = kernel_error(1, 4, m, N=32)["offdiag_err"]
         assert abs(got - err) < 1e-12 * err
+
+
+def test_run_kernel_comparison_equals_the_direct_model():
+    # A run shares the pairs between its powers and the level-free factors
+    # between its levels; every (k, m) it compares must read exactly what a
+    # fresh evaluation of the pairs and the whole model per (k, m) gives.
+    body = run_experiment(ExperimentConfig("torus", {
+        "d": 1, "ks": [4, 6], "N": 32, "levels": 3, "kernel_compare": True}))
+    assert [(r["k"], r["m"]) for r in body["kernel_compare"]] == [
+        (k, m) for k in (4, 6) for m in range(3)]
+    for row in body["kernel_compare"]:
+        k, m = row["k"], row["m"]
+        dec, _ = resolve_levels(1, k, 32, m)
+        V, b = LandauProjector(dec, m).V, dec.bundle
+        diag = np.sum(np.abs(V) ** 2, axis=1) / b.h ** 2
+        assert row["diag_err"] == float(np.max(np.abs(2 * math.pi * diag / k - 1)))
+        bases, (sites, cols) = torus._kernel_pairs(b)
+        kernel = (V @ V[bases].conj().T) / b.h ** 2
+        model = _direct_kernel_model(b, m, b.X[sites], b.Y[sites],
+                                     b.X[bases][cols], b.Y[bases][cols])
+        assert row["offdiag_err"] == float(
+            np.max(np.abs(kernel[sites, cols] - model)) * 2 * math.pi / k)
 
 
 @pytest.mark.parametrize("d,k,N", [(1, 4, 64), (1, 10, 64)])
