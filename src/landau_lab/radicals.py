@@ -133,22 +133,6 @@ class Rad:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "Rad":
-        """Exact inverse; implemented for single-term elements c*sqrt(s)."""
-        if len(self.terms) != 1:
-            raise NotImplementedError("inverse only for single-term radicals, got %r" % self)
-        (s, c), = self.terms.items()
-        return Rad({s: Fraction(1) / (c * s)})
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                raise ZeroDivisionError
-            return Rad({s: c / other for s, c in self.terms.items()})
-        if isinstance(other, Rad):
-            return self * other.inverse()
-        return NotImplemented
-
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
         if other is None:
@@ -247,21 +231,6 @@ class CRad:
                     self.re * other.im + self.im * other.re)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        try:
-            other = CRad.of(other)
-        except TypeError:
-            return NotImplemented
-        if other.im.is_zero():
-            inv = other.re.inverse()
-            return CRad(self.re * inv, self.im * inv)
-        # 1/(a+bi) = (a-bi)/(a^2+b^2); only needed when the modulus is a
-        # single-term radical, which covers every scalar this package produces.
-        norm = other.re * other.re + other.im * other.im
-        inv = norm.inverse()
-        num = self * other.conjugate()
-        return CRad(num.re * inv, num.im * inv)
 
     def __eq__(self, other) -> bool:
         try:

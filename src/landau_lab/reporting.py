@@ -172,12 +172,11 @@ def _run_torus(config: ExperimentConfig) -> dict:
         lm = int(p["ladder"])
         body["ladder"] = []
     eigen_rows = []
-    flat: dict = {}  # the kernel comparison's pairs and one k's flat-model factors
+    obs = {"N": N, "seed": seed}
     # Every block of one k runs before the next k is solved, so each
-    # spectrum is reused while it is the most recent one in the cache.
+    # spectrum, with the cluster projectors it keeps, is reused while it is
+    # the most recent one in the cache.
     for k in ks:
-        # This k's cluster projectors, built once for the observables below.
-        obs = {"N": N, "seed": seed, "projectors": {}}
         dec, cls = T.resolve_levels(d, k, N, levels - 1, seed=seed)
         body["residuals"][str(k)] = dec.residual_max
         body["solver"][str(k)] = dec.solver
@@ -193,7 +192,7 @@ def _run_torus(config: ExperimentConfig) -> dict:
                 body["defects"][name] += table[name]
         if "kernel_compare" in body:
             for mm in range(min(levels, 3)):
-                r = T.kernel_error(d, k, mm, flat=flat, **obs)
+                r = T.kernel_error(d, k, mm, **obs)
                 body["kernel_compare"].append(
                     {"k": k, "m": mm, "diag_err": r["diag_err"],
                      "offdiag_err": r["offdiag_err"]})

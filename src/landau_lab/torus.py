@@ -34,7 +34,10 @@ spectrum, cached per (d, k, N, seed) in a byte-capped least-recently-used
 cache shared by the experiment drivers, and the clusters of levels 0..top.
 Each cluster is a unit window of lambda/k (`detect_clusters`), and its count
 must equal the Riemann-Roch number k*d of its level; a mismatch trips a
-GuardError instead of mislabelling the levels above it.
+GuardError instead of mislabelling the levels above it.  A spectrum owns its
+cluster projectors: `SpectralDecomposition.projector` builds each level's
+once, with its guards, as a read-only view of the spectrum's vectors, and
+the defect, kernel and ladder observables all take theirs from it.
 """
 
 from __future__ import annotations
@@ -205,6 +208,11 @@ class DiscreteBundle:
         S = self._shift(self._uy, axis=1)
         return ((S - S.getH()) / (2 * self.h)).tocsr()
 
+    @cached_property
+    def derivatives(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        """(cov_x, cov_y), built on first use and kept as long as the bundle."""
+        return self.cov_x(), self.cov_y()
+
     def site_values(self, f: TrigPoly) -> np.ndarray:
         """f at every site, in the site order p = i + N*j."""
         return f.evaluate(self.xs, self.xs).ravel(order="F")
@@ -217,6 +225,17 @@ class SpectralDecomposition:
     vectors: np.ndarray
     residual_max: float
     solver: dict = field(default_factory=dict)
+    # Cluster projectors by level; a replaced spectrum starts without any.
+    _projectors: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
+
+    def projector(self, m: int) -> "LandauProjector":
+        """The projector of cluster m, built with its guards on first use and
+        kept as long as this spectrum."""
+        proj = self._projectors.get(m)
+        if proj is None:
+            proj = self._projectors[m] = LandauProjector(self, m)
+        return proj
 
 
 def _harper_rings(bundle: DiscreteBundle):
@@ -324,17 +343,19 @@ def _to_grid(found, N: int) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(vals, kind="stable")
     column = np.empty(count, dtype=int)
     column[order] = np.arange(count)
-    # phi[q, i, n]: y-mode q at x-site i of output column n.
-    phi = np.zeros((N, N, count), dtype=complex)
+    # phi[n, q, i]: y-mode q at x-site i of output column n.
+    phi = np.zeros((count, N, N), dtype=complex)
     start = 0
     for modes, _, vecs in found:
         n_r = vecs.shape[1]
         cols = column[start:start + n_r]
-        phi[modes[:, None, None], np.arange(N)[:, None], cols] = \
-            vecs.reshape(len(modes), N, n_r)
+        phi[cols[:, None, None], modes[:, None], np.arange(N)] = \
+            vecs.reshape(len(modes), N, n_r).transpose(2, 0, 1)
         start += n_r
-    # Back to the grid, p = i + N*j: row j*N + i of the transformed array.
-    return vals[order], np.fft.ifft(phi, axis=0, norm="ortho").reshape(N * N, count)
+    # Back to the grid, p = i + N*j, column by column: the vectors are
+    # Fortran-ordered, so a column range of them is one contiguous block.
+    grid = np.fft.ifft(phi, axis=1, norm="ortho").reshape(count, N * N).T
+    return vals[order], grid
 
 
 def lowest_spectrum(bundle: DiscreteBundle, count: int,
@@ -432,6 +453,8 @@ def lowest_spectrum(bundle: DiscreteBundle, count: int,
         resid = max(resid, float(np.linalg.norm(R, axis=0).max()))
     if resid > RESIDUAL_TOL * norm_bound:
         raise GuardError("eigen-residual %g exceeds %g" % (resid, RESIDUAL_TOL * norm_bound))
+    # Cluster frames are views of these columns.
+    vecs.flags.writeable = False
     solver = {"rings": g, "ring_sites": L, "classes": len(reps),
               "sectors": sum(centres[r] is not None for r in reps),
               "shares": [int(n) for n in shares], "translation": len(reps) == 1,
@@ -525,11 +548,13 @@ def resolve_levels(d: int, k: int, N: int, top: int,
 
 class LandauProjector:
     """Orthogonal projector onto one resolved cluster, stored as its
-    orthonormal column frame."""
+    orthonormal column frame: a view of the spectrum's columns, which are
+    sorted by eigenvalue, so that a cluster is one range of them."""
 
     def __init__(self, dec: SpectralDecomposition, m: int):
         cl = level_clusters(dec, m + 1)[m]
-        V = dec.vectors[:, cl["indices"]]
+        first = cl["indices"][0]
+        V = dec.vectors[:, first:first + cl["count"]]
         # Ring frames are orthonormal by construction: rings have disjoint
         # Fourier support, and Lanczos vectors within a ring are orthonormal.
         # A gram defect below GRAM_TOL also puts every singular value of V
@@ -555,24 +580,6 @@ class LandauProjector:
     def dim(self) -> int:
         return self.V.shape[1]
 
-    @cached_property
-    def derivatives(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """The bundle's (cov_x, cov_y), built on first use and kept as long as
-        this projector: the observables that share it build them once, and a
-        bundle cached with its spectrum keeps none."""
-        return self.bundle.cov_x(), self.bundle.cov_y()
-
-
-def _cluster_projector(dec: SpectralDecomposition, m: int,
-                       projectors: dict | None) -> LandauProjector:
-    """The projector of dec's cluster m: the one in `projectors`, a caller's
-    dict by level, if it was built from this spectrum, else a new one, added."""
-    projectors = {} if projectors is None else projectors
-    proj = projectors.get(m)
-    if proj is None or proj.bundle is not dec.bundle:
-        proj = projectors[m] = LandauProjector(dec, m)
-    return proj
-
 
 def toeplitz_fn(proj: LandauProjector, f) -> np.ndarray:
     """Compression of multiplication by f (a TrigPoly or per-site values)."""
@@ -589,7 +596,7 @@ def toeplitz_der(proj: LandauProjector, fields: list[tuple[TrigPoly, TrigPoly]])
     b, W = proj.bundle, proj.V
     for vf in reversed(fields):
         parts = []
-        for c, D in zip(vf, proj.derivatives):
+        for c, D in zip(vf, b.derivatives):
             if c.coeffs:
                 parts.append(D @ W)
                 parts[-1] *= b.site_values(c)[:, None]  # in place: frames are large
@@ -617,8 +624,7 @@ def b1_correction(f: TrigPoly, g: TrigPoly, m: int) -> TrigPoly:
 
 
 def asymptotic_defects(d: int, ks, m: int, f: TrigPoly, g: TrigPoly,
-                       N: int = 64, seed: int = 0, *,
-                       projectors: dict | None = None) -> dict:
+                       N: int = 64, seed: int = 0) -> dict:
     """Product, commutator, and corrected-product defects of cluster
     compressions across a range of powers k.
 
@@ -626,13 +632,10 @@ def asymptotic_defects(d: int, ks, m: int, f: TrigPoly, g: TrigPoly,
       D2: T(f)T(g) - T(fg) - k^(-1) T(X_f, X_g)
       D1: i k [T(f), T(g)] - T({f, g})
       DB: T(f)T(g) - T(fg) - k^(-1) T(B_1(f, g))
-    A `projectors` dict shares cluster projectors between calls (see
-    `_cluster_projector`); each is built, with its guards, once per dict.
     """
     out = {"ks": list(ks), "D2": [], "D1": [], "DB": [], "dims": []}
     for k in ks:
-        dec, _ = resolve_levels(d, k, N, m, seed=seed)
-        proj = _cluster_projector(dec, m, projectors)
+        proj = resolve_levels(d, k, N, m, seed=seed)[0].projector(m)
         Tf, Tg, Tfg, Tpb, Tb1 = (toeplitz_fn(proj, s) for s in (
             f, g, f * g, poisson_bracket(f, g), b1_correction(f, g, m)))
         TXY = toeplitz_der(proj, [hamiltonian_vf(f), hamiltonian_vf(g)])
@@ -644,22 +647,15 @@ def asymptotic_defects(d: int, ks, m: int, f: TrigPoly, g: TrigPoly,
     return out
 
 
-def kernel_model(m: int, envelope: np.ndarray, arg: np.ndarray,
-                 phase: np.ndarray) -> np.ndarray:
-    """Flat-model cluster kernel of level m from its level-free factors
-    (`_flat_factors`): envelope times L_m(arg) times phase."""
-    laguerre = np.polyval([float(c) for c in reversed(laguerre_q(m, 0))], arg)
-    return envelope * laguerre * phase
-
-
-def _flat_factors(k: int, x: np.ndarray, y: np.ndarray, x0: np.ndarray,
-                  y0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The factors of the flat-model kernel at (x, y) against base point
-    (x0, y0) that no level changes: (k/2pi) e^{-k rho^2/4}, k rho^2/2, and the
-    straight-segment transport phase e^{ikW} of the gauge A = k x dy."""
+def kernel_model(k: int, m: int, x: np.ndarray, y: np.ndarray, x0: np.ndarray,
+                 y0: np.ndarray) -> np.ndarray:
+    """Flat-model cluster kernel at (x, y) against base point (x0, y0):
+    (k/2pi) e^{-k rho^2/4} L_m(k rho^2/2) times the straight-segment
+    transport phase e^{ikW} of the gauge A = k x dy."""
     rho2 = (x - x0) ** 2 + (y - y0) ** 2
     W = (x + x0) * (y - y0) / 2
-    return k / (2 * pi) * np.exp(-k * rho2 / 4), k * rho2 / 2, np.exp(1j * k * W)
+    laguerre = np.polyval([float(c) for c in reversed(laguerre_q(m, 0))], k * rho2 / 2)
+    return k / (2 * pi) * np.exp(-k * rho2 / 4) * laguerre * np.exp(1j * k * W)
 
 
 def _kernel_pairs(b: DiscreteBundle):
@@ -672,33 +668,24 @@ def _kernel_pairs(b: DiscreteBundle):
     return b.site_index(i0, j0), np.nonzero(dist2 <= (b.geometry.side / 4) ** 2)
 
 
-def kernel_error(d: int, k: int, m: int, N: int = 64, seed: int = 0, *,
-                 projectors: dict | None = None, flat: dict | None = None) -> dict:
+def kernel_error(d: int, k: int, m: int, N: int = 64, seed: int = 0) -> dict:
     """Diagonal and off-diagonal comparison of the cluster kernel against the
     flat model, in units of the diagonal height k/2pi.
 
     The base points' kernel columns are one product V V[bases]* / h^2,
     compared with `kernel_model` on all pairs of `_kernel_pairs` at once:
     |x - y| <= Lambda/4 with base points in the interior half-window, so no
-    straight segment crosses the chart seam.  `projectors` as in `asymptotic_defects`.
-    A `flat` dict keeps the pairs of one (d, N) and the `_flat_factors` of one
-    k between calls, so that only the Laguerre factor is evaluated per level.
+    straight segment crosses the chart seam.
     """
-    dec, _ = resolve_levels(d, k, N, m, seed=seed)
-    proj = _cluster_projector(dec, m, projectors)
+    proj = resolve_levels(d, k, N, m, seed=seed)[0].projector(m)
     b = proj.bundle
     diag = np.sum(np.abs(proj.V) ** 2, axis=1) / b.h ** 2
     diag_err = float(np.max(np.abs(2 * pi * diag / k - 1)))
 
-    flat = {} if flat is None else flat
-    if flat.get("grid") != (d, N):
-        flat.update(grid=(d, N), pairs=_kernel_pairs(b), k=None)
-    bases, (sites, cols) = flat["pairs"]
-    if flat.get("k") != k:
-        flat.update(k=k, factors=_flat_factors(k, b.X[sites], b.Y[sites],
-                                               b.X[bases][cols], b.Y[bases][cols]))
+    bases, (sites, cols) = _kernel_pairs(b)
     kernel = (proj.V @ proj.V[bases].conj().T) / b.h ** 2
-    model = kernel_model(m, *flat["factors"])
+    model = kernel_model(k, m, b.X[sites], b.Y[sites], b.X[bases][cols],
+                         b.Y[bases][cols])
     off_err = float(np.max(np.abs(kernel[sites, cols] - model)) * 2 * pi / k)
     return {"k": k, "diag_err": diag_err, "offdiag_err": off_err}
 
@@ -706,7 +693,7 @@ def kernel_error(d: int, k: int, m: int, N: int = 64, seed: int = 0, *,
 def _ladder(proj: LandauProjector, W: np.ndarray, m: int, sign: int) -> np.ndarray:
     """(cov_x + sign * i cov_y)/sqrt(2) applied m times to the columns of W:
     the lowering derivative for sign 1, the raising one for -1."""
-    dx, dy = proj.derivatives
+    dx, dy = proj.bundle.derivatives
     for _ in range(m):
         W = (dx @ W + sign * 1j * (dy @ W)) / sqrt(2)
     return W
@@ -732,18 +719,16 @@ def _max_principal_angle(U: np.ndarray, V: np.ndarray) -> float:
     return float(np.arcsin(np.sqrt(min(max(sin2, 0.0), 1.0))))
 
 
-def ladder_map(d: int, k: int, m: int, N: int = 64, seed: int = 0, *,
-               projectors: dict | None = None) -> dict:
+def ladder_map(d: int, k: int, m: int, N: int = 64, seed: int = 0) -> dict:
     """Down-ladder from cluster m to cluster 0 and its isometry defects.
 
     The map is (m!)^(-1/2) k^(-m/2) P_0 D^m with D = (cov_x + i cov_y)/sqrt(2)
     the unit-frame lowering derivative, applied as matvecs (`_ladder`).  Also
     reports the largest principal angle between cluster m and cluster 0
-    raised m times.  `projectors` is as in `asymptotic_defects`.
+    raised m times.
     """
     dec, _ = resolve_levels(d, k, N, m, seed=seed)
-    p0 = _cluster_projector(dec, 0, projectors)
-    pm = _cluster_projector(dec, m, projectors)
+    p0, pm = dec.projector(0), dec.projector(m)
     Vop = (p0.V.conj().T @ _ladder(p0, pm.V, m, 1)) / (sqrt(factorial(m)) * k ** (m / 2))
     vtv = float(np.linalg.norm(Vop.conj().T @ Vop - np.eye(Vop.shape[1]), 2))
     vvt = float(np.linalg.norm(Vop @ Vop.conj().T - np.eye(Vop.shape[0]), 2))
@@ -799,8 +784,7 @@ def peaked_gram(d: int, k: int, coeff_list, N: int = 64, seed: int = 0) -> dict:
     Gram matrix, the worst absolute deviation, and the relative projection
     defect of each section onto the lowest cluster.
     """
-    dec, _ = resolve_levels(d, k, N, 0, seed=seed)
-    proj = LandauProjector(dec, 0)
+    proj = resolve_levels(d, k, N, 0, seed=seed)[0].projector(0)
     b = proj.bundle
     phis = [peaked_section(b, c) for c in coeff_list]
     gram = np.array([[b.h ** 2 * np.vdot(p, q) for q in phis] for p in phis])

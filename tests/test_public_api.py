@@ -1,8 +1,8 @@
-"""Every public function and method of the package has a caller in the
-package.
+"""Every function and method of the package has a caller in the package.
 
 A public name that only tests call is API kept alive by its tests: their
-checks pin behaviour that no command runs.  The scan matches by name, and it
+checks pin behaviour that no command runs.  A private helper without a
+caller is dead code.  The scan matches by name, and it
 resolves a receiver that is a class of the package: `Cls.name` counts only
 for the method `Cls.name`.  Any other name or attribute in src/ (a bare
 call, `self.name`, `obj.name`, `module.name`) counts for every function and
@@ -27,7 +27,17 @@ ALLOWED = {
 }
 
 
-def _uncalled() -> set[str]:
+def _is_public(name: str) -> bool:
+    return not name.startswith("_")
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _uncalled(wanted=_is_public) -> set[str]:
+    """The functions, and the methods of public classes, whose names `wanted`
+    accepts and that nothing else in the package refers to."""
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
              for p in sorted(SRC.glob("*.py"))}
     classes = {node.name for tree in trees.values() for node in tree.body
@@ -36,13 +46,12 @@ def _uncalled() -> set[str]:
     defs = []
     for module, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            if isinstance(node, ast.FunctionDef) and wanted(node.name):
                 defs.append(("%s.%s" % (module, node.name), None, node))
-            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            elif isinstance(node, ast.ClassDef) and _is_public(node.name):
                 defs += [("%s.%s.%s" % (module, node.name, sub.name), node.name, sub)
                          for sub in node.body
-                         if isinstance(sub, ast.FunctionDef)
-                         and not sub.name.startswith("_")]
+                         if isinstance(sub, ast.FunctionDef) and wanted(sub.name)]
     # (spelled name, the package class it is looked up on or None, node)
     refs = []
     for tree in trees.values():
@@ -70,3 +79,9 @@ def test_every_public_function_has_a_caller_in_the_package():
 def test_allowlist_holds_only_uncalled_names():
     # a name that gained a caller, or was deleted, leaves the list
     assert sorted(set(ALLOWED) - _uncalled()) == []
+
+
+def test_every_private_function_has_a_caller_in_the_package():
+    # Single-underscore helpers, dunders apart, with no allowlist: a helper
+    # that only tests call, or that nothing calls, is deleted.
+    assert sorted(_uncalled(_is_private)) == []

@@ -140,8 +140,10 @@ def test_torus_run_solves_each_power_once(monkeypatch):
 
 def test_torus_run_builds_each_cluster_projector_once(monkeypatch):
     # --defects (level 0), --kernel-compare (levels 0, 1) and --ladder m=1
-    # (levels 0, 1) need two cluster projectors per k; each is built once
-    # per run, with its guards, and none outlives the run.
+    # (levels 0, 1) need two cluster projectors per k; each is built once,
+    # with its guards, and kept by its spectrum for as long as the spectrum
+    # cache keeps that.
+    monkeypatch.setattr(torus, "_SPECTRUM_CACHE", {})
     init, built = torus.LandauProjector.__init__, []
 
     def counting(self, dec, m):
@@ -156,6 +158,9 @@ def test_torus_run_builds_each_cluster_projector_once(monkeypatch):
     assert sorted(built) == [(4, 0), (4, 1), (6, 0), (6, 1)]
     built.clear()
     assert run_experiment(cfg) == first
+    assert built == []
+    torus._SPECTRUM_CACHE.clear()
+    run_experiment(cfg)
     assert sorted(built) == [(4, 0), (4, 1), (6, 0), (6, 1)]
 
 

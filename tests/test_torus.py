@@ -119,7 +119,7 @@ def test_toeplitz_der_matches_the_sparse_operator_chain():
         want = proj.V.conj().T @ W / b.k
         got = torus.toeplitz_der(proj, fields)
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
-    assert proj.derivatives is proj.derivatives  # built once per projector
+    assert b.derivatives is b.derivatives  # built once per bundle
 
 
 def test_spectrum_residuals_and_cache():
@@ -344,12 +344,24 @@ def test_projector_structure():
 
 def test_projector_rejects_a_miscounted_cluster():
     dec = compute_spectrum(1, 4, 32, count=18)
+    dec.projector(1)
     keep = np.arange(len(dec.eigenvalues)) != 5  # one of level 1's k*d = 4
     short = dataclasses.replace(dec, eigenvalues=dec.eigenvalues[keep],
                                 vectors=dec.vectors[:, keep])
-    LandauProjector(short, 0)
+    short.projector(0)
+    # the replaced spectrum keeps none of dec's projectors
     with pytest.raises(GuardError, match="m=1 holds 3 eigenvalues"):
-        LandauProjector(short, 1)
+        short.projector(1)
+
+
+def test_projector_is_a_read_only_view_kept_by_its_spectrum():
+    dec = compute_spectrum(1, 4, 32, count=18)
+    proj = dec.projector(1)
+    assert proj is dec.projector(1)
+    assert np.shares_memory(proj.V, dec.vectors)
+    assert proj.V.flags.f_contiguous
+    with pytest.raises(ValueError):
+        proj.V[0, 0] = 0
 
 
 def test_trig_poly_evaluate_and_derivatives():
@@ -459,9 +471,8 @@ def test_kernel_error_matches_column_by_column():
 
 
 def test_run_kernel_comparison_equals_the_direct_model():
-    # A run shares the pairs between its powers and the level-free factors
-    # between its levels; every (k, m) it compares must read exactly what a
-    # fresh evaluation of the pairs and the whole model per (k, m) gives.
+    # Every (k, m) a run compares must read exactly what a fresh evaluation
+    # of the pairs and the whole model per (k, m) gives.
     body = run_experiment(ExperimentConfig("torus", {
         "d": 1, "ks": [4, 6], "N": 32, "levels": 3, "kernel_compare": True}))
     assert [(r["k"], r["m"]) for r in body["kernel_compare"]] == [
