@@ -242,9 +242,10 @@ def run_identity_checks(n: int, degree: int, seed: int = 0) -> list[dict]:
     record("trace_law", ok)
 
     # --- Laguerre addition across variables, up to this input's n and degree
-    ok = all(bg.laguerre_sum_identity(m, nn)
-             for nn in range(1, n + 1) for m in range(0, min(D, 12 - nn) + 1))
-    record("laguerre_sum", ok)
+    cases = [(m, nn) for nn in range(1, n + 1) for m in range(0, min(D, 12 - nn) + 1)]
+    ok = all(bg.laguerre_sum_identity(m, nn) for m, nn in cases)
+    record("laguerre_sum", ok, detail="%d (m, n) cases, %d with more than one "
+           "variable" % (len(cases), sum(nn > 1 for _, nn in cases)))
 
     # --- diagonal p-symbols are the parameter-0 family of |z|^2
     ok = True

@@ -191,11 +191,7 @@ def _run_torus(config: ExperimentConfig) -> dict:
             for name in ("D2", "D1", "DB"):
                 body["defects"][name] += table[name]
         if "kernel_compare" in body:
-            for mm in range(min(levels, 3)):
-                r = T.kernel_error(d, k, mm, **obs)
-                body["kernel_compare"].append(
-                    {"k": k, "m": mm, "diag_err": r["diag_err"],
-                     "offdiag_err": r["offdiag_err"]})
+            body["kernel_compare"] += T.kernel_error(d, k, min(levels, 3), **obs)
         if "ladder" in body:
             r = T.ladder_map(d, k, lm, **obs)
             body["ladder"].append({"k": k, "m": lm, "vtv_defect": r["vtv_defect"],

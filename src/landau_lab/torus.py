@@ -37,7 +37,10 @@ must equal the Riemann-Roch number k*d of its level; a mismatch trips a
 GuardError instead of mislabelling the levels above it.  A spectrum owns its
 cluster projectors: `SpectralDecomposition.projector` builds each level's
 once, with its guards, as a read-only view of the spectrum's vectors, and
-the defect, kernel and ladder observables all take theirs from it.
+the defect, kernel and ladder observables all take theirs from it.  The
+kernel comparison takes every level of one power k in one call: the
+compared pairs and the level-free factors of the flat model are built once
+per k, and only the Laguerre factor and the kernel columns once per level.
 """
 
 from __future__ import annotations
@@ -593,7 +596,9 @@ def toeplitz_der(proj: LandauProjector, fields: list[tuple[TrigPoly, TrigPoly]])
     component with terms: derivative matvec, then per-site weight."""
     if len(fields) % 2:
         raise ValueError("derivative compressions take an even number of fields")
-    b, W = proj.bundle, proj.V
+    # One C-ordered copy of the frame for the first sparse products; scipy
+    # would copy the F-ordered view again at each of them.
+    b, W = proj.bundle, np.ascontiguousarray(proj.V)
     for vf in reversed(fields):
         parts = []
         for c, D in zip(vf, b.derivatives):
@@ -647,17 +652,6 @@ def asymptotic_defects(d: int, ks, m: int, f: TrigPoly, g: TrigPoly,
     return out
 
 
-def kernel_model(k: int, m: int, x: np.ndarray, y: np.ndarray, x0: np.ndarray,
-                 y0: np.ndarray) -> np.ndarray:
-    """Flat-model cluster kernel at (x, y) against base point (x0, y0):
-    (k/2pi) e^{-k rho^2/4} L_m(k rho^2/2) times the straight-segment
-    transport phase e^{ikW} of the gauge A = k x dy."""
-    rho2 = (x - x0) ** 2 + (y - y0) ** 2
-    W = (x + x0) * (y - y0) / 2
-    laguerre = np.polyval([float(c) for c in reversed(laguerre_q(m, 0))], k * rho2 / 2)
-    return k / (2 * pi) * np.exp(-k * rho2 / 4) * laguerre * np.exp(1j * k * W)
-
-
 def _kernel_pairs(b: DiscreteBundle):
     """Sites of the kernel's base points, stepping N/8 through [N/4, 3N/4)
     in x and y, and the (site, base column) pairs with |x - x0| <= Lambda/4."""
@@ -668,32 +662,47 @@ def _kernel_pairs(b: DiscreteBundle):
     return b.site_index(i0, j0), np.nonzero(dist2 <= (b.geometry.side / 4) ** 2)
 
 
-def kernel_error(d: int, k: int, m: int, N: int = 64, seed: int = 0) -> dict:
-    """Diagonal and off-diagonal comparison of the cluster kernel against the
-    flat model, in units of the diagonal height k/2pi.
+def kernel_error(d: int, k: int, levels: int, N: int = 64,
+                 seed: int = 0) -> list[dict]:
+    """Diagonal and off-diagonal comparison of the kernels of clusters
+    m < levels against the flat model, in units of the diagonal height
+    k/2pi; one row per level.
 
-    The base points' kernel columns are one product V V[bases]* / h^2,
-    compared with `kernel_model` on all pairs of `_kernel_pairs` at once:
-    |x - y| <= Lambda/4 with base points in the interior half-window, so no
-    straight segment crosses the chart seam.
+    The flat level-m kernel is the envelope (k/2pi) e^{-k rho^2/4} times
+    L_m(k rho^2/2) times the straight-segment transport phase e^{ikW} of the
+    gauge A = k x dy.  Its pairs, all of `_kernel_pairs` (|x - y| <= Lambda/4
+    with base points in the interior half-window, so no straight segment
+    crosses the chart seam), the envelope and the phase are built once for
+    the power k.  Each level adds its Laguerre factor and its kernel columns
+    at the base points, one product V V[bases]* / h^2, dropped once compared.
     """
-    proj = resolve_levels(d, k, N, m, seed=seed)[0].projector(m)
-    b = proj.bundle
-    diag = np.sum(np.abs(proj.V) ** 2, axis=1) / b.h ** 2
-    diag_err = float(np.max(np.abs(2 * pi * diag / k - 1)))
-
+    dec, _ = resolve_levels(d, k, N, levels - 1, seed=seed)
+    b = dec.bundle
     bases, (sites, cols) = _kernel_pairs(b)
-    kernel = (proj.V @ proj.V[bases].conj().T) / b.h ** 2
-    model = kernel_model(k, m, b.X[sites], b.Y[sites], b.X[bases][cols],
-                         b.Y[bases][cols])
-    off_err = float(np.max(np.abs(kernel[sites, cols] - model)) * 2 * pi / k)
-    return {"k": k, "diag_err": diag_err, "offdiag_err": off_err}
+    x, y, x0, y0 = b.X[sites], b.Y[sites], b.X[bases][cols], b.Y[bases][cols]
+    rho2 = (x - x0) ** 2 + (y - y0) ** 2
+    W = (x + x0) * (y - y0) / 2
+    envelope, phase = k / (2 * pi) * np.exp(-k * rho2 / 4), np.exp(1j * k * W)
+    t = k * rho2 / 2
+    del x, y, x0, y0, rho2, W
+    rows = []
+    for m in range(levels):
+        V = dec.projector(m).V
+        diag = np.sum(np.abs(V) ** 2, axis=1) / b.h ** 2
+        laguerre = np.polyval([float(c) for c in reversed(laguerre_q(m, 0))], t)
+        kernel = (V @ V[bases].conj().T)[sites, cols] / b.h ** 2
+        rows.append({"k": k, "m": m,
+                     "diag_err": float(np.max(np.abs(2 * pi * diag / k - 1))),
+                     "offdiag_err": float(np.max(np.abs(
+                         kernel - envelope * laguerre * phase)) * 2 * pi / k)})
+    return rows
 
 
 def _ladder(proj: LandauProjector, W: np.ndarray, m: int, sign: int) -> np.ndarray:
     """(cov_x + sign * i cov_y)/sqrt(2) applied m times to the columns of W:
     the lowering derivative for sign 1, the raising one for -1."""
     dx, dy = proj.bundle.derivatives
+    W = np.ascontiguousarray(W)  # once, not in scipy at every product
     for _ in range(m):
         W = (dx @ W + sign * 1j * (dy @ W)) / sqrt(2)
     return W

@@ -98,15 +98,13 @@ def test_criterion_3_toeplitz_product_asymptotics():
 def test_criterion_4_kernel_expansion():
     d, N, C = 1, 64, 2.0
     print("kernel against flat model, d=%d N=%d:" % (d, N))
+    rows = [kernel_error(d, k, 3, N=N) for k in KS]
     for m in (0, 1, 2):
-        diag, off = [], []
-        for k in KS:
-            r = kernel_error(d, k, m, N=N)
-            diag.append(r["diag_err"])
-            off.append(r["offdiag_err"])
-            assert r["diag_err"] <= C / k, (
-                "m=%d k=%d diagonal error %.4f exceeds %.1f/k"
-                % (m, k, r["diag_err"], C))
+        diag = [r[m]["diag_err"] for r in rows]
+        off = [r[m]["offdiag_err"] for r in rows]
+        for k, e in zip(KS, diag):
+            assert e <= C / k, (
+                "m=%d k=%d diagonal error %.4f exceeds %.1f/k" % (m, k, e, C))
         print("  m=%d  max k*diag_err %.4f (bound %.1f)"
               % (m, max(k * e for k, e in zip(KS, diag)), C))
         _assert_slope("diagonal error", fit_slope(KS, diag).slope,

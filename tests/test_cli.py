@@ -233,6 +233,9 @@ def test_torus_csv_stdout(capsys):
     ["surface", "--genus", "2", "--B", "5", "--levels", "2"],
     ["dim", "--surface", "g=2,d=10", "--torus", "d=1:2", "--k", "3"],
     ["torus", "--d", "1", "--k", "4", "--grid", "32", "--levels", "2"],
+    pytest.param(["torus", "--d", "1", "--k", "4,6", "--grid", "32", "--levels", "2",
+                  "--defects", "cosx", "siny", "--kernel-compare", "--ladder", "m=1"],
+                 id="torus-observables"),
 ], ids=lambda argv: argv[0])
 def test_reports_identical_across_runs(tmp_path, monkeypatch, argv):
     # Each run solves afresh, as a separate CLI process would, and sees a

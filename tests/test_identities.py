@@ -51,3 +51,15 @@ def test_seed_changes_sampling_not_outcome():
     b = run_identity_checks(1, 4, seed=2)
     assert all(r["passed"] for r in a)
     assert all(r["passed"] for r in b)
+
+
+@pytest.mark.parametrize("n,degree,detail", [
+    # At n = 1 every case has one variable: L_m(x_1) on both sides.
+    (1, 4, "5 (m, n) cases, 0 with more than one variable"),
+    (2, 4, "10 (m, n) cases, 5 with more than one variable"),
+])
+def test_laguerre_sum_detail_counts_its_cases(n, degree, detail):
+    rec = next(r for r in run_identity_checks(n, degree)
+               if r["name"] == "laguerre_sum")
+    assert rec["passed"]
+    assert rec["detail"] == detail

@@ -417,8 +417,8 @@ def test_toeplitz_unit_and_adjoint():
 
 
 def test_kernel_error_decays():
-    e4 = kernel_error(1, 4, 0, N=32)
-    e8 = kernel_error(1, 8, 0, N=32)
+    e4 = kernel_error(1, 4, 1, N=32)[0]
+    e8 = kernel_error(1, 8, 1, N=32)[0]
     assert e8["diag_err"] < e4["diag_err"]
     assert e8["offdiag_err"] < e4["offdiag_err"]
     assert e4["diag_err"] < 0.05
@@ -458,6 +458,7 @@ def _direct_kernel_model(b, m, x, y, x0, y0):
 
 def test_kernel_error_matches_column_by_column():
     dec, _ = resolve_levels(1, 4, 32, 1)
+    rows = kernel_error(1, 4, 2, N=32)
     for m in (0, 1):
         V = LandauProjector(dec, m).V
         b = dec.bundle
@@ -466,15 +467,24 @@ def test_kernel_error_matches_column_by_column():
             col = V[s] @ V[p].conj() / b.h ** 2
             model = _direct_kernel_model(b, m, b.X[s], b.Y[s], b.X[p], b.Y[p])
             err = max(err, abs(col - model) * 2 * math.pi / 4)
-        got = kernel_error(1, 4, m, N=32)["offdiag_err"]
+        got = rows[m]["offdiag_err"]
         assert abs(got - err) < 1e-12 * err
 
 
-def test_run_kernel_comparison_equals_the_direct_model():
+def test_run_kernel_comparison_equals_the_direct_model(monkeypatch):
     # Every (k, m) a run compares must read exactly what a fresh evaluation
-    # of the pairs and the whole model per (k, m) gives.
+    # of the pairs and the whole model per (k, m) gives, although the run
+    # builds the pairs once per k.
+    built, pairs = [], torus._kernel_pairs
+
+    def counting(b):
+        built.append(b.k)
+        return pairs(b)
+
+    monkeypatch.setattr(torus, "_kernel_pairs", counting)
     body = run_experiment(ExperimentConfig("torus", {
         "d": 1, "ks": [4, 6], "N": 32, "levels": 3, "kernel_compare": True}))
+    assert built == [4, 6]
     assert [(r["k"], r["m"]) for r in body["kernel_compare"]] == [
         (k, m) for k in (4, 6) for m in range(3)]
     for row in body["kernel_compare"]:
