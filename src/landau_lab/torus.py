@@ -596,9 +596,7 @@ def toeplitz_der(proj: LandauProjector, fields: list[tuple[TrigPoly, TrigPoly]])
     component with terms: derivative matvec, then per-site weight."""
     if len(fields) % 2:
         raise ValueError("derivative compressions take an even number of fields")
-    # One C-ordered copy of the frame for the first sparse products; scipy
-    # would copy the F-ordered view again at each of them.
-    b, W = proj.bundle, np.ascontiguousarray(proj.V)
+    b, W = proj.bundle, proj.V
     for vf in reversed(fields):
         parts = []
         for c, D in zip(vf, b.derivatives):
@@ -702,7 +700,8 @@ def _ladder(proj: LandauProjector, W: np.ndarray, m: int, sign: int) -> np.ndarr
     """(cov_x + sign * i cov_y)/sqrt(2) applied m times to the columns of W:
     the lowering derivative for sign 1, the raising one for -1."""
     dx, dy = proj.bundle.derivatives
-    W = np.ascontiguousarray(W)  # once, not in scipy at every product
+    if m:
+        W = np.ascontiguousarray(W)  # once, not in scipy at every product
     for _ in range(m):
         W = (dx @ W + sign * 1j * (dy @ W)) / sqrt(2)
     return W
