@@ -282,19 +282,16 @@ def op_trace_antiholo(basis_full: GradedBasis, op: FockOperator) -> Scalar:
     return exact(acc * op.scalar)
 
 
-def op_compose_law(basis: GradedBasis, q1: PolyZZbar, q2: PolyZZbar) -> dict:
-    """Check Op(q1) o Op(q2) = Op(Op(q1) q2) on the columns where both sides
-    are exact; returns the comparison report."""
+def op_compose_law(basis: GradedBasis, q1: PolyZZbar, q2: PolyZZbar) -> bool:
+    """Whether Op(q1) o Op(q2) = Op(Op(q1) q2) holds exactly on the columns
+    where both sides are exact."""
     A = op_of(basis, q1)
     B = op_of(basis, q2)
     lhs = A @ B
     r = A.apply_poly(q2)
     rhs = op_of(basis, r)
     safe = min(lhs.exactness_degree, rhs.exactness_degree)
-    diff = lhs.restrict_columns(safe) - rhs.restrict_columns(safe)
-    return {"exact_on_degree": safe,
-            "equal": diff.is_zero(),
-            "max_float_residual": diff.max_abs()}
+    return (lhs.restrict_columns(safe) - rhs.restrict_columns(safe)).is_zero()
 
 
 # ---------------------------------------------------------------------------

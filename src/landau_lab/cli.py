@@ -28,9 +28,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", type=Path, default=None,
                         help="write the report here instead of stdout")
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed for the identity suite's sampled cases "
-                             "and the lattice solver's start vectors; lattice "
-                             "results do not depend on it")
+                        help="seed for the identity suite's sampled cases; "
+                             "lattice runs do not use it")
     parser.add_argument("--format", choices=("json", "csv"), default="json",
                         help="output format (csv only for tabular reports)")
     sub = parser.add_subparsers(dest="command", required=True)

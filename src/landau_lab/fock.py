@@ -492,10 +492,6 @@ class FockOperator:
             out[i, j] = complex(c)
         return out * complex(self.scalar)
 
-    def max_abs(self) -> float:
-        return abs(complex(self.scalar)) * max(
-            (abs(complex(c)) for c in self.unscaled.values()), default=0.0)
-
     def apply_coords(self, vec: dict[int, Scalar]) -> dict[int, Scalar]:
         """The operator applied to a coordinate vector: the entry loop runs
         on the unscaled entries, and the scalar multiplies each output

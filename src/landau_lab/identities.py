@@ -219,17 +219,13 @@ def run_identity_checks(n: int, degree: int, seed: int = 0) -> list[dict]:
     record("symbol_map", ok)
 
     # --- composition law of the symbol map
-    ok = True
     test_symbols = [
         PolyZZbar(n, {(mi_unit(n, 0), mi_unit(n, 0)): 1}),
         PolyZZbar(n, {(zero, mi_unit(n, 0)): 1, (zero, zero): Fraction(1, 2)}),
         PolyZZbar(n, {(mi_unit(n, 0), zero): 2}),
     ]
-    for q1 in test_symbols:
-        for q2 in test_symbols:
-            rep = bg.op_compose_law(full, q1, q2)
-            if not rep["equal"]:
-                ok = False
+    ok = all(bg.op_compose_law(full, q1, q2)
+             for q1 in test_symbols for q2 in test_symbols)
     record("compose_law", ok)
 
     # --- trace of the restricted operator reproduces the symbol at zero
@@ -268,21 +264,19 @@ def run_identity_checks(n: int, degree: int, seed: int = 0) -> list[dict]:
     record("diagonal_symbols", ok)
 
     # --- twisted product order report (informational but must be consistent:
-    # each probed pair matches applying the first factor's operator)
-    star_rows = []
-    ok = True
+    # each probed pair matches applying one factor's operator to the other)
     probes = [
         (PolyZZbar.monomial(n, zero, mi_unit(n, 0)), PolyZZbar.monomial(n, mi_unit(n, 0), zero)),
         (PolyZZbar.monomial(n, mi_unit(n, 0), zero), PolyZZbar.monomial(n, zero, mi_unit(n, 0))),
         (PolyZZbar.monomial(n, mi_unit(n, 0), mi_unit(n, 0)), PolyZZbar.constant(n)),
     ]
-    for u, v in probes:
-        rep = bg.compare_star_orders(full, u, v)
-        star_rows.append({"matches_op_uv": rep["matches_op_uv"],
-                          "matches_op_vu": rep["matches_op_vu"]})
-        if not (rep["matches_op_uv"] or rep["matches_op_vu"]):
-            ok = False
-    record("star_order_report", ok, detail=repr(star_rows))
+    reps = [bg.compare_star_orders(full, u, v) for u, v in probes]
+    uv = sum(rep["matches_op_uv"] for rep in reps)
+    vu = sum(rep["matches_op_vu"] for rep in reps)
+    ok = all(rep["matches_op_uv"] or rep["matches_op_vu"] for rep in reps)
+    record("star_order_report", ok, detail="%d probes: %d %s Op(u) v, %d %s Op(v) u" % (
+        len(reps), uv, "matches" if uv == 1 else "match",
+        vu, "matches" if vu == 1 else "match"))
     return results
 
 

@@ -94,9 +94,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
 def _run_fock(config: ExperimentConfig) -> dict:
     from .identities import run_identity_checks
-    n = int(config.params.get("n", 1))
-    degree = int(config.params.get("degree", 6))
-    results = run_identity_checks(n, degree, seed=config.seed)
+    results = run_identity_checks(config.params["n"], config.params["degree"],
+                                  seed=config.seed)
     return {"config": config.to_dict(),
             "identities": results,
             "all_passed": all(r["passed"] for r in results)}
@@ -112,16 +111,15 @@ def _rational(text, flag: str) -> Fraction:
 def _run_surface(config: ExperimentConfig) -> dict:
     from .surfaces import SurfaceGeometry, landau_spectrum, weitzenbock_iterate
     p = config.params
-    area = _rational(p.get("area_over_pi", 4), "--area-over-pi")
-    genus = int(p.get("genus", 0))
+    area = _rational(p["area_over_pi"], "--area-over-pi")
     if "B" in p:
-        geom = SurfaceGeometry.from_field(genus, _rational(p["B"], "--B"), area)
+        geom = SurfaceGeometry.from_field(p["genus"], _rational(p["B"], "--B"), area)
     else:
-        geom = SurfaceGeometry(genus, int(p.get("degree", 1)), area)
-    levels = int(p.get("levels", 4))
+        geom = SurfaceGeometry(p["genus"], p["degree"], area)
+    levels = p["levels"]
     if levels < 1:
         raise ValueError("--levels must be at least 1, got %d" % levels)
-    if p.get("iterate"):
+    if p["iterate"]:
         table = weitzenbock_iterate(geom, max_steps=levels)
     else:
         table = landau_spectrum(geom, levels)
@@ -131,16 +129,14 @@ def _run_surface(config: ExperimentConfig) -> dict:
 def _run_dim(config: ExperimentConfig) -> dict:
     from .dimensions import dim_surface, dim_torus, torus_composition_check
     p = config.params
-    k = int(p.get("k", 1))
-    m = int(p.get("m", 0))
+    k, m = p["k"], p["m"]
     out = {"config": config.to_dict(), "reports": []}
     if "surface" in p:
         s = p["surface"]
-        rep = dim_surface(k=k, d=int(s["d"]), g=int(s["g"]), m=m)
+        rep = dim_surface(k=k, d=s["d"], g=s["g"], m=m)
         out["reports"].append(rep.to_dict())
     if "torus" in p:
-        t = p["torus"]
-        d_list = [int(x) for x in t["d_list"]]
+        d_list = p["torus"]["d_list"]
         rep = dim_torus(n=len(d_list), k=k, d_list=d_list, m=m)
         out["reports"].append(rep.to_dict())
         out["composition"] = torus_composition_check(
@@ -151,33 +147,27 @@ def _run_dim(config: ExperimentConfig) -> dict:
 def _run_torus(config: ExperimentConfig) -> dict:
     from . import torus as T
     p = config.params
-    d = int(p.get("d", 1))
-    ks = [int(k) for k in p.get("ks", [8])]
-    N = int(p.get("N", 64))
-    levels = int(p.get("levels", 3))
-    m = int(p.get("m", 0))
-    seed = config.seed
+    d, ks, N, levels, m = p["d"], p["ks"], p["N"], p["levels"], p["m"]
 
     body: dict = {"config": config.to_dict(), "clusters": {}, "dims": {},
                   "residuals": {}, "solver": {}}
-    if p.get("defects"):
+    if "defects" in p:
         fname, gname = p["defects"]
         side = T.TorusGeometry(d).side
         f, g = (_trig_by_name(name, side) for name in (fname, gname))
         body["defects"] = {"f": fname, "g": gname, "m": m,
                            "D2": [], "D1": [], "DB": []}
-    if p.get("kernel_compare"):
+    if "kernel_compare" in p:
         body["kernel_compare"] = []
-    if p.get("ladder") is not None:
-        lm = int(p["ladder"])
+    if "ladder" in p:
+        lm = p["ladder"]
         body["ladder"] = []
     eigen_rows = []
-    obs = {"N": N, "seed": seed}
     # Every block of one k runs before the next k is solved, so each
     # spectrum, with the cluster projectors it keeps, is reused while it is
     # the most recent one in the cache.
     for k in ks:
-        dec, cls = T.resolve_levels(d, k, N, levels - 1, seed=seed)
+        dec, cls = T.resolve_levels(d, k, N, levels - 1)
         body["residuals"][str(k)] = dec.residual_max
         body["solver"][str(k)] = dec.solver
         body["clusters"][str(k)] = [
@@ -187,13 +177,13 @@ def _run_torus(config: ExperimentConfig) -> dict:
         for i, lam in enumerate(dec.eigenvalues):
             eigen_rows.append((k, i, repr(float(lam))))
         if "defects" in body:
-            table = T.asymptotic_defects(d, [k], m, f, g, **obs)
+            row = T.asymptotic_defects(d, k, m, f, g, N)
             for name in ("D2", "D1", "DB"):
-                body["defects"][name] += table[name]
+                body["defects"][name].append(row[name])
         if "kernel_compare" in body:
-            body["kernel_compare"] += T.kernel_error(d, k, min(levels, 3), **obs)
+            body["kernel_compare"] += T.kernel_error(d, k, min(levels, 3), N)
         if "ladder" in body:
-            r = T.ladder_map(d, k, lm, **obs)
+            r = T.ladder_map(d, k, lm, N)
             body["ladder"].append({"k": k, "m": lm, "vtv_defect": r["vtv_defect"],
                                    "vvt_defect": r["vvt_defect"],
                                    "max_angle": r["max_angle"]})

@@ -28,16 +28,18 @@ hold more below the cut.  Shift-invert Lanczos on each solved ring finds
 the vectors.  A completeness guard requires the Lanczos values to equal the
 bisection ones, so a skipped eigenvalue trips a GuardError, and every pair,
 mapped back to the grid by an inverse FFT in y, is checked against the
-real-space H, which also checks the shift.  `resolve_levels` is the one
-spectral entry point: from (d, k, N, top level, seed) it returns the
-spectrum, cached per (d, k, N, seed) in a byte-capped least-recently-used
-cache shared by the experiment drivers, and the clusters of levels 0..top.
-Each cluster is a unit window of lambda/k (`detect_clusters`), and its count
-must equal the Riemann-Roch number k*d of its level; a mismatch trips a
-GuardError instead of mislabelling the levels above it.  A spectrum owns its
-cluster projectors: `SpectralDecomposition.projector` builds each level's
-once, with its guards, as a read-only view of the spectrum's vectors, and
-the defect, kernel and ladder observables all take theirs from it.  The
+real-space H, which also checks the shift.  The Lanczos start vectors come
+from one fixed random stream, so a spectrum depends on (d, k, N) alone.
+`resolve_levels` is the one spectral entry point: from (d, k, N, top level)
+it returns the spectrum, cached per (d, k, N) in a byte-capped
+least-recently-used cache shared by the experiment drivers, and the clusters
+of levels 0..top.  `detect_clusters` is the one definition of a cluster: a
+unit window of lambda/k whose count must equal the Riemann-Roch number k*d
+of its level; a mismatch trips a GuardError instead of mislabelling the
+levels above it.  A spectrum owns its cluster projectors:
+`SpectralDecomposition.projector` builds each level's once, with its
+guards, as a read-only view of the spectrum's vectors, and the defect,
+kernel and ladder observables all take theirs from it.  The
 kernel comparison takes every level of one power k in one call: the
 compared pairs and the level-free factors of the flat model are built once
 per k, and only the Laguerre factor and the kernel columns once per level.
@@ -361,8 +363,7 @@ def _to_grid(found, N: int) -> tuple[np.ndarray, np.ndarray]:
     return vals[order], grid
 
 
-def lowest_spectrum(bundle: DiscreteBundle, count: int,
-                    seed: int = 0) -> SpectralDecomposition:
+def lowest_spectrum(bundle: DiscreteBundle, count: int) -> SpectralDecomposition:
     """Lowest eigenpairs of H from its Landau-gauge rings.
 
     One ring per translation class is solved (`_translation_class`).  It is
@@ -372,12 +373,12 @@ def lowest_spectrum(bundle: DiscreteBundle, count: int,
     class is bisected for ceil(count/g) values; otherwise each class is
     bisected for ceil(count/g) + 2, and one whose last value is not above
     the count-th smallest merged one again for twice as many, until none
-    is.  Shift-invert Lanczos on each solved ring, from a seeded start
-    vector and for the largest share in its class, gives the vectors, and
-    its values must match the bisection ones, or one of them skipped an
-    eigenvalue; the class's other rings get its vectors rolled.  Vectors map
-    back to the grid by an inverse FFT in y, and every pair is checked
-    against the real-space H, which does not use the symmetry.  `solver`
+    is.  Shift-invert Lanczos on each solved ring, for the largest share in
+    its class, gives the vectors, and its values must match the bisection
+    ones, or one of them skipped an eigenvalue; the class's other rings get
+    its vectors rolled.  Vectors map back to the grid by an inverse FFT in
+    y, and every pair is checked against the real-space H, which does not
+    use the symmetry.  `solver`
     records the rings, the classes solved, how many through a reflection,
     the shares, whether one class held all rings and the values bisected.
     """
@@ -430,7 +431,10 @@ def lowest_spectrum(bundle: DiscreteBundle, count: int,
                          "where eigsh takes at most %d: ask for fewer levels "
                          "(--levels) or a finer grid (--grid)"
                          % (shares.max(), L, L - 1))
-    rng = np.random.default_rng(seed)
+    # Random start vectors, drawn class by class from one fixed stream: a
+    # constant vector is even under the ring's reflection and would have no
+    # weight on the odd sector.
+    rng = np.random.default_rng(0)
     pairs = {}
     for r in reps:
         n_r = max(shares[q] for q, (rq, _) in enumerate(classes) if rq == r)
@@ -478,20 +482,19 @@ def _spectrum_bytes(dec: SpectralDecomposition) -> int:
     return dec.vectors.nbytes + dec.eigenvalues.nbytes
 
 
-def compute_spectrum(d: int, k: int, N: int, count: int,
-                     seed: int = 0) -> SpectralDecomposition:
+def compute_spectrum(d: int, k: int, N: int, count: int) -> SpectralDecomposition:
     """Cached lowest count eigenpairs of the (d, k, N) lattice model.
 
     The cache keeps the most recently used spectra whose arrays fit in
     SPECTRUM_CACHE_BYTES together; a spectrum larger than that is returned
     but not kept.
     """
-    key = (d, k, N, seed)
+    key = (d, k, N)
     cached = _SPECTRUM_CACHE.pop(key, None)
     if cached is not None and len(cached.eigenvalues) >= count:
         _SPECTRUM_CACHE[key] = cached
         return cached
-    dec = lowest_spectrum(DiscreteBundle(TorusGeometry(d), k, N), count, seed=seed)
+    dec = lowest_spectrum(DiscreteBundle(TorusGeometry(d), k, N), count)
     _SPECTRUM_CACHE[key] = dec
     total = sum(_spectrum_bytes(v) for v in _SPECTRUM_CACHE.values())
     while total > SPECTRUM_CACHE_BYTES:
@@ -499,15 +502,17 @@ def compute_spectrum(d: int, k: int, N: int, count: int,
     return dec
 
 
-def detect_clusters(eigenvalues: np.ndarray, k: int, levels: int) -> list[dict]:
-    """Group eigenvalues into the clusters m < levels: cluster m is the unit
-    window [m, m + 1) of lambda/k around the level center m + 1/2.
+def detect_clusters(dec: SpectralDecomposition, levels: int) -> list[dict]:
+    """The clusters m < levels of a spectrum: cluster m is the unit window
+    [m, m + 1) of lambda/k around the level center m + 1/2, and it must hold
+    the Riemann-Roch dimension k*d of level m on the degree-d torus.
 
     Every window must close below the largest computed eigenvalue, so every
     reported cluster is complete.  Each record carries its window.
     """
-    scaled = np.asarray(eigenvalues, dtype=float) / k
-    top = scaled.max() if len(scaled) else 0.0
+    k, d = dec.bundle.k, dec.bundle.geometry.d
+    scaled = dec.eigenvalues / k
+    top = scaled.max()
     out = []
     for m in range(levels):
         lo, hi = float(m), m + 1.0
@@ -515,27 +520,18 @@ def detect_clusters(eigenvalues: np.ndarray, k: int, levels: int) -> list[dict]:
             raise GuardError("cluster m=%d is not fully resolved; compute "
                              "more eigenvalues" % m)
         idx = np.nonzero((scaled >= lo) & (scaled < hi))[0]
-        out.append({"m": m, "indices": idx, "count": int(len(idx)),
-                    "mean_scaled": float(scaled[idx].mean()) if len(idx) else None,
+        want = dim_torus(1, k, [d], m).value
+        if len(idx) != want:
+            raise GuardError("cluster m=%d holds %d eigenvalues, but the "
+                             "Riemann-Roch count k*d is %d" % (m, len(idx), want))
+        out.append({"m": m, "indices": idx, "count": len(idx),
+                    "mean_scaled": float(scaled[idx].mean()),
                     "center": m + 0.5, "window": (lo, hi)})
     return out
 
 
-def level_clusters(dec: SpectralDecomposition, levels: int) -> list[dict]:
-    """The clusters m < levels of a spectrum, each count checked against the
-    Riemann-Roch dimension k*d of level m on the degree-d torus."""
-    k, d = dec.bundle.k, dec.bundle.geometry.d
-    clusters = detect_clusters(dec.eigenvalues, k, levels=levels)
-    for c in clusters:
-        want = dim_torus(1, k, [d], c["m"]).value
-        if c["count"] != want:
-            raise GuardError("cluster m=%d holds %d eigenvalues, but the "
-                             "Riemann-Roch count k*d is %d" % (c["m"], c["count"], want))
-    return clusters
-
-
-def resolve_levels(d: int, k: int, N: int, top: int,
-                   seed: int = 0) -> tuple[SpectralDecomposition, list[dict]]:
+def resolve_levels(d: int, k: int, N: int,
+                   top: int) -> tuple[SpectralDecomposition, list[dict]]:
     """The spectrum of the (d, k, N) model with levels 0..top resolved, and
     their count-checked clusters.
 
@@ -545,8 +541,8 @@ def resolve_levels(d: int, k: int, N: int, top: int,
     if top < 0:
         raise ValueError("level %d does not exist: --levels must be at least 1, "
                          "and --m and --ladder m=M at least 0" % top)
-    dec = compute_spectrum(d, k, N, count=(top + 2) * k * d + 4, seed=seed)
-    return dec, level_clusters(dec, top + 1)
+    dec = compute_spectrum(d, k, N, count=(top + 2) * k * d + 4)
+    return dec, detect_clusters(dec, top + 1)
 
 
 class LandauProjector:
@@ -555,7 +551,7 @@ class LandauProjector:
     sorted by eigenvalue, so that a cluster is one range of them."""
 
     def __init__(self, dec: SpectralDecomposition, m: int):
-        cl = level_clusters(dec, m + 1)[m]
+        cl = detect_clusters(dec, m + 1)[m]
         first = cl["indices"][0]
         V = dec.vectors[:, first:first + cl["count"]]
         # Ring frames are orthonormal by construction: rings have disjoint
@@ -626,28 +622,24 @@ def b1_correction(f: TrigPoly, g: TrigPoly, m: int) -> TrigPoly:
     return metric.scale(-(0.5 + m)) + omega.scale(-0.5j)
 
 
-def asymptotic_defects(d: int, ks, m: int, f: TrigPoly, g: TrigPoly,
-                       N: int = 64, seed: int = 0) -> dict:
-    """Product, commutator, and corrected-product defects of cluster
-    compressions across a range of powers k.
-
-    Returns per-k operator norms of
+def asymptotic_defects(d: int, k: int, m: int, f: TrigPoly, g: TrigPoly,
+                       N: int = 64) -> dict:
+    """Product, commutator, and corrected-product defects of the level-m
+    cluster compressions at power k: the operator norms of
       D2: T(f)T(g) - T(fg) - k^(-1) T(X_f, X_g)
       D1: i k [T(f), T(g)] - T({f, g})
       DB: T(f)T(g) - T(fg) - k^(-1) T(B_1(f, g))
+    and the cluster's dimension.
     """
-    out = {"ks": list(ks), "D2": [], "D1": [], "DB": [], "dims": []}
-    for k in ks:
-        proj = resolve_levels(d, k, N, m, seed=seed)[0].projector(m)
-        Tf, Tg, Tfg, Tpb, Tb1 = (toeplitz_fn(proj, s) for s in (
-            f, g, f * g, poisson_bracket(f, g), b1_correction(f, g, m)))
-        TXY = toeplitz_der(proj, [hamiltonian_vf(f), hamiltonian_vf(g)])
-        prod = Tf @ Tg
-        out["D2"].append(float(np.linalg.norm(prod - Tfg - TXY / k, 2)))
-        out["D1"].append(float(np.linalg.norm(1j * k * (prod - Tg @ Tf) - Tpb, 2)))
-        out["DB"].append(float(np.linalg.norm(prod - Tfg - Tb1 / k, 2)))
-        out["dims"].append(proj.dim)
-    return out
+    proj = resolve_levels(d, k, N, m)[0].projector(m)
+    Tf, Tg, Tfg, Tpb, Tb1 = (toeplitz_fn(proj, s) for s in (
+        f, g, f * g, poisson_bracket(f, g), b1_correction(f, g, m)))
+    TXY = toeplitz_der(proj, [hamiltonian_vf(f), hamiltonian_vf(g)])
+    prod = Tf @ Tg
+    return {"D2": float(np.linalg.norm(prod - Tfg - TXY / k, 2)),
+            "D1": float(np.linalg.norm(1j * k * (prod - Tg @ Tf) - Tpb, 2)),
+            "DB": float(np.linalg.norm(prod - Tfg - Tb1 / k, 2)),
+            "dim": proj.dim}
 
 
 def _kernel_pairs(b: DiscreteBundle):
@@ -660,8 +652,7 @@ def _kernel_pairs(b: DiscreteBundle):
     return b.site_index(i0, j0), np.nonzero(dist2 <= (b.geometry.side / 4) ** 2)
 
 
-def kernel_error(d: int, k: int, levels: int, N: int = 64,
-                 seed: int = 0) -> list[dict]:
+def kernel_error(d: int, k: int, levels: int, N: int = 64) -> list[dict]:
     """Diagonal and off-diagonal comparison of the kernels of clusters
     m < levels against the flat model, in units of the diagonal height
     k/2pi; one row per level.
@@ -674,7 +665,7 @@ def kernel_error(d: int, k: int, levels: int, N: int = 64,
     the power k.  Each level adds its Laguerre factor and its kernel columns
     at the base points, one product V V[bases]* / h^2, dropped once compared.
     """
-    dec, _ = resolve_levels(d, k, N, levels - 1, seed=seed)
+    dec, _ = resolve_levels(d, k, N, levels - 1)
     b = dec.bundle
     bases, (sites, cols) = _kernel_pairs(b)
     x, y, x0, y0 = b.X[sites], b.Y[sites], b.X[bases][cols], b.Y[bases][cols]
@@ -727,7 +718,7 @@ def _max_principal_angle(U: np.ndarray, V: np.ndarray) -> float:
     return float(np.arcsin(np.sqrt(min(max(sin2, 0.0), 1.0))))
 
 
-def ladder_map(d: int, k: int, m: int, N: int = 64, seed: int = 0) -> dict:
+def ladder_map(d: int, k: int, m: int, N: int = 64) -> dict:
     """Down-ladder from cluster m to cluster 0 and its isometry defects.
 
     The map is (m!)^(-1/2) k^(-m/2) P_0 D^m with D = (cov_x + i cov_y)/sqrt(2)
@@ -735,7 +726,7 @@ def ladder_map(d: int, k: int, m: int, N: int = 64, seed: int = 0) -> dict:
     reports the largest principal angle between cluster m and cluster 0
     raised m times.
     """
-    dec, _ = resolve_levels(d, k, N, m, seed=seed)
+    dec, _ = resolve_levels(d, k, N, m)
     p0, pm = dec.projector(0), dec.projector(m)
     Vop = (p0.V.conj().T @ _ladder(p0, pm.V, m, 1)) / (sqrt(factorial(m)) * k ** (m / 2))
     vtv = float(np.linalg.norm(Vop.conj().T @ Vop - np.eye(Vop.shape[1]), 2))
@@ -782,7 +773,7 @@ def peaked_section(bundle: DiscreteBundle, coeffs, center=None) -> np.ndarray:
     return vals
 
 
-def peaked_gram(d: int, k: int, coeff_list, N: int = 64, seed: int = 0) -> dict:
+def peaked_gram(d: int, k: int, coeff_list, N: int = 64) -> dict:
     """Compare pairwise inner products of peaked samples with the model
     pairing of their modulating polynomials.
 
@@ -792,7 +783,7 @@ def peaked_gram(d: int, k: int, coeff_list, N: int = 64, seed: int = 0) -> dict:
     Gram matrix, the worst absolute deviation, and the relative projection
     defect of each section onto the lowest cluster.
     """
-    proj = resolve_levels(d, k, N, 0, seed=seed)[0].projector(0)
+    proj = resolve_levels(d, k, N, 0)[0].projector(0)
     b = proj.bundle
     phis = [peaked_section(b, c) for c in coeff_list]
     gram = np.array([[b.h ** 2 * np.vdot(p, q) for q in phis] for p in phis])

@@ -7,7 +7,7 @@ band prints an over-performance note instead of failing, since faster decay
 can only come from a better-converged implementation.
 
 Run order matters for speed, not correctness: the flat-lattice spectra are
-cached per (d, k, N, seed), so the cluster criterion warms the cache for the
+cached per (d, k, N), so the cluster criterion warms the cache for the
 kernel and dimension criteria, and within the product-asymptotics criterion
 the level that needs the most eigenvalues runs first.
 """
@@ -64,7 +64,7 @@ def test_criterion_2_torus_cluster_counts_and_centers():
     for k in KS:
         assert k * h * h <= 0.05
         dec = compute_spectrum(d, k, N, count=4 * k * d + 4)
-        for c in detect_clusters(dec.eigenvalues, k, levels=3):
+        for c in detect_clusters(dec, levels=3):
             m = c["m"]
             tol = max(2 * k * h * h * (m + 1), 1e-3)
             dev = abs(c["mean_scaled"] - (m + 0.5))
@@ -82,11 +82,11 @@ def test_criterion_3_toeplitz_product_asymptotics():
     for m in (1, 0):
         d2, d1, db = [], [], []
         for k in KS:
-            t = asymptotic_defects(d, [k], m, f, g, N=16 * k)
-            assert t["dims"][0] == k * d
-            d2.append(t["D2"][0])
-            d1.append(t["D1"][0])
-            db.append(t["DB"][0])
+            t = asymptotic_defects(d, k, m, f, g, N=16 * k)
+            assert t["dim"] == k * d
+            d2.append(t["D2"])
+            d1.append(t["D1"])
+            db.append(t["DB"])
         print("  m=%d" % m)
         _assert_slope("product defect", fit_slope(KS, d2).slope, (-2.3, -1.7))
         _assert_slope("commutator defect", fit_slope(KS, d1).slope,
@@ -186,7 +186,7 @@ def test_criterion_8_dimension_consistency():
         geom = SurfaceGeometry(genus=1, degree=k * d,
                                area_over_pi=Fraction(2 * d))
         assert geom.B == k
-        for c in detect_clusters(dec.eigenvalues, k, levels=3):
+        for c in detect_clusters(dec, levels=3):
             m = c["m"]
             closed = dim_surface(k, d, 1, m).value
             mult, _ = landau_multiplicity(geom, m)

@@ -258,9 +258,7 @@ def test_op_compose_law_exact():
     for _ in range(4):
         q1 = _random_full_poly(1, 2, rng, nterms=3)
         q2 = _random_full_poly(1, 2, rng, nterms=3)
-        rep = op_compose_law(basis, q1, q2)
-        assert rep["equal"]
-        assert rep["max_float_residual"] < 1e-12
+        assert op_compose_law(basis, q1, q2)
 
 
 def test_trace_law_value_at_origin():

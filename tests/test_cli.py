@@ -256,3 +256,23 @@ def test_reports_identical_across_runs(tmp_path, monkeypatch, argv):
             doc["eigenvalue_csv"] = (tmp_path / doc["eigenvalue_csv"]).read_text()
         docs.append(doc)
     assert docs[0] == docs[1]
+
+
+def test_torus_report_does_not_depend_on_the_seed(tmp_path, monkeypatch):
+    # --seed picks the identity suite's samples only; a lattice run solves
+    # from the same start vectors whatever it is.
+    monkeypatch.setattr(torus, "_SPECTRUM_CACHE", {})
+    docs, tables = [], []
+    for seed in (0, 101):
+        torus._SPECTRUM_CACHE.clear()
+        out = tmp_path / ("seed%d.json" % seed)
+        assert main(["--seed", str(seed), "--out", str(out), "torus", "--d", "1",
+                     "--k", "4,6", "--grid", "32", "--levels", "2", "--defects",
+                     "cosx", "siny", "--kernel-compare", "--ladder", "m=1"]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["config"].pop("seed") == seed
+        del doc["generated_at"], doc["eigenvalue_csv"]
+        docs.append(doc)
+        tables.append(out.with_suffix(".csv").read_bytes())
+    assert docs[0] == docs[1]
+    assert tables[0] == tables[1]

@@ -247,7 +247,6 @@ def test_mixed_entry_algebra_matches_numpy(ea, eb, c):
     assert _close((A - B).as_array(), a - b)
     assert _close(A.scale(c).as_array(), CRad.of(c).value() * a)
     assert _close(A.adjoint().as_array(), a.conj().T)
-    assert A.max_abs() == pytest.approx(np.max(np.abs(a), initial=0.0), abs=1e-12)
 
 
 @settings(deadline=None)
@@ -322,7 +321,6 @@ def test_scaled_operator_algebra_matches_numpy(ea, eb, s, t, c, vec):
     for i, x in A.apply_coords(vec).items():
         got[i] = _value(x)
     assert _close(got, a @ v)
-    assert A.max_abs() == pytest.approx(np.max(np.abs(a), initial=0.0), abs=1e-12)
     if not (A.is_zero() or B.is_zero()):
         # equal scalars stay factored out of a sum
         assert (A + Bs).scalar == s and (A @ B).scalar == CRad.of(s) * CRad.of(t)

@@ -63,3 +63,11 @@ def test_laguerre_sum_detail_counts_its_cases(n, degree, detail):
                if r["name"] == "laguerre_sum")
     assert rec["passed"]
     assert rec["detail"] == detail
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_star_order_detail_counts_its_probes(n):
+    rec = next(r for r in run_identity_checks(n, 4)
+               if r["name"] == "star_order_report")
+    assert rec["passed"]
+    assert rec["detail"] == "3 probes: 3 match Op(u) v, 1 matches Op(v) u"

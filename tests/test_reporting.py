@@ -87,8 +87,8 @@ def test_run_fock_experiment():
 
 
 def test_run_surface_experiment_from_field():
-    body = run_experiment(ExperimentConfig("surface", {"genus": 2, "B": "5",
-                                                       "levels": 2}))
+    body = run_experiment(ExperimentConfig("surface", {
+        "genus": 2, "B": "5", "area_over_pi": "4", "levels": 2, "iterate": False}))
     rows = body["surface"]["rows"]
     assert rows[1]["eigenvalue"] == "13/2"
     assert rows[1]["multiplicity"] == 7
@@ -103,7 +103,8 @@ def test_run_dim_experiment():
 
 def test_run_torus_experiment_smoke(monkeypatch):
     monkeypatch.setattr(torus, "_SPECTRUM_CACHE", {})  # solve for this count
-    cfg = ExperimentConfig("torus", {"d": 1, "ks": [4], "N": 32, "levels": 2})
+    cfg = ExperimentConfig("torus", {"d": 1, "ks": [4], "N": 32, "levels": 2,
+                                     "m": 0})
     body = run_experiment(cfg)
     assert body["dims"]["4"] == {"0": 4, "1": 4}
     assert body["residuals"]["4"] < 1e-8
@@ -124,13 +125,13 @@ def test_torus_run_solves_each_power_once(monkeypatch):
     monkeypatch.setattr(torus, "SPECTRUM_CACHE_BYTES", 400_000)
     solve, calls = torus.lowest_spectrum, []
 
-    def counting(bundle, count, seed=0):
+    def counting(bundle, count):
         calls.append(bundle.k)
-        return solve(bundle, count, seed)
+        return solve(bundle, count)
 
     monkeypatch.setattr(torus, "lowest_spectrum", counting)
     body = run_experiment(ExperimentConfig("torus", {
-        "d": 1, "ks": [4, 6], "N": 32, "levels": 2, "defects": ["cosx", "siny"],
+        "d": 1, "ks": [4, 6], "N": 32, "levels": 2, "m": 0, "defects": ["cosx", "siny"],
         "kernel_compare": True, "ladder": 1}))
     assert calls == [4, 6]
     assert [r["k"] for r in body["kernel_compare"]] == [4, 4, 6, 6]
@@ -152,7 +153,7 @@ def test_torus_run_builds_each_cluster_projector_once(monkeypatch):
 
     monkeypatch.setattr(torus.LandauProjector, "__init__", counting)
     cfg = ExperimentConfig("torus", {
-        "d": 1, "ks": [4, 6], "N": 32, "levels": 2, "defects": ["cosx", "siny"],
+        "d": 1, "ks": [4, 6], "N": 32, "levels": 2, "m": 0, "defects": ["cosx", "siny"],
         "kernel_compare": True, "ladder": 1})
     first = run_experiment(cfg)
     assert sorted(built) == [(4, 0), (4, 1), (6, 0), (6, 1)]

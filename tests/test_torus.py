@@ -148,16 +148,6 @@ def test_ring_solver_matches_dense_oracle(d, k, N):
         assert np.linalg.norm(P - Q, 2) < 1e-9
 
 
-@pytest.mark.parametrize("seed", [480405, 513537])
-def test_spectrum_does_not_depend_on_the_seed(seed):
-    # The complex 2-D Arnoldi solve skipped one eigenvalue at these seeds.
-    ref = compute_spectrum(1, 10, 64, count=34, seed=0)
-    dec = compute_spectrum(1, 10, 64, count=34, seed=seed)
-    h = dec.bundle.h
-    diff = dec.eigenvalues[:34] - ref.eigenvalues[:34]  # the cache may hold more
-    assert np.max(np.abs(diff)) < 1e-9 * 4 / h ** 2
-
-
 def test_completeness_guard_catches_a_skipped_eigenvalue(monkeypatch):
     eigsh = torus.spla.eigsh
 
@@ -300,10 +290,10 @@ def test_spectrum_cache_evicts_least_recently_used(monkeypatch):
     small = compute_spectrum(1, 4, 16, count=8)
     cap = 2 * torus._spectrum_bytes(small) + 1
     monkeypatch.setattr(torus, "SPECTRUM_CACHE_BYTES", cap)
-    compute_spectrum(1, 4, 16, count=8, seed=1)
+    compute_spectrum(1, 5, 16, count=8)  # same size: 8 columns of 16^2 sites
     assert compute_spectrum(1, 4, 16, count=8) is small  # now the most recent
-    compute_spectrum(1, 4, 16, count=8, seed=2)  # evicts seed 1
-    assert list(torus._SPECTRUM_CACHE) == [(1, 4, 16, 0), (1, 4, 16, 2)]
+    compute_spectrum(1, 6, 16, count=8)  # evicts k = 5
+    assert list(torus._SPECTRUM_CACHE) == [(1, 4, 16), (1, 6, 16)]
     assert sum(map(torus._spectrum_bytes, torus._SPECTRUM_CACHE.values())) <= cap
     monkeypatch.setattr(torus, "SPECTRUM_CACHE_BYTES", 1)
     big = compute_spectrum(1, 4, 16, count=9)  # too large to keep
@@ -312,7 +302,7 @@ def test_spectrum_cache_evicts_least_recently_used(monkeypatch):
 
 def test_cluster_counts_and_centers():
     dec = compute_spectrum(1, 4, 32, count=18)
-    clusters = detect_clusters(dec.eigenvalues, k=4, levels=3)
+    clusters = detect_clusters(dec, levels=3)
     assert [c["m"] for c in clusters] == [0, 1, 2]
     for c in clusters:
         assert c["count"] == 4  # k*d states per level
@@ -322,7 +312,7 @@ def test_cluster_counts_and_centers():
 def test_cluster_guard_when_levels_unresolved():
     dec = compute_spectrum(1, 4, 32, count=18)
     with pytest.raises(GuardError):
-        detect_clusters(dec.eigenvalues, k=4, levels=12)
+        detect_clusters(dec, levels=12)
 
 
 def test_projector_structure():
@@ -483,7 +473,7 @@ def test_run_kernel_comparison_equals_the_direct_model(monkeypatch):
 
     monkeypatch.setattr(torus, "_kernel_pairs", counting)
     body = run_experiment(ExperimentConfig("torus", {
-        "d": 1, "ks": [4, 6], "N": 32, "levels": 3, "kernel_compare": True}))
+        "d": 1, "ks": [4, 6], "N": 32, "levels": 3, "m": 0, "kernel_compare": True}))
     assert built == [4, 6]
     assert [(r["k"], r["m"]) for r in body["kernel_compare"]] == [
         (k, m) for k in (4, 6) for m in range(3)]
@@ -549,13 +539,12 @@ def test_asymptotic_defects_smoke():
     side = TorusGeometry(d=1).side
     f = TrigPoly.cos_x(side)
     g = TrigPoly.sin_y(side)
-    rep = asymptotic_defects(1, [4, 6], 0, f, g, N=32)
-    assert rep["dims"] == [4, 6]
+    rows = [asymptotic_defects(1, k, 0, f, g, N=32) for k in (4, 6)]
+    assert [r["dim"] for r in rows] == [4, 6]
     for key in ("D2", "D1", "DB"):
-        assert len(rep[key]) == 2
-        assert all(v > 0 for v in rep[key])
+        assert all(r[key] > 0 for r in rows)
     # second-order remainder is far smaller than the first-order product gap
-    assert rep["D2"][0] < 0.5
+    assert rows[0]["D2"] < 0.5
 
 
 def test_peaked_sections_live_in_lowest_cluster():
