@@ -32,7 +32,7 @@ real-space H, which also checks the shift.  The Lanczos start vectors come
 from one fixed random stream, so a spectrum depends on (d, k, N) alone.
 `resolve_levels` is the one spectral entry point: from (d, k, N, top level)
 it returns the spectrum, cached per (d, k, N) in a byte-capped
-least-recently-used cache shared by the experiment drivers, and the clusters
+least-recently-used cache shared by the experiment runners, and the clusters
 of levels 0..top.  `detect_clusters` is the one definition of a cluster: a
 unit window of lambda/k whose count must equal the Riemann-Roch number k*d
 of its level; a mismatch trips a GuardError instead of mislabelling the
