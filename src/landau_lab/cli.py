@@ -68,14 +68,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_tor.add_argument("--levels", type=int, default=3,
                        help="number of clusters to resolve")
     p_tor.add_argument("--m", type=int, default=0,
-                       help="cluster index for defect studies")
+                       help="cluster index for defect studies; a level above "
+                       "--levels - 1 extends the run's one solve, and its CSV")
     p_tor.add_argument("--defects", nargs=2, default=None,
                        metavar=("f=NAME", "g=NAME"),
                        help="observables from {%s}" % ",".join(_TRIG_NAMES))
     p_tor.add_argument("--kernel-compare", action="store_true",
                        help="compare cluster kernels to the flat model")
     p_tor.add_argument("--ladder", type=str, default=None, metavar="m=M",
-                       help="run the down-ladder study for cluster M")
+                       help="run the down-ladder study for cluster M; a level "
+                       "above --levels - 1 extends the run's one solve, and its CSV")
     return parser
 
 

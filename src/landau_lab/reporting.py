@@ -151,23 +151,28 @@ def _run_torus(config: ExperimentConfig) -> dict:
 
     body: dict = {"config": config.to_dict(), "clusters": {}, "dims": {},
                   "residuals": {}, "solver": {}}
+    # The levels the blocks read; one solve per k resolves all of them.
+    read = [levels - 1]
     if "defects" in p:
         fname, gname = p["defects"]
         side = T.TorusGeometry(d).side
         f, g = (_trig_by_name(name, side) for name in (fname, gname))
         body["defects"] = {"f": fname, "g": gname, "m": m,
                            "D2": [], "D1": [], "DB": []}
+        read.append(m)
     if "kernel_compare" in p:
         body["kernel_compare"] = []
     if "ladder" in p:
         lm = p["ladder"]
         body["ladder"] = []
+        read.append(lm)
+    if min(read) < 0:
+        raise ValueError("level %d does not exist: --levels must be at least 1, "
+                         "and --m and --ladder m=M at least 0" % min(read))
     eigen_rows = []
-    # Every block of one k runs before the next k is solved, so each
-    # spectrum, with the cluster projectors it keeps, is reused while it is
-    # the most recent one in the cache.
     for k in ks:
-        dec, cls = T.resolve_levels(d, k, N, levels - 1)
+        dec = T.resolve_levels(d, k, N, max(read))
+        cls = T.detect_clusters(dec, levels)
         body["residuals"][str(k)] = dec.residual_max
         body["solver"][str(k)] = dec.solver
         body["clusters"][str(k)] = [
@@ -177,13 +182,13 @@ def _run_torus(config: ExperimentConfig) -> dict:
         for i, lam in enumerate(dec.eigenvalues):
             eigen_rows.append((k, i, repr(float(lam))))
         if "defects" in body:
-            row = T.asymptotic_defects(d, k, m, f, g, N)
+            row = T.asymptotic_defects(dec, m, f, g)
             for name in ("D2", "D1", "DB"):
                 body["defects"][name].append(row[name])
         if "kernel_compare" in body:
-            body["kernel_compare"] += T.kernel_error(d, k, min(levels, 3), N)
+            body["kernel_compare"] += T.kernel_error(dec, min(levels, 3))
         if "ladder" in body:
-            r = T.ladder_map(d, k, lm, N)
+            r = T.ladder_map(dec, lm)
             body["ladder"].append({"k": k, "m": lm, "vtv_defect": r["vtv_defect"],
                                    "vvt_defect": r["vvt_defect"],
                                    "max_angle": r["max_angle"]})

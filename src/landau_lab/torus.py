@@ -29,20 +29,21 @@ the vectors.  A completeness guard requires the Lanczos values to equal the
 bisection ones, so a skipped eigenvalue trips a GuardError, and every pair,
 mapped back to the grid by an inverse FFT in y, is checked against the
 real-space H, which also checks the shift.  The Lanczos start vectors come
-from one fixed random stream, so a spectrum depends on (d, k, N) alone.
+from one fixed random stream, so a spectrum depends on (d, k, N, count) alone.
 `resolve_levels` is the one spectral entry point: from (d, k, N, top level)
-it returns the spectrum, cached per (d, k, N) in a byte-capped
-least-recently-used cache shared by the experiment runners, and the clusters
-of levels 0..top.  `detect_clusters` is the one definition of a cluster: a
-unit window of lambda/k whose count must equal the Riemann-Roch number k*d
-of its level; a mismatch trips a GuardError instead of mislabelling the
-levels above it.  A spectrum owns its cluster projectors:
-`SpectralDecomposition.projector` builds each level's once, with its
-guards, as a read-only view of the spectrum's vectors, and the defect,
-kernel and ladder observables all take theirs from it.  The
-kernel comparison takes every level of one power k in one call: the
-compared pairs and the level-free factors of the flat model are built once
-per k, and only the Laguerre factor and the kernel columns once per level.
+it returns the spectrum with levels 0..top resolved, from a byte-capped
+least-recently-used cache keyed by (d, k, N) and the eigenvalue count; a
+torus run resolves each power once, at the highest level any block reads.
+`detect_clusters` is the one definition of a cluster: a unit window of
+lambda/k whose count must equal the Riemann-Roch number k*d of its level; a
+mismatch trips a GuardError instead of mislabelling the levels above it.  A
+spectrum owns its cluster projectors: `SpectralDecomposition.projector`
+builds each level's once, with its guards, as a read-only view of the
+spectrum's vectors.  The observables take the spectrum they measure, and
+their projectors and the power k from it.  The kernel comparison takes
+every level of one power k in one call: the compared pairs and the
+level-free factors of the flat model are built once per k, and only the
+Laguerre factor and the kernel columns once per level.
 """
 
 from __future__ import annotations
@@ -469,9 +470,9 @@ def lowest_spectrum(bundle: DiscreteBundle, count: int) -> SpectralDecomposition
     return SpectralDecomposition(bundle, vals, vecs, resid, solver)
 
 
-# Byte cap of the spectrum cache.  A torus run reuses one spectrum at a
-# time; acceptance criterion 3 reuses five (d = 4, N = 16k, 179 MB of
-# vectors at k = 4..12), solved at m = 1 and read again at m = 0.
+# Byte cap of the spectrum cache, which serves repeated requests for one
+# count.  A torus run hands its one spectrum per power to every block, and
+# criterion 3 reads each of its spectra (up to 87 MB at k = 12) only once.
 SPECTRUM_CACHE_BYTES = 256 * 2 ** 20
 
 # Least recently used first: a hit is moved to the end.
@@ -485,16 +486,15 @@ def _spectrum_bytes(dec: SpectralDecomposition) -> int:
 def compute_spectrum(d: int, k: int, N: int, count: int) -> SpectralDecomposition:
     """Cached lowest count eigenpairs of the (d, k, N) lattice model.
 
-    The cache keeps the most recently used spectra whose arrays fit in
-    SPECTRUM_CACHE_BYTES together; a spectrum larger than that is returned
-    but not kept.
+    A cached spectrum is returned only for the count it was solved for, so
+    the answer does not depend on earlier requests.  The cache keeps the
+    most recently used spectra whose arrays fit in SPECTRUM_CACHE_BYTES
+    together; a spectrum larger than that is returned but not kept.
     """
-    key = (d, k, N)
-    cached = _SPECTRUM_CACHE.pop(key, None)
-    if cached is not None and len(cached.eigenvalues) >= count:
-        _SPECTRUM_CACHE[key] = cached
-        return cached
-    dec = lowest_spectrum(DiscreteBundle(TorusGeometry(d), k, N), count)
+    key = (d, k, N, count)
+    dec = _SPECTRUM_CACHE.pop(key, None)
+    if dec is None:
+        dec = lowest_spectrum(DiscreteBundle(TorusGeometry(d), k, N), count)
     _SPECTRUM_CACHE[key] = dec
     total = sum(_spectrum_bytes(v) for v in _SPECTRUM_CACHE.values())
     while total > SPECTRUM_CACHE_BYTES:
@@ -530,19 +530,14 @@ def detect_clusters(dec: SpectralDecomposition, levels: int) -> list[dict]:
     return out
 
 
-def resolve_levels(d: int, k: int, N: int,
-                   top: int) -> tuple[SpectralDecomposition, list[dict]]:
-    """The spectrum of the (d, k, N) model with levels 0..top resolved, and
-    their count-checked clusters.
+def resolve_levels(d: int, k: int, N: int, top: int) -> SpectralDecomposition:
+    """The spectrum of the (d, k, N) model with levels 0..top resolved.
 
     The solve asks for the k*d states of levels 0..top + 1 and four more,
     so that the window of level top closes below the largest eigenvalue.
+    A cluster is checked where it is read, by `detect_clusters`.
     """
-    if top < 0:
-        raise ValueError("level %d does not exist: --levels must be at least 1, "
-                         "and --m and --ladder m=M at least 0" % top)
-    dec = compute_spectrum(d, k, N, count=(top + 2) * k * d + 4)
-    return dec, detect_clusters(dec, top + 1)
+    return compute_spectrum(d, k, N, count=(top + 2) * k * d + 4)
 
 
 class LandauProjector:
@@ -622,16 +617,16 @@ def b1_correction(f: TrigPoly, g: TrigPoly, m: int) -> TrigPoly:
     return metric.scale(-(0.5 + m)) + omega.scale(-0.5j)
 
 
-def asymptotic_defects(d: int, k: int, m: int, f: TrigPoly, g: TrigPoly,
-                       N: int = 64) -> dict:
+def asymptotic_defects(dec: SpectralDecomposition, m: int, f: TrigPoly,
+                       g: TrigPoly) -> dict:
     """Product, commutator, and corrected-product defects of the level-m
-    cluster compressions at power k: the operator norms of
+    cluster compressions of a spectrum at power k: the operator norms of
       D2: T(f)T(g) - T(fg) - k^(-1) T(X_f, X_g)
       D1: i k [T(f), T(g)] - T({f, g})
       DB: T(f)T(g) - T(fg) - k^(-1) T(B_1(f, g))
     and the cluster's dimension.
     """
-    proj = resolve_levels(d, k, N, m)[0].projector(m)
+    proj, k = dec.projector(m), dec.bundle.k
     Tf, Tg, Tfg, Tpb, Tb1 = (toeplitz_fn(proj, s) for s in (
         f, g, f * g, poisson_bracket(f, g), b1_correction(f, g, m)))
     TXY = toeplitz_der(proj, [hamiltonian_vf(f), hamiltonian_vf(g)])
@@ -652,10 +647,10 @@ def _kernel_pairs(b: DiscreteBundle):
     return b.site_index(i0, j0), np.nonzero(dist2 <= (b.geometry.side / 4) ** 2)
 
 
-def kernel_error(d: int, k: int, levels: int, N: int = 64) -> list[dict]:
-    """Diagonal and off-diagonal comparison of the kernels of clusters
-    m < levels against the flat model, in units of the diagonal height
-    k/2pi; one row per level.
+def kernel_error(dec: SpectralDecomposition, levels: int) -> list[dict]:
+    """Diagonal and off-diagonal comparison of the kernels of a spectrum's
+    clusters m < levels against the flat model, in units of the diagonal
+    height k/2pi; one row per level.
 
     The flat level-m kernel is the envelope (k/2pi) e^{-k rho^2/4} times
     L_m(k rho^2/2) times the straight-segment transport phase e^{ikW} of the
@@ -665,8 +660,7 @@ def kernel_error(d: int, k: int, levels: int, N: int = 64) -> list[dict]:
     the power k.  Each level adds its Laguerre factor and its kernel columns
     at the base points, one product V V[bases]* / h^2, dropped once compared.
     """
-    dec, _ = resolve_levels(d, k, N, levels - 1)
-    b = dec.bundle
+    b, k = dec.bundle, dec.bundle.k
     bases, (sites, cols) = _kernel_pairs(b)
     x, y, x0, y0 = b.X[sites], b.Y[sites], b.X[bases][cols], b.Y[bases][cols]
     rho2 = (x - x0) ** 2 + (y - y0) ** 2
@@ -718,7 +712,7 @@ def _max_principal_angle(U: np.ndarray, V: np.ndarray) -> float:
     return float(np.arcsin(np.sqrt(min(max(sin2, 0.0), 1.0))))
 
 
-def ladder_map(d: int, k: int, m: int, N: int = 64) -> dict:
+def ladder_map(dec: SpectralDecomposition, m: int) -> dict:
     """Down-ladder from cluster m to cluster 0 and its isometry defects.
 
     The map is (m!)^(-1/2) k^(-m/2) P_0 D^m with D = (cov_x + i cov_y)/sqrt(2)
@@ -726,7 +720,7 @@ def ladder_map(d: int, k: int, m: int, N: int = 64) -> dict:
     reports the largest principal angle between cluster m and cluster 0
     raised m times.
     """
-    dec, _ = resolve_levels(d, k, N, m)
+    k = dec.bundle.k
     p0, pm = dec.projector(0), dec.projector(m)
     Vop = (p0.V.conj().T @ _ladder(p0, pm.V, m, 1)) / (sqrt(factorial(m)) * k ** (m / 2))
     vtv = float(np.linalg.norm(Vop.conj().T @ Vop - np.eye(Vop.shape[1]), 2))
@@ -773,9 +767,9 @@ def peaked_section(bundle: DiscreteBundle, coeffs, center=None) -> np.ndarray:
     return vals
 
 
-def peaked_gram(d: int, k: int, coeff_list, N: int = 64) -> dict:
-    """Compare pairwise inner products of peaked samples with the model
-    pairing of their modulating polynomials.
+def peaked_gram(dec: SpectralDecomposition, coeff_list) -> dict:
+    """Compare pairwise inner products of peaked samples on a spectrum's
+    bundle with the model pairing of their modulating polynomials.
 
     coeff_list holds one coefficient sequence per section; the model value
     for a pair is sum_a conj(c_a) c'_a a! (degree-a vectors have squared
@@ -783,8 +777,7 @@ def peaked_gram(d: int, k: int, coeff_list, N: int = 64) -> dict:
     Gram matrix, the worst absolute deviation, and the relative projection
     defect of each section onto the lowest cluster.
     """
-    proj = resolve_levels(d, k, N, 0)[0].projector(0)
-    b = proj.bundle
+    proj, b = dec.projector(0), dec.bundle
     phis = [peaked_section(b, c) for c in coeff_list]
     gram = np.array([[b.h ** 2 * np.vdot(p, q) for q in phis] for p in phis])
     model = np.array([[sum(np.conj(a) * bb * factorial(deg)
@@ -792,5 +785,5 @@ def peaked_gram(d: int, k: int, coeff_list, N: int = 64) -> dict:
                        for cj in coeff_list] for ci in coeff_list], dtype=complex)
     defects = [float(np.linalg.norm(proj.V @ (proj.V.conj().T @ p) - p)
                      / np.linalg.norm(p)) for p in phis]
-    return {"k": k, "gram": gram, "model": model,
+    return {"k": b.k, "gram": gram, "model": model,
             "max_dev": float(np.abs(gram - model).max()), "defects": defects}

@@ -258,6 +258,27 @@ def test_reports_identical_across_runs(tmp_path, monkeypatch, argv):
     assert docs[0] == docs[1]
 
 
+def test_torus_report_does_not_depend_on_earlier_runs(tmp_path, monkeypatch):
+    # A run at --levels 4 leaves a larger spectrum in the cache; a later
+    # --levels 2 run on the same grid must still report its own solve.
+    monkeypatch.setattr(torus, "_SPECTRUM_CACHE", {})
+    grid = ["torus", "--d", "1", "--k", "4", "--grid", "32", "--levels"]
+
+    def run(name, levels):
+        out = tmp_path / (name + ".json")
+        assert main(["--out", str(out)] + grid + [levels]) == 0
+        doc = json.loads(out.read_text())
+        del doc["generated_at"], doc["eigenvalue_csv"]
+        return doc, out.with_suffix(".csv").read_bytes()
+
+    run("wide", "4")
+    after = run("after", "2")
+    torus._SPECTRUM_CACHE.clear()
+    fresh = run("fresh", "2")
+    assert after == fresh
+    assert len(fresh[1].splitlines()) == 1 + 16
+
+
 def test_torus_report_does_not_depend_on_the_seed(tmp_path, monkeypatch):
     # --seed picks the identity suite's samples only; a lattice run solves
     # from the same start vectors whatever it is.

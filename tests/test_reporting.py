@@ -119,21 +119,25 @@ def test_run_torus_experiment_smoke(monkeypatch):
 
 
 def test_torus_run_solves_each_power_once(monkeypatch):
-    # The cache has room for one of the two spectra, so blocks that each
-    # walked all the powers would evict and solve again.
+    # With the cache off, every block that asked for a spectrum of its own
+    # would solve again.  The defects read level 2 and the ladder level 3,
+    # above --levels 2, so the one solve per k resolves levels 0..3:
+    # (3 + 2) * k*d + 4 eigenvalues.
     monkeypatch.setattr(torus, "_SPECTRUM_CACHE", {})
-    monkeypatch.setattr(torus, "SPECTRUM_CACHE_BYTES", 400_000)
+    monkeypatch.setattr(torus, "SPECTRUM_CACHE_BYTES", 0)
     solve, calls = torus.lowest_spectrum, []
 
     def counting(bundle, count):
-        calls.append(bundle.k)
+        calls.append((bundle.k, count))
         return solve(bundle, count)
 
     monkeypatch.setattr(torus, "lowest_spectrum", counting)
     body = run_experiment(ExperimentConfig("torus", {
-        "d": 1, "ks": [4, 6], "N": 32, "levels": 2, "m": 0, "defects": ["cosx", "siny"],
-        "kernel_compare": True, "ladder": 1}))
-    assert calls == [4, 6]
+        "d": 1, "ks": [4, 6], "N": 32, "levels": 2, "m": 2, "defects": ["cosx", "siny"],
+        "kernel_compare": True, "ladder": 3}))
+    assert calls == [(4, 24), (6, 34)]
+    assert body["dims"] == {"4": {"0": 4, "1": 4}, "6": {"0": 6, "1": 6}}
+    assert body["eigenvalue_rows"] == 24 + 34
     assert [r["k"] for r in body["kernel_compare"]] == [4, 4, 6, 6]
     assert [r["k"] for r in body["ladder"]] == [4, 6]
     assert len(body["defects"]["D2"]) == 2

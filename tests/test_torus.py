@@ -122,11 +122,14 @@ def test_toeplitz_der_matches_the_sparse_operator_chain():
     assert b.derivatives is b.derivatives  # built once per bundle
 
 
-def test_spectrum_residuals_and_cache():
+def test_spectrum_residuals_and_cache(monkeypatch):
+    monkeypatch.setattr(torus, "_SPECTRUM_CACHE", {})
     dec = compute_spectrum(1, 4, 32, count=18)
     assert dec.residual_max < 1e-8
-    again = compute_spectrum(1, 4, 32, count=10)
-    assert again is dec  # served from the cache, larger count retained
+    assert compute_spectrum(1, 4, 32, count=18) is dec  # served from the cache
+    # a smaller request is solved for its own count, not cut from dec
+    fewer = compute_spectrum(1, 4, 32, count=10)
+    assert fewer is not dec and len(fewer.eigenvalues) == 10
 
 
 @pytest.mark.parametrize("d,k,N", [(1, 2, 16), (2, 1, 16), (1, 3, 24),
@@ -136,7 +139,8 @@ def test_ring_solver_matches_dense_oracle(d, k, N):
     # into two classes.  (1, 16, 20): four classes, and rings 1 and 3 have
     # no reflection, so they are bisected on their band.  (3, 1, 15): rings
     # of odd length 75.
-    dec, clusters = resolve_levels(d, k, N, 1)
+    dec = resolve_levels(d, k, N, 1)
+    clusters = detect_clusters(dec, 2)
     H = dec.bundle.laplacian().toarray()
     vals, vecs = np.linalg.eigh(H)
     count = len(dec.eigenvalues)
@@ -293,7 +297,7 @@ def test_spectrum_cache_evicts_least_recently_used(monkeypatch):
     compute_spectrum(1, 5, 16, count=8)  # same size: 8 columns of 16^2 sites
     assert compute_spectrum(1, 4, 16, count=8) is small  # now the most recent
     compute_spectrum(1, 6, 16, count=8)  # evicts k = 5
-    assert list(torus._SPECTRUM_CACHE) == [(1, 4, 16), (1, 6, 16)]
+    assert list(torus._SPECTRUM_CACHE) == [(1, 4, 16, 8), (1, 6, 16, 8)]
     assert sum(map(torus._spectrum_bytes, torus._SPECTRUM_CACHE.values())) <= cap
     monkeypatch.setattr(torus, "SPECTRUM_CACHE_BYTES", 1)
     big = compute_spectrum(1, 4, 16, count=9)  # too large to keep
@@ -342,6 +346,18 @@ def test_projector_rejects_a_miscounted_cluster():
     # the replaced spectrum keeps none of dec's projectors
     with pytest.raises(GuardError, match="m=1 holds 3 eigenvalues"):
         short.projector(1)
+
+
+def test_projector_rejects_a_span_that_leaks_out_of_its_window():
+    # Level 1's first column replaced by level 2's first: the frame stays
+    # orthonormal, but one Ritz value of H on it lies in level 2's window.
+    dec = compute_spectrum(1, 4, 32, count=18)
+    first1, first2 = (c["indices"][0] for c in detect_clusters(dec, 3)[1:])
+    V = dec.vectors.copy()
+    V[:, first1] = V[:, first2]
+    leaky = dataclasses.replace(dec, vectors=V)
+    with pytest.raises(GuardError, match="leaks outside its window"):
+        leaky.projector(1)
 
 
 def test_projector_is_a_read_only_view_kept_by_its_spectrum():
@@ -407,8 +423,8 @@ def test_toeplitz_unit_and_adjoint():
 
 
 def test_kernel_error_decays():
-    e4 = kernel_error(1, 4, 1, N=32)[0]
-    e8 = kernel_error(1, 8, 1, N=32)[0]
+    e4 = kernel_error(resolve_levels(1, 4, 32, 0), 1)[0]
+    e8 = kernel_error(resolve_levels(1, 8, 32, 0), 1)[0]
     assert e8["diag_err"] < e4["diag_err"]
     assert e8["offdiag_err"] < e4["offdiag_err"]
     assert e4["diag_err"] < 0.05
@@ -447,8 +463,8 @@ def _direct_kernel_model(b, m, x, y, x0, y0):
 
 
 def test_kernel_error_matches_column_by_column():
-    dec, _ = resolve_levels(1, 4, 32, 1)
-    rows = kernel_error(1, 4, 2, N=32)
+    dec = resolve_levels(1, 4, 32, 1)
+    rows = kernel_error(dec, 2)
     for m in (0, 1):
         V = LandauProjector(dec, m).V
         b = dec.bundle
@@ -463,8 +479,9 @@ def test_kernel_error_matches_column_by_column():
 
 def test_run_kernel_comparison_equals_the_direct_model(monkeypatch):
     # Every (k, m) a run compares must read exactly what a fresh evaluation
-    # of the pairs and the whole model per (k, m) gives, although the run
-    # builds the pairs once per k.
+    # of the pairs and the whole model per (k, m) gives on the run's one
+    # spectrum per k (levels 0..2), although the run builds the pairs once
+    # per k.
     built, pairs = [], torus._kernel_pairs
 
     def counting(b):
@@ -479,7 +496,7 @@ def test_run_kernel_comparison_equals_the_direct_model(monkeypatch):
         (k, m) for k in (4, 6) for m in range(3)]
     for row in body["kernel_compare"]:
         k, m = row["k"], row["m"]
-        dec, _ = resolve_levels(1, k, 32, m)
+        dec = resolve_levels(1, k, 32, 2)
         V, b = LandauProjector(dec, m).V, dec.bundle
         diag = np.sum(np.abs(V) ** 2, axis=1) / b.h ** 2
         assert row["diag_err"] == float(np.max(np.abs(2 * math.pi * diag / k - 1)))
@@ -493,12 +510,12 @@ def test_run_kernel_comparison_equals_the_direct_model(monkeypatch):
 
 @pytest.mark.parametrize("d,k,N", [(1, 4, 64), (1, 10, 64)])
 def test_ladder_angle_matches_subspace_angles(d, k, N):
-    dec, _ = resolve_levels(d, k, N, 1)
+    dec = resolve_levels(d, k, N, 1)
     b = dec.bundle
     V0, V1 = LandauProjector(dec, 0).V, LandauProjector(dec, 1).V
     raised = (b.cov_x() @ V0 - 1j * (b.cov_y() @ V0)) / math.sqrt(2)
     want = np.max(subspace_angles(raised, V1))
-    got = ladder_map(d, k, 1, N=N)["max_angle"]
+    got = ladder_map(dec, 1)["max_angle"]
     assert abs(got - want) < 1e-9 * want
 
 
@@ -520,14 +537,14 @@ def test_principal_angle_of_a_rotated_frame(theta, cond):
 
 
 def test_ladder_level_zero_is_trivial():
-    rep = ladder_map(1, 4, 0, N=32)
+    rep = ladder_map(resolve_levels(1, 4, 32, 0), 0)
     assert rep["vtv_defect"] < 1e-10
     assert rep["vvt_defect"] < 1e-10
     assert rep["max_angle"] < 1e-6
 
 
 def test_ladder_level_one_defect_is_discretization():
-    rep = ladder_map(1, 4, 1, N=32)
+    rep = ladder_map(resolve_levels(1, 4, 32, 1), 1)
     b = DiscreteBundle(TorusGeometry(d=1), 4, 32)
     kh2 = 4 * b.h ** 2
     assert rep["vtv_defect"] < kh2
@@ -539,7 +556,7 @@ def test_asymptotic_defects_smoke():
     side = TorusGeometry(d=1).side
     f = TrigPoly.cos_x(side)
     g = TrigPoly.sin_y(side)
-    rows = [asymptotic_defects(1, k, 0, f, g, N=32) for k in (4, 6)]
+    rows = [asymptotic_defects(resolve_levels(1, k, 32, 0), 0, f, g) for k in (4, 6)]
     assert [r["dim"] for r in rows] == [4, 6]
     for key in ("D2", "D1", "DB"):
         assert all(r[key] > 0 for r in rows)
@@ -548,15 +565,15 @@ def test_asymptotic_defects_smoke():
 
 
 def test_peaked_sections_live_in_lowest_cluster():
-    rep = peaked_gram(6, 8, [[1.0]], N=48)
+    rep = peaked_gram(resolve_levels(6, 8, 48, 0), [[1.0]])
     assert abs(np.sqrt(rep["gram"][0, 0].real) - 1.0) < 0.05
     assert rep["defects"][0] < 0.1
-    rep2 = peaked_gram(6, 12, [[1.0]], N=48)
+    rep2 = peaked_gram(resolve_levels(6, 12, 48, 0), [[1.0]])
     assert rep2["defects"][0] < rep["defects"][0]
 
 
 def test_peaked_gram_structure():
-    rep = peaked_gram(6, 10, [[1], [0, 1]], N=48)
+    rep = peaked_gram(resolve_levels(6, 10, 48, 0), [[1], [0, 1]])
     gram = rep["gram"]
     # distinct modulation degrees stay orthogonal on the symmetric window
     assert abs(gram[0, 1]) < 1e-8
