@@ -185,8 +185,7 @@ def bargmann_project_operator(basis: GradedBasis) -> FockOperator:
                 for ai, bi in zip(a, b):
                     weight *= factorial(ai) // factorial(ai - bi)
                 ent[(basis.index((mi_sub(a, b), zero)), col)] = weight
-        cache["P00"] = FockOperator(basis, ent, parity=None,
-                                    exactness_degree=basis.D)
+        cache["P00"] = FockOperator(basis, ent, exactness_degree=basis.D)
     return cache["P00"]
 
 

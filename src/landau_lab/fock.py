@@ -7,12 +7,12 @@ in that frame.  The "full" kind is the span of the mixed monomials
 z^a zbar^b with |a| + |b| <= D, kept in plain monomial coordinates because the
 mixed monomials are not orthogonal.
 
-Operators are sparse exact matrices, tagged with a parity and with the
-largest input degree on which they agree with their untruncated
-counterparts.  Each is stored as one exact scalar times a dict of unscaled
-entries.  The scalar is an ``int``, a ``Fraction`` or a single-term radical
-(a rational times sqrt(s), or i times one), and each entry is kept in its
-cheapest exact form (:func:`.radicals.exact`): a real rational is an
+Operators are sparse exact matrices, tagged with the largest input degree on
+which they agree with their untruncated counterparts; their parity is read
+off the entries.  Each is stored as one exact scalar times a dict of
+unscaled entries.  The scalar is an ``int``, a ``Fraction`` or a single-term
+radical (a rational times sqrt(s), or i times one), and each entry is kept
+in its cheapest exact form (:func:`.radicals.exact`): a real rational is an
 ``int`` or a ``Fraction``, and an entry is in the exact radical ring only
 where it is complex or irrational.  Scaling multiplies the scalar and shares
 the entries, composition multiplies the two scalars once and runs its entry
@@ -22,7 +22,8 @@ an integer matrix, keep their integer entries.  Full-kind ladders, the
 vacuum projection and the operators of rational symbols are rational
 throughout, so their algebra runs on Python integers; radicals enter through
 the normalized antiholomorphic frame and the shift normalizations.
-Polynomial coefficients are kept in the same cheapest exact form.
+Polynomial coefficients are kept in the same cheapest exact form, and
+polynomials have coordinates on the full kind, where operators apply to them.
 
 Each basis carries one cache dict for the operators built on it: the ladder
 set from :func:`ladder_matrices` and, on the full kind, the vacuum
@@ -125,12 +126,6 @@ class GradedBasis:
     def size(self) -> int:
         return len(self.labels)
 
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def __iter__(self):
-        return iter(self.labels)
-
     def index(self, label) -> int:
         return self._index[label]
 
@@ -189,9 +184,6 @@ class PolyZZbar:
     def coefficient(self, a: MultiIndex, b: MultiIndex) -> Scalar:
         return self.coeffs.get((tuple(a), tuple(b)), 0)
 
-    def conjugate(self) -> "PolyZZbar":
-        return PolyZZbar(self.n, {(b, a): c.conjugate() for (a, b), c in self.coeffs.items()})
-
     def __neg__(self) -> "PolyZZbar":
         return PolyZZbar(self.n, {k: -c for k, c in self.coeffs.items()})
 
@@ -208,15 +200,6 @@ class PolyZZbar:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, PolyZZbar):
-            out: dict = {}
-            for (a, b), c in self.coeffs.items():
-                for (u, v), d in other.coeffs.items():
-                    key = (mi_add(a, u), mi_add(b, v))
-                    prod = c * d
-                    cur = out.get(key)
-                    out[key] = prod if cur is None else cur + prod
-            return PolyZZbar(self.n, out)
         try:
             scal = exact(other)
         except TypeError:
@@ -255,9 +238,6 @@ class PolyZZbar:
         return "PolyZZbar(%s)" % " + ".join(parts)
 
 
-_AUTO = object()
-
-
 def _single_term(c) -> bool:
     """Whether an exact nonzero scalar is a rational times sqrt(s), or i times
     one: the scalars whose products are again single terms."""
@@ -279,26 +259,24 @@ class FockOperator:
     is never mutated once an operator holds it: scaling shares it, and so
     does every operation that only retags or keeps it whole.
 
-    parity is 0 (preserves degree mod 2), 1 (flips it), or None (mixed).
-    exactness_degree is the largest input degree on which the matrix agrees
-    with the untruncated operator it models; identities should only be
-    asserted on columns up to that degree.
+    An operator holds only what its entries cannot tell, so its parity is
+    read off them.  exactness_degree is the largest input degree on which
+    the matrix agrees with the untruncated operator it models; identities
+    should only be asserted on columns up to that degree.
     """
 
-    __slots__ = ("basis", "scalar", "unscaled", "parity", "exactness_degree",
-                 "_columns")
+    __slots__ = ("basis", "scalar", "unscaled", "exactness_degree", "_columns")
 
-    def __init__(self, basis: GradedBasis, entries, parity=_AUTO, exactness_degree=None):
+    def __init__(self, basis: GradedBasis, entries, exactness_degree=None):
         self.basis = basis
         self.scalar: Scalar = 1
         self.unscaled: dict[tuple[int, int], Scalar] = \
             _exact_entries(entries) if entries else {}
-        self.parity = self._infer_parity() if parity is _AUTO else parity
         self.exactness_degree = basis.D if exactness_degree is None else exactness_degree
         self._columns = None
 
     @classmethod
-    def _scaled(cls, basis: GradedBasis, unscaled: dict, scalar, parity,
+    def _scaled(cls, basis: GradedBasis, unscaled: dict, scalar,
                 exactness_degree) -> "FockOperator":
         """The operator scalar * unscaled, holding the given dict (already in
         exact form) without copying it."""
@@ -306,7 +284,6 @@ class FockOperator:
         op.basis = basis
         op.scalar = scalar
         op.unscaled = unscaled
-        op.parity = parity
         op.exactness_degree = exactness_degree
         op._columns = None
         return op
@@ -331,7 +308,10 @@ class FockOperator:
             self._columns = cols
         return self._columns
 
-    def _infer_parity(self):
+    @property
+    def parity(self):
+        """0 when every entry preserves degree mod 2 (and for the zero
+        operator), 1 when every entry flips it, None when the entries mix."""
         degs = self.basis.degrees
         seen = {(degs[i] - degs[j]) % 2 for i, j in self.unscaled}
         if len(seen) == 1:
@@ -340,11 +320,11 @@ class FockOperator:
 
     @classmethod
     def zero(cls, basis: GradedBasis) -> "FockOperator":
-        return cls(basis, {}, parity=0)
+        return cls(basis, {})
 
     @classmethod
     def identity(cls, basis: GradedBasis) -> "FockOperator":
-        return cls(basis, {(i, i): 1 for i in range(basis.size)}, parity=0)
+        return cls(basis, {(i, i): 1 for i in range(basis.size)})
 
     def is_zero(self) -> bool:
         return not self.unscaled
@@ -363,11 +343,6 @@ class FockOperator:
             return 0
         return max(degs[j] - degs[i] for i, j in self.unscaled)
 
-    def _combine_parity(self, other):
-        if self.parity is None or other.parity is None:
-            return None
-        return (self.parity + other.parity) % 2
-
     def compose(self, other: "FockOperator") -> "FockOperator":
         """self o other, with the exactness bookkeeping
         ed = min(ed(other), ed(self) - raise(other)).  The scalars multiply
@@ -385,8 +360,7 @@ class FockOperator:
         ed = min(other.exactness_degree, self.exactness_degree - other.raise_amount())
         ed = min(ed, self.basis.D)
         return FockOperator._scaled(self.basis, _exact_entries(out),
-                                    exact(self.scalar * other.scalar),
-                                    self._combine_parity(other), ed)
+                                    exact(self.scalar * other.scalar), ed)
 
     def __matmul__(self, other):
         return self.compose(other)
@@ -396,13 +370,12 @@ class FockOperator:
         keep the scalar; unequal ones fall back to the true entries."""
         if other.basis is not self.basis:
             raise ValueError("operators live on different bases")
-        par = self.parity if self.parity == other.parity else None
         ed = min(self.exactness_degree, other.exactness_degree)
         if not other.unscaled:
-            return FockOperator._scaled(self.basis, self.unscaled, self.scalar, par, ed)
+            return FockOperator._scaled(self.basis, self.unscaled, self.scalar, ed)
         if not self.unscaled:
             scalar = other.scalar if sign > 0 else -other.scalar
-            return FockOperator._scaled(self.basis, other.unscaled, scalar, par, ed)
+            return FockOperator._scaled(self.basis, other.unscaled, scalar, ed)
         if self.scalar == other.scalar:
             scalar, mine, theirs = self.scalar, self.unscaled, other.unscaled
         else:
@@ -413,7 +386,7 @@ class FockOperator:
                 c = -c
             cur = out.get(k)
             out[k] = c if cur is None else cur + c
-        return FockOperator._scaled(self.basis, _exact_entries(out), scalar, par, ed)
+        return FockOperator._scaled(self.basis, _exact_entries(out), scalar, ed)
 
     def __add__(self, other):
         if not isinstance(other, FockOperator):
@@ -433,10 +406,10 @@ class FockOperator:
             return FockOperator.zero(self.basis)
         if _single_term(c):
             return FockOperator._scaled(self.basis, self.unscaled, exact(self.scalar * c),
-                                        self.parity, self.exactness_degree)
+                                        self.exactness_degree)
         return FockOperator._scaled(self.basis,
                                     _exact_entries({k: v * c for k, v in self.unscaled.items()}),
-                                    self.scalar, self.parity, self.exactness_degree)
+                                    self.scalar, self.exactness_degree)
 
     def adjoint(self) -> "FockOperator":
         """Conjugate transpose, valid as the adjoint only on the
@@ -452,15 +425,15 @@ class FockOperator:
         ed = min(self.exactness_degree, self.basis.D - max(0, self.fall_amount()))
         return FockOperator._scaled(
             self.basis, {(j, i): c.conjugate() for (i, j), c in self.unscaled.items()},
-            self.scalar.conjugate(), self.parity, ed)
+            self.scalar.conjugate(), ed)
 
     def parity_split(self) -> tuple["FockOperator", "FockOperator"]:
         degs = self.basis.degrees
         even, odd = {}, {}
         for (i, j), c in self.unscaled.items():
             ((even, odd)[(degs[i] - degs[j]) % 2])[(i, j)] = c
-        return (FockOperator._scaled(self.basis, even, self.scalar, 0, self.exactness_degree),
-                FockOperator._scaled(self.basis, odd, self.scalar, 1, self.exactness_degree))
+        return (FockOperator._scaled(self.basis, even, self.scalar, self.exactness_degree),
+                FockOperator._scaled(self.basis, odd, self.scalar, self.exactness_degree))
 
     def agrees_with(self, other: "FockOperator", max_degree=None) -> bool:
         """Exact entry equality on all columns of degree <= max_degree
@@ -482,7 +455,7 @@ class FockOperator:
     def restrict_columns(self, max_degree: int) -> "FockOperator":
         degs = self.basis.degrees
         kept = {k: c for k, c in self.unscaled.items() if degs[k[1]] <= max_degree}
-        return FockOperator._scaled(self.basis, kept, self.scalar, self.parity,
+        return FockOperator._scaled(self.basis, kept, self.scalar,
                                     min(self.exactness_degree, max_degree))
 
     def as_array(self) -> np.ndarray:
@@ -511,59 +484,29 @@ class FockOperator:
     def apply_poly(self, p: PolyZZbar) -> PolyZZbar:
         return poly_from_coords(self.basis, self.apply_coords(coords_from_poly(self.basis, p)))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FockOperator):
-            return NotImplemented
-        if self.basis is not other.basis:
-            return False
-        if self.scalar == other.scalar:
-            return self.unscaled == other.unscaled
-        return self.entries == other.entries
-
     def __repr__(self) -> str:
         return "FockOperator(%r, nnz=%d, parity=%r, exactness_degree=%d)" % (
             self.basis, len(self.unscaled), self.parity, self.exactness_degree)
 
 
-def _root(q) -> Scalar:
-    return exact(Rad.sqrt(q))
-
-
 def coords_from_poly(basis: GradedBasis, p: PolyZZbar) -> dict[int, Scalar]:
-    """Coordinates of a polynomial in the basis frame.
-
-    Antiholomorphic kind: p must be a polynomial in zbar alone, and the
-    coordinates are against the normalized monomials, so the zbar^alpha
-    coefficient picks up a factor sqrt(alpha!).
-    """
+    """Coordinates of a polynomial on a full-kind basis: its coefficients
+    against the plain monomials z^a zbar^b."""
+    if basis.kind != FULL:
+        raise ValueError("polynomial coordinates are taken on the full kind")
     if p.n != basis.n:
         raise ValueError("variable count mismatch")
     out: dict[int, Scalar] = {}
     for (a, b), c in p.coeffs.items():
-        if basis.kind == ANTIHOLOMORPHIC:
-            if any(a):
-                raise ValueError("polynomial has z-dependence, not in the "
-                                 "antiholomorphic space")
-            if sum(b) > basis.D:
-                raise ValueError("degree %d exceeds cutoff %d" % (sum(b), basis.D))
-            out[basis.index(b)] = c * _root(mi_factorial(b))
-        else:
-            if sum(a) + sum(b) > basis.D:
-                raise ValueError("degree %d exceeds cutoff %d" % (sum(a) + sum(b), basis.D))
-            out[basis.index((a, b))] = c
+        if sum(a) + sum(b) > basis.D:
+            raise ValueError("degree %d exceeds cutoff %d" % (sum(a) + sum(b), basis.D))
+        out[basis.index((a, b))] = c
     return out
 
 
 def poly_from_coords(basis: GradedBasis, vec: dict[int, Scalar]) -> PolyZZbar:
-    zero = (0,) * basis.n
-    coeffs: dict = {}
-    for i, c in vec.items():
-        lab = basis.labels[i]
-        if basis.kind == ANTIHOLOMORPHIC:
-            coeffs[(zero, lab)] = c * _root(Fraction(1, mi_factorial(lab)))
-        else:
-            coeffs[lab] = c
-    return PolyZZbar(basis.n, coeffs)
+    """The polynomial with the given coordinates on a full-kind basis."""
+    return PolyZZbar(basis.n, {basis.labels[i]: c for i, c in vec.items()})
 
 
 def ladder_matrices(basis: GradedBasis) -> tuple[tuple[FockOperator, ...],
@@ -597,8 +540,8 @@ def ladder_matrices(basis: GradedBasis) -> tuple[tuple[FockOperator, ...],
                 if a[i] >= 1:
                     key = (basis.index((mi_sub(a, mi_unit(n, i)), b)), col)
                     high[key] = high.get(key, 0) - a[i]
-        lowers.append(FockOperator(basis, low, parity=1, exactness_degree=D))
-        raises_.append(FockOperator(basis, high, parity=1, exactness_degree=D - 1))
+        lowers.append(FockOperator(basis, low, exactness_degree=D))
+        raises_.append(FockOperator(basis, high, exactness_degree=D - 1))
     basis.cache["ladders"] = (tuple(lowers), tuple(raises_))
     return basis.cache["ladders"]
 
@@ -611,7 +554,6 @@ def rho_ab(basis: GradedBasis, alpha: MultiIndex, beta: MultiIndex) -> FockOpera
                          "tilde_rho from the bargmann module for the full kind")
     alpha, beta = tuple(alpha), tuple(beta)
     return FockOperator(basis, {(basis.index(alpha), basis.index(beta)): 1},
-                        parity=(mi_degree(alpha) + mi_degree(beta)) % 2,
                         exactness_degree=basis.D)
 
 
@@ -620,7 +562,7 @@ def pi_m(basis: GradedBasis, m: int) -> FockOperator:
     if basis.kind != ANTIHOLOMORPHIC:
         raise ValueError("pi_m acts on the antiholomorphic kind")
     ent = {(i, i): 1 for i, lab in enumerate(basis.labels) if mi_degree(lab) == m}
-    return FockOperator(basis, ent, parity=0, exactness_degree=basis.D)
+    return FockOperator(basis, ent, exactness_degree=basis.D)
 
 
 def rho_tangent(basis: GradedBasis, u, v) -> FockOperator:
@@ -644,5 +586,5 @@ def rho_tangent(basis: GradedBasis, u, v) -> FockOperator:
         if v[i]:
             out = out + lowers[i].scale(v[i])
     ed = basis.D if all(not x for x in u) else basis.D - 1
-    return FockOperator._scaled(basis, out.unscaled, out.scalar, 1, ed)
+    return FockOperator._scaled(basis, out.unscaled, out.scalar, ed)
 

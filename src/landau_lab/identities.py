@@ -63,27 +63,29 @@ def run_identity_checks(n: int, degree: int, seed: int = 0) -> list[dict]:
         for a, b in _pair_sample(labels, rng, 2, 40))
     record("shift_adjoint", ok)
 
-    # --- parity: the degree-change parity of shifts multiplies under
-    # composition, and parity_split recovers the operator
+    # --- parity, read off the entries: a shift rho_ab has the parity of
+    # |a| + |b|, a chain of shifts through matching indices is nonzero with
+    # the sum of its factors' parities, and parity_split recovers the operator
     ok = True
-    for a, b in _pair_sample(labels, rng, 2, 20):
-        op = rho_ab(anti, a, b)
-        want = (mi_degree(a) + mi_degree(b)) % 2
-        if op.parity != want:
+    shifts = _pair_sample(labels, rng, 2, 20)
+    for a, b in shifts:
+        if rho_ab(anti, a, b).parity != (mi_degree(a) + mi_degree(b)) % 2:
             ok = False
-    for _ in range(20):
+    chains = 20
+    for _ in range(chains):
         a1, b1 = rng.choice(labels), rng.choice(labels)
         a2, b2 = rng.choice(labels), rng.choice(labels)
-        A, B = rho_ab(anti, a1, b1), rho_ab(anti, a2, b2)
-        C = A @ B
-        if not C.is_zero() and C.parity != (A.parity + B.parity) % 2:
+        factors = (rho_ab(anti, a1, b1), rho_ab(anti, b1, a2), rho_ab(anti, a2, b2))
+        C = factors[0] @ factors[1] @ factors[2]
+        if C.is_zero() or C.parity != sum(f.parity for f in factors) % 2:
             ok = False
     mixed = rho_ab(anti, labels[0], labels[0]) + rho_tangent(
         anti, [1] * n, [0] * n)
     ev, od = mixed.parity_split()
     if not (ev + od).agrees_with(mixed, D) or ev.parity != 0 or od.parity != 1:
         ok = False
-    record("parity_table", ok)
+    record("parity_table", ok, detail="%d shifts, %d compositions of three "
+           "shifts" % (len(shifts), chains))
 
     # --- homogeneous projector as a sum of diagonal shifts
     ok = True

@@ -41,13 +41,8 @@ class Rad:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[int, Fraction] | None = None):
-        self.terms: dict[int, Fraction] = {}
-        if terms:
-            for s, c in terms.items():
-                if type(c) is not Fraction:
-                    c = Fraction(c)
-                if c:
-                    self.terms[s] = c
+        self.terms: dict[int, Fraction] = \
+            {s: c for s, c in terms.items() if c} if terms else {}
 
     @classmethod
     def rational(cls, q) -> "Rad":
@@ -110,16 +105,8 @@ class Rad:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return Rad()
             return Rad({s: c * other for s, c in self.terms.items()})
         if not isinstance(other, Rad):
             return NotImplemented
@@ -138,9 +125,6 @@ class Rad:
         if other is None:
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -163,22 +147,14 @@ class CRad:
 
     @classmethod
     def of(cls, x) -> "CRad":
-        """Coerce an exact scalar: int, Fraction, Rad, CRad, or a complex/float
-        whose components are integer-valued.  Inexact floats are rejected."""
+        """Coerce an exact scalar: int, Fraction, Rad or CRad.  Floats and
+        complex numbers are rejected, integer-valued or not."""
         if isinstance(x, CRad):
             return x
         if isinstance(x, Rad):
             return cls(x, Rad())
         if isinstance(x, (int, Fraction)):
             return cls(Rad.rational(x), Rad())
-        if isinstance(x, complex):
-            if x.real.is_integer() and x.imag.is_integer():
-                return cls(Rad.rational(int(x.real)), Rad.rational(int(x.imag)))
-            raise TypeError("exact mode needs rational scalars, got %r" % (x,))
-        if isinstance(x, float):
-            if x.is_integer():
-                return cls(Rad.rational(int(x)), Rad())
-            raise TypeError("exact mode needs rational scalars, got %r" % (x,))
         raise TypeError("cannot coerce %r to an exact scalar" % (x,))
 
     def is_zero(self) -> bool:
@@ -210,16 +186,6 @@ class CRad:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        try:
-            other = CRad.of(other)
-        except TypeError:
-            return NotImplemented
-        return CRad(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return CRad(self.re * other, self.im * other)
@@ -239,17 +205,14 @@ class CRad:
             return NotImplemented
         return self.re == other.re and self.im == other.im
 
-    def __hash__(self):
-        return hash((self.re, self.im))
-
     def __repr__(self) -> str:
         return "CRad(%r, %r)" % (self.re, self.im)
 
 
 def exact(x):
     """The cheapest exact form of a scalar: an int or a Fraction when it is a
-    real rational, a CRad when it is complex or irrational.  Inexact floats
-    are rejected as in :meth:`CRad.of`."""
+    real rational, a CRad when it is complex or irrational.  Floats and
+    complex numbers are rejected as in :meth:`CRad.of`."""
     if type(x) is int:
         return x
     if isinstance(x, Fraction):

@@ -68,6 +68,8 @@ GRAM_TOL = 1e-10
 # Gram defect up to which a Cholesky-QR frame counts as orthonormal; it moves
 # a squared sine by at most its square.  One pass leaves 7e-15 at N = 192.
 _ORTHO_TOL = 1e-12
+# The command-line flags that set how many levels a run resolves.
+_LEVEL_FLAGS = "--levels, --m or --ladder m=M"
 
 
 @dataclass(frozen=True)
@@ -388,8 +390,8 @@ def lowest_spectrum(bundle: DiscreteBundle, count: int) -> SpectralDecomposition
     norm_bound = float(abs(H).sum(axis=0).max())
     if count > N * N:
         raise ValueError("%d eigenvalues asked of a grid of %d sites: ask for "
-                         "fewer levels (--levels) or a finer grid (--grid)"
-                         % (count, N * N))
+                         "fewer levels (%s) or a finer grid (--grid)"
+                         % (count, N * N, _LEVEL_FLAGS))
     hop = -1.0 / (2 * bundle.h ** 2)
     rings = list(_harper_rings(bundle))
     g = len(rings)
@@ -430,8 +432,8 @@ def lowest_spectrum(bundle: DiscreteBundle, count: int) -> SpectralDecomposition
     if shares.max() > L - 1:
         raise ValueError("%d eigenvalues asked of a Landau-gauge ring of %d sites, "
                          "where eigsh takes at most %d: ask for fewer levels "
-                         "(--levels) or a finer grid (--grid)"
-                         % (shares.max(), L, L - 1))
+                         "(%s) or a finer grid (--grid)"
+                         % (shares.max(), L, L - 1, _LEVEL_FLAGS))
     # Random start vectors, drawn class by class from one fixed stream: a
     # constant vector is even under the ring's reflection and would have no
     # weight on the odd sector.
@@ -697,6 +699,18 @@ def _max_principal_angle(U: np.ndarray, V: np.ndarray) -> float:
     Cholesky-QR of U (U L^(-*), L L* = U* U), once more if not orthonormal
     yet, then the largest eigenvalue of S* S, S = U (U* V) - V."""
     G = U.conj().T @ U
+    # Cholesky of G runs to completion in floating point when H, G scaled to
+    # unit diagonal, has 20 k^(3/2) eps cond(H) < 1 (Demmel; Higham, Accuracy
+    # and Stability of Numerical Algorithms, ch. 10).  A frame outside that
+    # bound, one with a zero column among them, is rank deficient to working
+    # precision.
+    s = np.sqrt(G.diagonal().real)
+    s[s == 0] = 1  # a zero column stays zero in H
+    w = np.linalg.eigvalsh(G / np.outer(s, s))
+    if w[0] <= 20 * len(G) ** 1.5 * np.finfo(float).eps * w[-1]:
+        raise GuardError("raised frame is rank deficient: the eigenvalues of "
+                         "its unit-diagonal gram matrix span [%.3g, %.3g]"
+                         % (w[0], w[-1]))
     for _ in range(2):
         U = U @ np.linalg.inv(np.linalg.cholesky(G)).conj().T
         G = U.conj().T @ U

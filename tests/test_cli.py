@@ -180,6 +180,21 @@ def test_too_many_levels_for_the_grid_is_config_error(capsys):
 
 
 @pytest.mark.parametrize("extra", [
+    ["--ladder", "m=70"],
+    ["--m", "70", "--defects", "cosx", "siny"],
+], ids=["ladder", "m"])
+def test_too_high_a_level_names_every_flag_that_sets_it(capsys, extra):
+    # level 70 read by the ladder or the defects sets the count as --levels
+    # 71 would: 76 eigenvalues, more than an 8 x 8 grid holds
+    code = main(["torus", "--d", "1", "--k", "1", "--grid", "8",
+                 "--levels", "2"] + extra)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "76 eigenvalues" in err
+    assert "--levels, --m or --ladder m=M" in err and "--grid" in err
+
+
+@pytest.mark.parametrize("extra", [
     ["--levels", "0"],
     ["--levels", "-3"],
     ["--ladder", "m=-1"],

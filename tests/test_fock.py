@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from landau_lab.fock import (
-    ANTIHOLOMORPHIC,
     FULL,
     FockOperator,
     PolyZZbar,
@@ -26,12 +25,11 @@ from landau_lab.fock import (
 from landau_lab.radicals import CRad, Rad
 
 
-def _random_poly(n, degree, rng, kind=FULL):
+def _random_poly(n, degree, rng):
     p = PolyZZbar(n)
     for _ in range(5):
         b = tuple(rng.randrange(0, degree + 1) for _ in range(n))
-        a = tuple(0 for _ in range(n)) if kind == ANTIHOLOMORPHIC else tuple(
-            rng.randrange(0, degree + 1) for _ in range(n))
+        a = tuple(rng.randrange(0, degree + 1) for _ in range(n))
         if mi_degree(a) + mi_degree(b) > degree:
             continue
         p = p + PolyZZbar.monomial(n, a, b, rng.randrange(-3, 4))
@@ -65,7 +63,7 @@ def test_multi_index_order_degree_then_lex():
 def test_basis_labels_and_lookup():
     anti = GradedBasis(2, 3)
     assert anti.size == math.comb(5, 2)
-    for i, lab in enumerate(anti):
+    for i, lab in enumerate(anti.labels):
         assert anti.index(lab) == i
     full = GradedBasis(1, 4, FULL)
     assert full.size == sum(1 for a in range(5) for b in range(5) if a + b <= 4)
@@ -80,23 +78,6 @@ def test_poly_evaluate_against_numpy():
     for (a, b), c in p.terms():
         direct += complex(c) * np.prod(z ** a) * np.prod(np.conj(z) ** b)
     assert abs(val - direct) < 1e-12
-
-
-def test_poly_conjugate_involution():
-    rng = random.Random(6)
-    for _ in range(20):
-        p = _random_poly(2, 4, rng)
-        assert p.conjugate().conjugate() == p
-
-
-def test_poly_product_degree_and_commutativity():
-    rng = random.Random(8)
-    for _ in range(20):
-        p = _random_poly(1, 3, rng)
-        q = _random_poly(1, 3, rng)
-        assert p * q == q * p
-        if not (p * q).is_zero():
-            assert (p * q).degree() == p.degree() + q.degree()
 
 
 def test_ladder_commutation_on_safe_columns():
@@ -182,19 +163,22 @@ def test_parity_split_reassembles():
 
 
 def test_poly_coordinate_round_trip():
-    basis = GradedBasis(2, 4)
+    basis = GradedBasis(2, 4, FULL)
     rng = random.Random(10)
-    p = _random_poly(2, 4, rng, kind=ANTIHOLOMORPHIC)
+    p = _random_poly(2, 4, rng)
     back = poly_from_coords(basis, coords_from_poly(basis, p))
     assert back == p
+    # coordinates are taken on the full kind only
+    with pytest.raises(ValueError, match="full kind"):
+        coords_from_poly(GradedBasis(2, 4), p)
 
 
 def test_apply_poly_matches_matrix():
-    basis = GradedBasis(1, 5)
+    basis = GradedBasis(1, 5, FULL)
     lowers, raisers = ladder_matrices(basis)
     A = raisers[0] @ lowers[0]
     rng = random.Random(12)
-    p = _random_poly(1, 4, rng, kind=ANTIHOLOMORPHIC)
+    p = _random_poly(1, 4, rng)
     image = A.apply_poly(p)
     coords = coords_from_poly(basis, p)
     vec = np.zeros(basis.size, dtype=complex)
@@ -256,11 +240,30 @@ def test_entry_forms_compare_equal(entries):
     it stores every real rational entry as an int or a Fraction."""
     A = FockOperator(_MIXED_BASIS, entries)
     as_crad = FockOperator(_MIXED_BASIS, {k: CRad.of(c) for k, c in entries.items()})
-    assert A == as_crad
     assert A.agrees_with(as_crad) and as_crad.agrees_with(A)
     for c in A.entries.values():
         if isinstance(c, CRad):
             assert not c.im.is_zero() or not c.re.is_rational()
+
+
+@settings(deadline=None)
+@given(_entries, _entries)
+def test_parity_is_read_off_the_entries(ea, eb):
+    """parity_split gives an even and an odd part (the zero operator counts
+    as even), an operator with both is mixed, and a nonzero composition of
+    single-parity factors has the sum of their parities."""
+    A, B = FockOperator(_MIXED_BASIS, ea), FockOperator(_MIXED_BASIS, eb)
+    for X in (A, B):
+        even, odd = X.parity_split()
+        assert even.parity == 0
+        assert odd.parity == (0 if odd.is_zero() else 1)
+        if not (even.is_zero() or odd.is_zero()):
+            assert X.parity is None
+    for X in A.parity_split():
+        for Y in B.parity_split():
+            C = X @ Y
+            if not C.is_zero():
+                assert C.parity == (X.parity + Y.parity) % 2
 
 
 def test_radical_and_rational_entries_agree():
@@ -268,10 +271,10 @@ def test_radical_and_rational_entries_agree():
     one = FockOperator(basis, {(0, 0): 1, (1, 1): Fraction(1, 2), (2, 2): 2})
     same = FockOperator(basis, {(0, 0): CRad(1), (1, 1): CRad(Fraction(1, 2)),
                                 (2, 2): CRad(Rad.sqrt(4))})
-    assert one == same and one.agrees_with(same)
+    assert one.agrees_with(same)
     assert [type(c) for _, c in sorted(same.entries.items())] == [int, Fraction, int]
     root2 = FockOperator(basis, {(0, 0): Rad.sqrt(2)})
-    assert root2 @ root2 == FockOperator(basis, {(0, 0): 2})
+    assert (root2 @ root2).agrees_with(FockOperator(basis, {(0, 0): 2}))
     with pytest.raises(TypeError):
         FockOperator(basis, {(0, 0): 0.5})
 
@@ -333,7 +336,6 @@ def test_scalar_form_equals_entry_form(entries, s):
     plain = FockOperator(_MIXED_BASIS, {k: CRad.of(c) * CRad.of(s)
                                         for k, c in entries.items()})
     assert plain.scalar == 1
-    assert scaled == plain and plain == scaled
     assert scaled.agrees_with(plain) and plain.agrees_with(scaled)
     assert scaled.entries == plain.entries
     for c in scaled.entries.values():
@@ -341,4 +343,4 @@ def test_scalar_form_equals_entry_form(entries, s):
             assert not c.im.is_zero() or not c.re.is_rational()
     if not plain.is_zero():
         other = plain.scale(2)
-        assert scaled != other and not scaled.agrees_with(other)
+        assert not scaled.agrees_with(other)

@@ -1,5 +1,7 @@
 import pytest
 
+from landau_lab import identities
+from landau_lab.fock import mi_degree
 from landau_lab.identities import run_identity_checks
 
 EXPECTED_CHECKS = {
@@ -71,3 +73,36 @@ def test_star_order_detail_counts_its_probes(n):
                if r["name"] == "star_order_report")
     assert rec["passed"]
     assert rec["detail"] == "3 probes: 3 match Op(u) v, 1 matches Op(v) u"
+
+
+def _parity_table(n, degree):
+    return next(r for r in run_identity_checks(n, degree)
+                if r["name"] == "parity_table")
+
+
+@pytest.mark.parametrize("n,degree,detail", [
+    (1, 4, "29 shifts, 20 compositions of three shifts"),
+    (2, 4, "56 shifts, 20 compositions of three shifts"),
+])
+def test_parity_table_detail_counts_its_cases(n, degree, detail):
+    rec = _parity_table(n, degree)
+    assert rec["passed"]
+    assert rec["detail"] == detail
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_parity_table_reads_the_entries(monkeypatch, n):
+    # rho_ab with its entry moved one degree up, to the row of alpha + e_1
+    # wherever that fits under the cutoff: a parity tag set from |alpha| +
+    # |beta| would still pass, the parity of the entries does not.
+    shift = identities.rho_ab
+
+    def misplaced(basis, alpha, beta):
+        op = shift(basis, alpha, beta)
+        up = (alpha[0] + 1,) + tuple(alpha[1:])
+        if mi_degree(up) <= basis.D:
+            op.unscaled = {(basis.index(up), basis.index(beta)): 1}
+        return op
+
+    monkeypatch.setattr(identities, "rho_ab", misplaced)
+    assert not _parity_table(n, 4)["passed"]

@@ -63,9 +63,13 @@ def test_crad_conjugate_and_modulus():
 
 def test_crad_of_rejects_inexact():
     assert CRad.of(3) == CRad(3)
-    assert CRad.of(2 + 1j) == CRad(2, 1)
     assert CRad.of(Fraction(1, 3)).re.as_fraction() == Fraction(1, 3)
     with pytest.raises(TypeError):
         CRad.of(0.3)
     with pytest.raises(TypeError):
         CRad.of(1.5 + 2j)
+    # integer-valued floats and complex numbers are inexact types too
+    with pytest.raises(TypeError):
+        CRad.of(2.0)
+    with pytest.raises(TypeError):
+        CRad.of(2 + 1j)

@@ -224,7 +224,7 @@ def test_ring_share_beyond_eigsh_is_a_value_error():
     # spectrum: 250 eigenvalues give each ring at most 63, 253 give one 64
     bundle = DiscreteBundle(TorusGeometry(d=1), 4, 16)
     assert len(torus.lowest_spectrum(bundle, 250).eigenvalues) == 250
-    with pytest.raises(ValueError, match="ring of 64 sites.*--levels.*--grid"):
+    with pytest.raises(ValueError, match="ring of 64 sites.*--levels, --m or --ladder m=M.*--grid"):
         torus.lowest_spectrum(bundle, 253)
     with pytest.raises(ValueError, match="grid of 256 sites"):
         torus.lowest_spectrum(bundle, 257)
@@ -315,8 +315,17 @@ def test_cluster_counts_and_centers():
 
 def test_cluster_guard_when_levels_unresolved():
     dec = compute_spectrum(1, 4, 32, count=18)
-    with pytest.raises(GuardError):
+    with pytest.raises(GuardError, match="m=4 is not fully resolved"):
         detect_clusters(dec, levels=12)
+
+
+def test_cluster_with_its_full_count_but_an_open_window_is_unresolved():
+    # 16 values hold levels 0..3 with k*d = 4 each, but the largest is level
+    # 3's own (3.46 in lambda/k), so its window [3, 4) does not close below it
+    dec = compute_spectrum(1, 4, 32, count=16)
+    assert [c["count"] for c in detect_clusters(dec, 3)] == [4, 4, 4]
+    with pytest.raises(GuardError, match="m=3 is not fully resolved"):
+        detect_clusters(dec, 4)
 
 
 def test_projector_structure():
@@ -358,6 +367,15 @@ def test_projector_rejects_a_span_that_leaks_out_of_its_window():
     leaky = dataclasses.replace(dec, vectors=V)
     with pytest.raises(GuardError, match="leaks outside its window"):
         leaky.projector(1)
+
+
+def test_projector_rejects_a_frame_that_is_not_orthonormal():
+    # every vector scaled by 1.01: the spans and the Ritz values are those of
+    # the true spectrum, but the frame's gram defect is 1.01^2 - 1
+    dec = compute_spectrum(1, 4, 32, count=18)
+    stretched = dataclasses.replace(dec, vectors=dec.vectors * 1.01)
+    with pytest.raises(GuardError, match="not orthonormal: 0.0201"):
+        stretched.projector(1)
 
 
 def test_projector_is_a_read_only_view_kept_by_its_spectrum():
@@ -534,6 +552,19 @@ def test_principal_angle_of_a_rotated_frame(theta, cond):
     (W1, _), (W2, _) = (np.linalg.qr(rng.standard_normal((5, 5))) for _ in range(2))
     U = A @ (W1 * np.logspace(0, -np.log10(cond), 5)) @ W2
     assert abs(torus._max_principal_angle(U, V) - theta) < 1e-6 * theta + 1e-15 * cond
+
+
+@pytest.mark.parametrize("defect", ["zero", "duplicate", "near-duplicate"])
+def test_principal_angle_rejects_a_rank_deficient_frame(defect):
+    # Cholesky of such a gram matrix breaks down on a zero or nearly equal
+    # column, and on an exact duplicate may run on rounding noise.
+    rng = np.random.default_rng(12)
+    Q, _ = np.linalg.qr(rng.standard_normal((300, 10)) + 1j * rng.standard_normal((300, 10)))
+    U, V = Q[:, :5].copy(), Q[:, 5:]
+    U[:, 4] = {"zero": 0, "duplicate": U[:, 0],
+               "near-duplicate": U[:, 0] + 1e-9 * Q[:, 9]}[defect]
+    with pytest.raises(GuardError, match="raised frame is rank deficient"):
+        torus._max_principal_angle(U, V)
 
 
 def test_ladder_level_zero_is_trivial():
