@@ -10,7 +10,8 @@ exp(-i*k*h^2); this orientation makes (cov_x + i cov_y) the lowering
 direction between clusters, matching the flat Bargmann model.
 
 The Laplacian is the standard five-point covariant form, (1/2) nabla* nabla,
-assembled and checked for hermiticity once per bundle.
+assembled once per bundle from its five stencil diagonals and checked for
+hermiticity.
 
 The solver uses the Landau gauge.  A discrete Fourier transform in y makes
 the y-links diagonal, and the wrap column shifts the y-mode by k*d, so H
@@ -19,17 +20,21 @@ of N^2/g sites (Harper 1955; Hofstadter 1976).  The finite magnetic
 translations (Zak 1964) carry each ring onto the rings of its class by a
 cyclic shift, and the g rings fall into c = gcd(k*d, N^2)/g classes: only
 one ring per class is solved, and the others' vectors are its vectors
-rolled.  A ring that the reflection s -> s* - s maps onto itself, as ring 0
-always is, splits into an even and an odd open chain, and Sturm bisection
-of the two finds its lowest eigenvalues in O(L) per value; a ring without
-one is bisected on its band.  With more than one class, each is asked for
-two values past its even share, and again for twice as many while it may
-hold more below the cut.  Shift-invert Lanczos on each solved ring finds
-the vectors.  A completeness guard requires the Lanczos values to equal the
-bisection ones, so a skipped eigenvalue trips a GuardError, and every pair,
-mapped back to the grid by an inverse FFT in y, is checked against the
-real-space H, which also checks the shift.  The Lanczos start vectors come
-from one fixed random stream, so a spectrum depends on (d, k, N, count) alone.
+rolled.  Shift-invert Lanczos on each solved ring finds its pairs.  A ring
+that the reflection s -> s* - s maps onto itself, as ring 0 always is,
+splits into an even and an odd open chain.  With one class, every ring
+holds the same spectrum, so the shares follow from count and g, and an
+O(L) inertia count of the two chains (Sylvester's law; spectrum slicing)
+on both sides of every gap of the Lanczos values certifies that Lanczos
+skipped none, with its vectors orthonormal.  With more than one class, the
+values rank the classes: Sturm bisection of the chains, or of the band of a
+ring without a reflection, finds each class's lowest values, asked for two
+past its even share and again for twice as many while it may hold more
+below the cut, and the Lanczos values must equal them.  Either guard trips
+a GuardError on a skipped eigenvalue, and every pair, mapped back to the
+grid by an inverse FFT in y, is checked against the real-space H, which
+also checks the shift.  The Lanczos start vectors come from one fixed
+random stream, so a spectrum depends on (d, k, N, count) alone.
 `resolve_levels` is the one spectral entry point: from (d, k, N, top level)
 it returns the spectrum with levels 0..top resolved, from a byte-capped
 least-recently-used cache keyed by (d, k, N) and the eigenvalue count; a
@@ -56,6 +61,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eig_banded, eigvalsh_tridiagonal
+from scipy.linalg.lapack import dstebz
 
 from .bargmann import laguerre_q
 from .dimensions import dim_torus
@@ -63,7 +69,7 @@ from .errors import GuardError
 
 # Eigen-residual bound, relative to a norm bound of H.
 RESIDUAL_TOL = 1e-9
-# Orthonormality bound for a cluster frame.
+# Orthonormality bound for a cluster frame and for a ring's Lanczos vectors.
 GRAM_TOL = 1e-10
 # Gram defect up to which a Cholesky-QR frame counts as orthonormal; it moves
 # a squared sine by at most its square.  One pass leaves 7e-15 at N = 192.
@@ -179,13 +185,26 @@ class DiscreteBundle:
         ux[N - 1, :] = np.exp(1j * k * geometry.side * self.xs)  # y_j = j*h
         uy = np.exp(-1j * k * self.h * self.xs)[:, None] * np.ones((1, N))
         self._ux, self._uy = ux, uy
-        Sx, Sy = self._shift(ux, axis=0), self._shift(uy, axis=1)
-        H = (4 * sp.identity(N * N, dtype=complex, format="csr")
-             - Sx - Sx.getH() - Sy - Sy.getH()) / (2 * self.h ** 2)
+        # One pass over the five stencil diagonals of 4 - S_x - S_x* - S_y -
+        # S_y*: each site p with itself and its x- and y-neighbours.  0 - u,
+        # not -u, keeps a zero imaginary part +0, as a sparse difference of
+        # the shift matrices does.
+        p = np.arange(N * N)
+        grid = p.reshape(N, N, order="F")
+        px = np.roll(grid, -1, axis=0).ravel(order="F")
+        py = np.roll(grid, -1, axis=1).ravel(order="F")
+        vx, vy = ux.ravel(order="F"), uy.ravel(order="F")
+        H = sp.csr_matrix((np.concatenate([np.full(N * N, 4 + 0j), 0 - vx, 0 - vx.conj(),
+                                           0 - vy, 0 - vy.conj()]),
+                           (np.concatenate([p, p, px, p, py]),
+                            np.concatenate([p, px, p, py, p]))), shape=(N * N, N * N))
+        # The bits of H / (2h^2), which multiplies by the reciprocal, without
+        # a second copy of the entries.
+        H.data *= 1 / (2 * self.h ** 2)
         herm = abs(H - H.getH()).max()
         if herm > 1e-13 / self.h ** 2:
             raise GuardError("laplacian lost hermiticity: %g" % herm)
-        self._H = H.tocsr()
+        self._H = H
 
     def _shift(self, phases: np.ndarray, axis: int) -> sp.csr_matrix:
         """Matrix sending psi(p) to phases(p) * psi(p + e_axis)."""
@@ -333,7 +352,8 @@ def _reflection_sectors(diag: np.ndarray, hop: float, centre: int):
 # fall into more than one translation class.  Every ring holds k*d/g values
 # of each level, so a cut between levels gives each ring its even share;
 # inside a level near-equal values decide the shares, which can run over.  A
-# class that fills its request is bisected again for twice as many.
+# class that fills its request is bisected again for twice as many.  A single
+# class is not bisected: its shares follow from count and g alone.
 _BISECT_MARGIN = 2
 
 # Columns per sparse product in the residual check, which bounds its scratch
@@ -366,28 +386,73 @@ def _to_grid(found, N: int) -> tuple[np.ndarray, np.ndarray]:
     return vals[order], grid
 
 
+def _count_below(chains, tau: float) -> int:
+    """How many eigenvalues of the chains (diagonal, off-diagonal) lie at or
+    below tau: by Sylvester's law of inertia, the negative pivots of the
+    LDL^T of each chain minus tau (spectrum slicing; Parlett, The Symmetric
+    Eigenvalue Problem, 3.3).  LAPACK's dstebz takes them on (-inf, tau] and
+    bisects no further under an infinite tolerance.  It replaces a zero
+    pivot, where tau is an eigenvalue of a leading block, by -pivmin, so
+    such a cut counts as one just above tau (Kahan)."""
+    return sum(int(dstebz(d, e, 1, -np.inf, tau, 0, 0, np.inf, b"B")[0])
+               for d, e in chains)
+
+
+def _certify_lowest(vals: np.ndarray, vecs: np.ndarray, chains, tol: float) -> None:
+    """Require the Lanczos pairs of a ring, values ascending, to be its
+    lowest len(vals), when each value lies within tol of an eigenvalue (the
+    residual check) and `chains` are the ring's reflection sectors.
+
+    The vectors must be orthonormal, so the values are distinct eigenvalues
+    counted with multiplicity.  Across every gap of the values wider than
+    2 tol, tol inside either end, the sectors must hold as many eigenvalues
+    as there are values below the gap: then none lies in a gap, and every
+    eigenvalue below the highest one is a Lanczos value.  The values above
+    the highest gap lie within 2 tol of each other.
+    """
+    # The Frobenius norm bounds the 2-norm and needs no SVD.
+    defect = np.linalg.norm(vecs.T @ vecs - np.eye(len(vals)))
+    if defect > GRAM_TOL:
+        raise GuardError("ring eigensolve missed an eigenvalue: its vectors "
+                         "have gram defect %g" % defect)
+    # H is positive definite (its lowest level lies near k/2), so 0 opens a
+    # gap below the lowest value.
+    edges = np.r_[0.0, vals]
+    # Gap i lies between edges[i] and edges[i + 1], above i values.
+    wide = np.nonzero(np.diff(edges) > 2 * tol)[0]
+    for i in wide:
+        for cut in (edges[i] + tol, edges[i + 1] - tol):
+            found = _count_below(chains, cut)
+            if found != i:
+                raise GuardError("ring eigensolve missed an eigenvalue: its "
+                                 "sectors hold %d eigenvalues up to %.9g, "
+                                 "and its Lanczos values %d" % (found, cut, i))
+
+
 def lowest_spectrum(bundle: DiscreteBundle, count: int) -> SpectralDecomposition:
     """Lowest eigenpairs of H from its Landau-gauge rings.
 
-    One ring per translation class is solved (`_translation_class`).  It is
-    bisected on its reflection sectors (`_reflection_sectors`) or, without
-    a reflection, on its band; merged, the values fix the global lowest
-    `count` and each ring's share, ties going to the lower ring.  A single
-    class is bisected for ceil(count/g) values; otherwise each class is
-    bisected for ceil(count/g) + 2, and one whose last value is not above
-    the count-th smallest merged one again for twice as many, until none
-    is.  Shift-invert Lanczos on each solved ring, for the largest share in
-    its class, gives the vectors, and its values must match the bisection
-    ones, or one of them skipped an eigenvalue; the class's other rings get
-    its vectors rolled.  Vectors map back to the grid by an inverse FFT in
-    y, and every pair is checked against the real-space H, which does not
-    use the symmetry.  `solver`
-    records the rings, the classes solved, how many through a reflection,
-    the shares, whether one class held all rings and the values bisected.
+    One ring per translation class is solved (`_translation_class`), by
+    shift-invert Lanczos for the largest share in its class; the class's
+    other rings get its vectors rolled.  A single class is g copies of one
+    spectrum, so each ring's share is count // g, one more for the first
+    count % g rings, and the Lanczos pairs are certified complete by
+    `_certify_lowest`: orthonormal vectors, and an inertia count of the
+    ring's reflection sectors (`_reflection_sectors`) on both sides of every
+    gap of the values.  With more than one class, each is bisected on its
+    sectors or, without a reflection, on its band, for ceil(count/g) + 2
+    values, and one whose last value is not above the count-th smallest
+    merged one again for twice as many, until none is; merged, the values
+    fix each ring's share, ties going to the lower ring, and the Lanczos
+    values must match the bisection ones.  Vectors map back to the grid by
+    an inverse FFT in y, and every pair is checked against the real-space
+    H, which does not use the symmetry.  `solver` records the rings, the
+    classes solved, how many through a reflection, the shares, whether one
+    class held all rings and the values bisected.
     """
     H = bundle.laplacian()
     N, kd = bundle.N, bundle.k * bundle.geometry.d
-    norm_bound = float(abs(H).sum(axis=0).max())
+    tol = RESIDUAL_TOL * float(abs(H).sum(axis=0).max())
     if count > N * N:
         raise ValueError("%d eigenvalues asked of a grid of %d sites: ask for "
                          "fewer levels (%s) or a finer grid (--grid)"
@@ -412,23 +477,26 @@ def lowest_spectrum(bundle: DiscreteBundle, count: int) -> SpectralDecomposition
                    for d, e in _reflection_sectors(rings[r][1], hop, centres[r])]
         return np.sort(np.concatenate(sectors))[:n]
 
-    # A single class is g copies of one spectrum: its even share suffices.
-    margin = _BISECT_MARGIN if len(reps) > 1 else 0
-    want = {r: min(-(-count // g) + margin, L) for r in reps}
-    lows = {r: bisect(r, n) for r, n in want.items()}
-    while len(reps) > 1:
-        tau = np.partition(np.concatenate([lows[r] for r, _ in classes]),
-                           count - 1)[count - 1]
-        short = [r for r in reps if want[r] < L and lows[r][-1] <= tau]
-        if not short:
-            break
-        for r in short:
-            want[r] = min(2 * want[r], L)
-            lows[r] = bisect(r, want[r])
-    merged = [lows[r] for r, _ in classes]
-    owner = np.repeat(np.arange(g), [len(v) for v in merged])
-    lowest = np.argsort(np.concatenate(merged), kind="stable")[:count]
-    shares = np.bincount(owner[lowest], minlength=g)
+    if len(reps) == 1:
+        # g copies of one spectrum: a stable merge of g equal lists gives
+        # the first count % g rings one value more.
+        shares = count // g + (np.arange(g) < count % g)
+    else:
+        want = {r: min(-(-count // g) + _BISECT_MARGIN, L) for r in reps}
+        lows = {r: bisect(r, n) for r, n in want.items()}
+        while True:
+            tau = np.partition(np.concatenate([lows[r] for r, _ in classes]),
+                               count - 1)[count - 1]
+            short = [r for r in reps if want[r] < L and lows[r][-1] <= tau]
+            if not short:
+                break
+            for r in short:
+                want[r] = min(2 * want[r], L)
+                lows[r] = bisect(r, want[r])
+        merged = [lows[r] for r, _ in classes]
+        owner = np.repeat(np.arange(g), [len(v) for v in merged])
+        lowest = np.argsort(np.concatenate(merged), kind="stable")[:count]
+        shares = np.bincount(owner[lowest], minlength=g)
     if shares.max() > L - 1:
         raise ValueError("%d eigenvalues asked of a Landau-gauge ring of %d sites, "
                          "where eigsh takes at most %d: ask for fewer levels "
@@ -447,10 +515,14 @@ def lowest_spectrum(bundle: DiscreteBundle, count: int) -> SpectralDecomposition
                                 which="LM", v0=rng.standard_normal(L))
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
-        skip = np.max(np.abs(vals - lows[r][:n_r]))
-        if skip > RESIDUAL_TOL * norm_bound:
-            raise GuardError("ring eigensolve missed an eigenvalue: its values "
-                             "are %g from the bisection ones" % skip)
+        if len(reps) == 1:
+            _certify_lowest(vals, vecs,
+                            _reflection_sectors(rings[r][1], hop, centres[r]), tol)
+        else:
+            skip = np.max(np.abs(vals - lows[r][:n_r]))
+            if skip > tol:
+                raise GuardError("ring eigensolve missed an eigenvalue: its values "
+                                 "are %g from the bisection ones" % skip)
         for q, (rq, t) in enumerate(classes):
             if rq == r and shares[q]:
                 pairs[q] = vals[:shares[q]], np.roll(vecs[:, :shares[q]], -t, axis=0)
@@ -461,8 +533,8 @@ def lowest_spectrum(bundle: DiscreteBundle, count: int) -> SpectralDecomposition
         R = H @ V
         R -= V * vals[b:b + _RESIDUAL_BATCH]
         resid = max(resid, float(np.linalg.norm(R, axis=0).max()))
-    if resid > RESIDUAL_TOL * norm_bound:
-        raise GuardError("eigen-residual %g exceeds %g" % (resid, RESIDUAL_TOL * norm_bound))
+    if resid > tol:
+        raise GuardError("eigen-residual %g exceeds %g" % (resid, tol))
     # Cluster frames are views of these columns.
     vecs.flags.writeable = False
     solver = {"rings": g, "ring_sites": L, "classes": len(reps),
@@ -711,15 +783,13 @@ def _max_principal_angle(U: np.ndarray, V: np.ndarray) -> float:
         raise GuardError("raised frame is rank deficient: the eigenvalues of "
                          "its unit-diagonal gram matrix span [%.3g, %.3g]"
                          % (w[0], w[-1]))
+    # Inside that bound two passes reach _ORTHO_TOL (CholeskyQR2; Yamamoto
+    # et al., ETNA 44, 2015).
     for _ in range(2):
         U = U @ np.linalg.inv(np.linalg.cholesky(G)).conj().T
         G = U.conj().T @ U
-        defect = np.linalg.norm(G - np.eye(len(G)), 2)
-        if defect <= _ORTHO_TOL:
+        if np.linalg.norm(G - np.eye(len(G)), 2) <= _ORTHO_TOL:
             break
-    else:
-        raise GuardError("raised frame does not orthonormalize: gram defect %g"
-                         % defect)
     S = U @ (U.conj().T @ V)
     S -= V
     sin2 = np.linalg.eigvalsh(S.conj().T @ S)[-1]

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eig_banded, eigvalsh_tridiagonal, subspace_angles
+from scipy.stats import random_correlation
 
 from landau_lab import torus
 from landau_lab.bargmann import laguerre_q
@@ -67,6 +68,20 @@ def test_laplacian_hermitian_covariant_antihermitian():
     u, v = (rng.standard_normal((b.N ** 2, 2)) @ [1, 1j] for _ in range(2))
     for D in (b.cov_x(), b.cov_y()):
         assert abs(np.vdot(u, D @ v) + np.vdot(D @ u, v)) < 1e-13 * b.N ** 2 / b.h
+
+
+@pytest.mark.parametrize("d,k,N", [(1, 3, 8), (2, 8, 72), (3, 1, 15)])
+def test_laplacian_is_the_sum_of_its_shift_matrices(d, k, N):
+    # The one-pass assembly stores the bits of (4 - S_x - S_x* - S_y - S_y*)/2h^2
+    # summed as sparse matrices, in the same canonical CSR layout.
+    b = DiscreteBundle(TorusGeometry(d=d), k=k, N=N)
+    Sx, Sy = b._shift(b._ux, axis=0), b._shift(b._uy, axis=1)
+    want = ((4 * sp.identity(N * N, dtype=complex, format="csr")
+             - Sx - Sx.getH() - Sy - Sy.getH()) / (2 * b.h ** 2)).tocsr()
+    H = b.laplacian()
+    assert H.format == "csr" and H.has_canonical_format
+    assert np.array_equal(H.indptr, want.indptr) and np.array_equal(H.indices, want.indices)
+    assert np.array_equal(H.data.view(np.uint64), want.data.view(np.uint64))
 
 
 def _explicit_derivatives(b):
@@ -182,6 +197,101 @@ def test_sector_mutation_trips_the_completeness_guard(monkeypatch, mutation, d, 
         torus.lowest_spectrum(bundle, 3 * k * d + 4)
 
 
+def _lanczos_stand_in(monkeypatch, pick):
+    """Replace eigsh by one that asks for five more pairs and returns the
+    columns pick(order, k) of them, order ascending by value."""
+    eigsh = torus.spla.eigsh
+
+    def stand_in(A, k, **kwargs):
+        vals, vecs = eigsh(A, k=k + 5, **kwargs)
+        keep = pick(np.argsort(vals), k)
+        return vals[keep], vecs[:, keep]
+
+    monkeypatch.setattr(torus.spla, "eigsh", stand_in)
+
+
+@pytest.mark.parametrize("d,k,N,count", [(1, 4, 32, 18), (1, 6, 64, 22)])
+def test_certificate_catches_a_duplicated_pair(monkeypatch, d, k, N, count):
+    # The lowest pair twice in place of the second: every pair is an
+    # eigenpair.  At (1, 6, 64) both lie in level 0's cluster of three
+    # near-equal values, so the counts match too, and only the
+    # orthonormality of the vectors shows that one is missing; at
+    # (1, 4, 32) the count would see it, but the gram check comes first.
+    _lanczos_stand_in(monkeypatch, lambda order, n: np.r_[order[0], order[0], order[2:n]])
+    bundle = DiscreteBundle(TorusGeometry(d=d), k, N)
+    with pytest.raises(GuardError, match="missed an eigenvalue.*gram defect"):
+        torus.lowest_spectrum(bundle, count)
+
+
+@pytest.mark.parametrize("d,k,N,count", [(1, 4, 32, 18), (1, 10, 64, 34)])
+def test_certificate_catches_a_value_replaced_from_a_higher_level(monkeypatch, d, k, N, count):
+    # The n-th value dropped and a value of the next level up in its place:
+    # the vectors stay orthonormal, so only the inertia count sees the gap.
+    per_level = k * d // math.gcd(N, k * d)
+    _lanczos_stand_in(monkeypatch, lambda order, n: np.r_[order[:n - 1], order[n - 1 + per_level]])
+    bundle = DiscreteBundle(TorusGeometry(d=d), k, N)
+    with pytest.raises(GuardError, match="missed an eigenvalue.*its Lanczos values"):
+        torus.lowest_spectrum(bundle, count)
+
+
+@pytest.mark.parametrize("d,k,N", [(1, 4, 64), (1, 6, 64), (1, 8, 64), (1, 10, 64),
+                                   (4, 4, 64)])
+def test_inertia_count_matches_dense_eigenvalues(d, k, N):
+    # The one-class grids of the lattice-sweep benchmark: ring 0's sectors
+    # counted tol inside either end of every gap wider than 2 tol among its
+    # 50 lowest values.
+    bundle = DiscreteBundle(TorusGeometry(d=d), k, N)
+    tol = torus.RESIDUAL_TOL * abs(bundle.laplacian()).sum(axis=0).max()
+    hop = -1.0 / (2 * bundle.h ** 2)
+    chains = torus._reflection_sectors(next(torus._harper_rings(bundle))[1], hop, 0)
+    vals = np.sort(np.concatenate([
+        np.linalg.eigvalsh(np.diag(a) + np.diag(e, 1) + np.diag(e, -1)) for a, e in chains]))
+    cuts = [j for j in range(1, 50) if vals[j] - vals[j - 1] > 2 * tol]
+    assert len(cuts) >= 9  # at least one per level
+    for j in cuts:
+        for cut in (vals[j - 1] + tol, vals[j] - tol):
+            assert torus._count_below(chains, cut) == j, (d, k, N, j)
+
+
+def test_inertia_count_at_a_zero_pivot():
+    # A cut on d[0] makes the first pivot zero; the count is still the
+    # dense one, at tau and on either side of it.
+    rng = np.random.default_rng(5)
+    d, e = rng.uniform(1, 5, 50), rng.uniform(-1, -0.5, 49)
+    d[0] = 2.0
+    dense = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    assert np.min(np.abs(dense - 2.0)) > 1e-3
+    for tau in (2.0, np.nextafter(2.0, 0), np.nextafter(2.0, 3)):
+        assert torus._count_below([(d, e)], tau) == np.sum(dense <= tau)
+    # [[t, 10], [10, t]]: eigenvalues t -/+ 10, zero first pivot at t.
+    assert torus._count_below([(np.array([0.5, 0.5]), np.array([10.0]))], 0.5) == 1
+
+
+def _bisection_ranked_shares(bundle, count):
+    """Shares of a one-class grid ranked as by a merge of g bisected copies
+    of ring 0's lowest ceil(count/g) values, ties to the lower ring."""
+    rings = list(torus._harper_rings(bundle))
+    g, hop = len(rings), -1.0 / (2 * bundle.h ** 2)
+    n = -(-count // g)
+    low = np.sort(np.concatenate([
+        eigvalsh_tridiagonal(a, e, select="i", select_range=(0, min(n, len(a)) - 1))
+        for a, e in torus._reflection_sectors(rings[0][1], hop, 0)]))[:n]
+    lowest = np.argsort(np.tile(low, g), kind="stable")[:count]
+    return np.bincount(np.repeat(np.arange(g), n)[lowest], minlength=g).tolist()
+
+
+@pytest.mark.parametrize("d,k,N", [(1, 4, 16), (1, 2, 16), (1, 6, 24), (2, 3, 24),
+                                   (3, 1, 15), (1, 5, 20), (4, 2, 32)])
+def test_one_class_shares_equal_the_bisection_ranked_ones(d, k, N):
+    bundle = DiscreteBundle(TorusGeometry(d=d), k, N)
+    kd = k * d
+    assert math.gcd(kd, N * N) == math.gcd(N, kd)  # one translation class
+    for count in sorted({1, kd - 1, kd, kd + 1, 2 * kd + 3, 3 * kd + 4, 5 * kd + 1} - {0}):
+        dec = torus.lowest_spectrum(bundle, count)
+        assert dec.solver["classes"] == 1 and dec.solver["bisected"] == 0
+        assert dec.solver["shares"] == _bisection_ranked_shares(bundle, count), count
+
+
 @st.composite
 def fine_grids(draw):
     N = draw(st.integers(8, 24))
@@ -255,7 +365,7 @@ def test_translation_path_solves_ring_zero_only(monkeypatch):
     assert calls == [5]
     assert dec.solver == {"rings": 4, "ring_sites": 256, "classes": 1,
                           "sectors": 1, "shares": [5, 5, 4, 4],
-                          "translation": True, "bisected": 5}
+                          "translation": True, "bisected": 0}
 
 
 def test_wrong_magnetic_shift_trips_the_residual_guard(monkeypatch):
@@ -565,6 +675,28 @@ def test_principal_angle_rejects_a_rank_deficient_frame(defect):
                "near-duplicate": U[:, 0] + 1e-9 * Q[:, 9]}[defect]
     with pytest.raises(GuardError, match="raised frame is rank deficient"):
         torus._max_principal_angle(U, V)
+
+
+@pytest.mark.parametrize("n", [5, 10, 20])
+def test_principal_angle_at_the_edge_of_the_rank_guard(n):
+    # A frame whose unit-diagonal gram matrix has condition number 0.99 of
+    # the rank guard's limit 1/(20 n^(3/2) eps).  One Cholesky-QR pass
+    # leaves a gram defect near 1e-3 and an angle of that size between a
+    # span and itself; the second pass makes the frame orthonormal.
+    rng = np.random.default_rng(13)
+    limit = 1 / (20 * n ** 1.5 * np.finfo(float).eps)
+    Q, _ = np.linalg.qr(rng.standard_normal((600, 2 * n)) + 1j * rng.standard_normal((600, 2 * n)))
+    A, C = Q[:, :n], Q[:, n:]
+    eigs = np.r_[1 / (0.99 * limit), np.ones(n - 1)]
+    G = random_correlation.rvs(eigs * n / eigs.sum(), random_state=rng)
+    U = A @ np.linalg.cholesky(G).conj().T  # U* U = G, unit diagonal
+    w = np.linalg.eigvalsh(U.conj().T @ U)
+    assert 0.95 * limit < w[-1] / w[0] < limit
+    # Forming U moves its span by about sqrt(cond) eps, 1e-9.
+    assert torus._max_principal_angle(U, A) < 1e-8
+    angles = 0.3 * np.linspace(1, 0, n)
+    V = A * np.cos(angles) + C * np.sin(angles)
+    assert abs(torus._max_principal_angle(U, V) - 0.3) < 1e-8
 
 
 def test_ladder_level_zero_is_trivial():
