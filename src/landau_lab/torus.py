@@ -20,21 +20,19 @@ of N^2/g sites (Harper 1955; Hofstadter 1976).  The finite magnetic
 translations (Zak 1964) carry each ring onto the rings of its class by a
 cyclic shift, and the g rings fall into c = gcd(k*d, N^2)/g classes: only
 one ring per class is solved, and the others' vectors are its vectors
-rolled.  Shift-invert Lanczos on each solved ring finds its pairs.  A ring
-that the reflection s -> s* - s maps onto itself, as ring 0 always is,
-splits into an even and an odd open chain.  With one class, every ring
-holds the same spectrum, so the shares follow from count and g, and an
-O(L) inertia count of the two chains (Sylvester's law; spectrum slicing)
-on both sides of every gap of the Lanczos values certifies that Lanczos
-skipped none, with its vectors orthonormal.  With more than one class, the
-values rank the classes: Sturm bisection of the chains, or of the band of a
-ring without a reflection, finds each class's lowest values, asked for two
-past its even share and again for twice as many while it may hold more
-below the cut, and the Lanczos values must equal them.  Either guard trips
-a GuardError on a skipped eigenvalue, and every pair, mapped back to the
-grid by an inverse FFT in y, is checked against the real-space H, which
-also checks the shift.  The Lanczos start vectors come from one fixed
-random stream, so a spectrum depends on (d, k, N, count) alone.
+rolled.  Shift-invert Lanczos on each solved ring finds its lowest pairs,
+and a count of the ring's eigenvalues on both sides of every gap of the
+Lanczos values certifies that Lanczos skipped none, with its vectors
+orthonormal.  A ring that the reflection s -> s* - s maps onto itself, as
+ring 0 always is, splits into an even and an odd open chain, counted in
+O(L) by their inertia (Sylvester's law; spectrum slicing); a ring without
+a reflection is counted by its lowest band values.  The certified values,
+merged, give each ring its share, and a class that may hold more values
+below the cut is solved again for twice as many.  A skipped eigenvalue
+trips a GuardError, and every pair, mapped back to the grid by an inverse
+FFT in y, is checked against the real-space H, which also checks the
+shift.  The Lanczos start vectors come from one fixed random stream, so a
+spectrum depends on (d, k, N, count) alone.
 `resolve_levels` is the one spectral entry point: from (d, k, N, top level)
 it returns the spectrum with levels 0..top resolved, from a byte-capped
 least-recently-used cache keyed by (d, k, N) and the eigenvalue count; a
@@ -60,7 +58,7 @@ from math import factorial, gcd, pi, sqrt
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eig_banded, eigvalsh_tridiagonal
+from scipy.linalg import eig_banded
 from scipy.linalg.lapack import dstebz
 
 from .bargmann import laguerre_q
@@ -348,13 +346,13 @@ def _reflection_sectors(diag: np.ndarray, hop: float, centre: int):
     return (d, e), (d[1:-1], e[1:-1])
 
 
-# Values bisected per class past its even share ceil(count/g) when the rings
+# Values solved per class past its even share ceil(count/g) when the rings
 # fall into more than one translation class.  Every ring holds k*d/g values
 # of each level, so a cut between levels gives each ring its even share;
-# inside a level near-equal values decide the shares, which can run over.  A
-# class that fills its request is bisected again for twice as many.  A single
-# class is not bisected: its shares follow from count and g alone.
-_BISECT_MARGIN = 2
+# inside a level near-equal values decide the shares, which can run over.
+# A single class needs no margin: g copies of one spectrum give no ring
+# more than the even share.
+_SHARE_MARGIN = 2
 
 # Columns per sparse product in the residual check, which bounds its scratch
 # memory at two N^2 x 16 complex arrays.  Wider batches were no faster at
@@ -398,17 +396,33 @@ def _count_below(chains, tau: float) -> int:
                for d, e in chains)
 
 
-def _certify_lowest(vals: np.ndarray, vecs: np.ndarray, chains, tol: float) -> None:
+def _ring_count(diag: np.ndarray, hop: float, centre: int | None, n: int):
+    """How many eigenvalues of a ring lie at or below a cut, as a function
+    of the cut, for certifying its n lowest: the inertia count of its
+    reflection sectors, or, for a ring without a reflection, the number of
+    its n lowest band values up to the cut, which is exact below the n-th
+    eigenvalue and n above it."""
+    if centre is None:
+        low = eig_banded(_ring_band(diag, hop), lower=True, eigvals_only=True,
+                         select="i", select_range=(0, n - 1))
+        return lambda tau: int(np.searchsorted(low, tau, side="right"))
+    chains = _reflection_sectors(diag, hop, centre)
+    return lambda tau: _count_below(chains, tau)
+
+
+def _certify_lowest(vals: np.ndarray, vecs: np.ndarray, below, tol: float) -> None:
     """Require the Lanczos pairs of a ring, values ascending, to be its
     lowest len(vals), when each value lies within tol of an eigenvalue (the
-    residual check) and `chains` are the ring's reflection sectors.
+    residual check) and below(tau) counts the ring's eigenvalues at or below
+    tau (`_ring_count`).
 
     The vectors must be orthonormal, so the values are distinct eigenvalues
     counted with multiplicity.  Across every gap of the values wider than
-    2 tol, tol inside either end, the sectors must hold as many eigenvalues
-    as there are values below the gap: then none lies in a gap, and every
+    2 tol, tol inside either end, the ring must hold as many eigenvalues as
+    there are values below the gap: then none lies in a gap, and every
     eigenvalue below the highest one is a Lanczos value.  The values above
-    the highest gap lie within 2 tol of each other.
+    the highest gap lie within 2 tol of each other.  No cut expects
+    len(vals), so a count that stops there suffices.
     """
     # The Frobenius norm bounds the 2-norm and needs no SVD.
     defect = np.linalg.norm(vecs.T @ vecs - np.eye(len(vals)))
@@ -422,33 +436,36 @@ def _certify_lowest(vals: np.ndarray, vecs: np.ndarray, chains, tol: float) -> N
     wide = np.nonzero(np.diff(edges) > 2 * tol)[0]
     for i in wide:
         for cut in (edges[i] + tol, edges[i + 1] - tol):
-            found = _count_below(chains, cut)
+            found = below(cut)
             if found != i:
-                raise GuardError("ring eigensolve missed an eigenvalue: its "
-                                 "sectors hold %d eigenvalues up to %.9g, "
-                                 "and its Lanczos values %d" % (found, cut, i))
+                raise GuardError("ring eigensolve missed an eigenvalue: the "
+                                 "ring holds %d eigenvalues up to %.9g, and "
+                                 "its Lanczos values %d" % (found, cut, i))
+
+
+def _ring_capacity_error(n: int, L: int) -> ValueError:
+    return ValueError("at least %d eigenvalues asked of a Landau-gauge ring of %d "
+                      "sites, where eigsh takes at most %d: ask for fewer levels "
+                      "(%s) or a finer grid (--grid)" % (n, L, L - 1, _LEVEL_FLAGS))
 
 
 def lowest_spectrum(bundle: DiscreteBundle, count: int) -> SpectralDecomposition:
     """Lowest eigenpairs of H from its Landau-gauge rings.
 
     One ring per translation class is solved (`_translation_class`), by
-    shift-invert Lanczos for the largest share in its class; the class's
-    other rings get its vectors rolled.  A single class is g copies of one
-    spectrum, so each ring's share is count // g, one more for the first
-    count % g rings, and the Lanczos pairs are certified complete by
-    `_certify_lowest`: orthonormal vectors, and an inertia count of the
-    ring's reflection sectors (`_reflection_sectors`) on both sides of every
-    gap of the values.  With more than one class, each is bisected on its
-    sectors or, without a reflection, on its band, for ceil(count/g) + 2
-    values, and one whose last value is not above the count-th smallest
-    merged one again for twice as many, until none is; merged, the values
-    fix each ring's share, ties going to the lower ring, and the Lanczos
-    values must match the bisection ones.  Vectors map back to the grid by
-    an inverse FFT in y, and every pair is checked against the real-space
-    H, which does not use the symmetry.  `solver` records the rings, the
-    classes solved, how many through a reflection, the shares, whether one
-    class held all rings and the values bisected.
+    shift-invert Lanczos for its even share ceil(count/g), two more when
+    there is more than one class, and its pairs are certified complete by
+    `_certify_lowest`: orthonormal vectors, and a count of the ring's
+    eigenvalues (`_ring_count`) on both sides of every gap of the values.
+    The class's other rings get its vectors rolled.  Merged, the g rings'
+    values fix each ring's share of the count lowest, ties going to the
+    lower ring; with one class that gives the first count % g rings one
+    value more than count // g.  A class whose last value lies below the
+    count-th merged one is solved again for twice as many.  Vectors map
+    back to the grid by an inverse FFT in y, and every pair is checked
+    against the real-space H, which does not use the symmetry.  `solver`
+    records the rings, the classes solved, how many through a reflection,
+    and the shares.
     """
     H = bundle.laplacian()
     N, kd = bundle.N, bundle.k * bundle.geometry.d
@@ -464,69 +481,36 @@ def lowest_spectrum(bundle: DiscreteBundle, count: int) -> SpectralDecomposition
     classes = [_translation_class(N, kd, q0) for q0 in range(g)]
     reps = sorted({r for r, _ in classes})
     centres = {r: _congruence(kd, 2 * r * N, N * N) for r in reps}
-    bisected = 0
-
-    def bisect(r: int, n: int) -> np.ndarray:
-        nonlocal bisected
-        bisected += n
-        if centres[r] is None:
-            return eig_banded(_ring_band(rings[r][1], hop), lower=True,
-                              eigvals_only=True, select="i", select_range=(0, n - 1))
-        sectors = [eigvalsh_tridiagonal(d, e, select="i",
-                                        select_range=(0, min(n, len(d)) - 1))
-                   for d, e in _reflection_sectors(rings[r][1], hop, centres[r])]
-        return np.sort(np.concatenate(sectors))[:n]
-
-    if len(reps) == 1:
-        # g copies of one spectrum: a stable merge of g equal lists gives
-        # the first count % g rings one value more.
-        shares = count // g + (np.arange(g) < count % g)
-    else:
-        want = {r: min(-(-count // g) + _BISECT_MARGIN, L) for r in reps}
-        lows = {r: bisect(r, n) for r, n in want.items()}
-        while True:
-            tau = np.partition(np.concatenate([lows[r] for r, _ in classes]),
-                               count - 1)[count - 1]
-            short = [r for r in reps if want[r] < L and lows[r][-1] <= tau]
-            if not short:
-                break
-            for r in short:
-                want[r] = min(2 * want[r], L)
-                lows[r] = bisect(r, want[r])
-        merged = [lows[r] for r, _ in classes]
-        owner = np.repeat(np.arange(g), [len(v) for v in merged])
-        lowest = np.argsort(np.concatenate(merged), kind="stable")[:count]
-        shares = np.bincount(owner[lowest], minlength=g)
-    if shares.max() > L - 1:
-        raise ValueError("%d eigenvalues asked of a Landau-gauge ring of %d sites, "
-                         "where eigsh takes at most %d: ask for fewer levels "
-                         "(%s) or a finer grid (--grid)"
-                         % (shares.max(), L, L - 1, _LEVEL_FLAGS))
-    # Random start vectors, drawn class by class from one fixed stream: a
+    share = -(-count // g)
+    if share > L - 1:
+        raise _ring_capacity_error(share, L)
+    want = dict.fromkeys(reps, min(share + (_SHARE_MARGIN if len(reps) > 1 else 0), L - 1))
+    # Random start vectors, drawn solve by solve from one fixed stream: a
     # constant vector is even under the ring's reflection and would have no
     # weight on the odd sector.
     rng = np.random.default_rng(0)
-    pairs = {}
-    for r in reps:
-        n_r = max(shares[q] for q, (rq, _) in enumerate(classes) if rq == r)
-        if not n_r:
-            continue
-        vals, vecs = spla.eigsh(_ring_matrix(rings[r][1], hop), k=n_r, sigma=0,
-                                which="LM", v0=rng.standard_normal(L))
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        if len(reps) == 1:
-            _certify_lowest(vals, vecs,
-                            _reflection_sectors(rings[r][1], hop, centres[r]), tol)
-        else:
-            skip = np.max(np.abs(vals - lows[r][:n_r]))
-            if skip > tol:
-                raise GuardError("ring eigensolve missed an eigenvalue: its values "
-                                 "are %g from the bisection ones" % skip)
-        for q, (rq, t) in enumerate(classes):
-            if rq == r and shares[q]:
-                pairs[q] = vals[:shares[q]], np.roll(vecs[:, :shares[q]], -t, axis=0)
-    vals, vecs = _to_grid([(rings[r][0], *pairs[r]) for r in sorted(pairs)], N)
+    solved, todo = {}, reps
+    while todo:
+        for r in todo:
+            diag = rings[r][1]
+            vals, vecs = spla.eigsh(_ring_matrix(diag, hop), k=want[r], sigma=0,
+                                    which="LM", v0=rng.standard_normal(L))
+            order = np.argsort(vals)
+            vals, vecs = vals[order], vecs[:, order]
+            _certify_lowest(vals, vecs, _ring_count(diag, hop, centres[r], want[r]), tol)
+            solved[r] = vals, vecs
+        merged = np.concatenate([solved[r][0] for r, _ in classes])
+        lowest = np.argsort(merged, kind="stable")[:count]
+        todo = [r for r in reps if solved[r][0][-1] < merged[lowest[-1]]]
+        for r in todo:
+            if want[r] == L - 1:
+                raise _ring_capacity_error(L, L)
+            want[r] = min(2 * want[r], L - 1)
+    owner = np.repeat(np.arange(g), [want[r] for r, _ in classes])
+    shares = np.bincount(owner[lowest], minlength=g)
+    found = [(rings[q][0], solved[r][0][:n], np.roll(solved[r][1][:, :n], -t, axis=0))
+             for q, ((r, t), n) in enumerate(zip(classes, shares)) if n]
+    vals, vecs = _to_grid(found, N)
     resid = 0.0
     for b in range(0, count, _RESIDUAL_BATCH):
         V = vecs[:, b:b + _RESIDUAL_BATCH]
@@ -539,8 +523,7 @@ def lowest_spectrum(bundle: DiscreteBundle, count: int) -> SpectralDecomposition
     vecs.flags.writeable = False
     solver = {"rings": g, "ring_sites": L, "classes": len(reps),
               "sectors": sum(centres[r] is not None for r in reps),
-              "shares": [int(n) for n in shares], "translation": len(reps) == 1,
-              "bisected": bisected}
+              "shares": [int(n) for n in shares]}
     return SpectralDecomposition(bundle, vals, vecs, resid, solver)
 
 

@@ -210,4 +210,4 @@ def test_translation_path_on_every_acceptance_grid():
              for d, N in ((1, 64), (2, 64), (4, 16 * k), (1, 16 * k))}
     for d, k, N in sorted(grids):
         solver = compute_spectrum(d, k, N, count=1).solver
-        assert solver["translation"], (d, k, N, solver)
+        assert solver["classes"] == 1, (d, k, N, solver)

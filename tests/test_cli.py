@@ -251,6 +251,10 @@ def test_torus_csv_stdout(capsys):
     pytest.param(["torus", "--d", "1", "--k", "4,6", "--grid", "32", "--levels", "2",
                   "--defects", "cosx", "siny", "--kernel-compare", "--ladder", "m=1"],
                  id="torus-observables"),
+    # Three translation classes, two of them without a reflection: the
+    # solves draw their start vectors in turn from one fixed stream.
+    pytest.param(["torus", "--d", "1", "--k", "9", "--grid", "24", "--levels", "2"],
+                 id="torus-classes"),
 ], ids=lambda argv: argv[0])
 def test_reports_identical_across_runs(tmp_path, monkeypatch, argv):
     # Each run solves afresh, as a separate CLI process would, and sees a

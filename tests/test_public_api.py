@@ -1,4 +1,5 @@
-"""Every function and method of the package has a caller in the package.
+"""Every function and method of the package has a caller in the package,
+and every module-level constant and import a reader.
 
 A public name that only tests call is API kept alive by its tests: their
 checks pin behaviour that no command runs.  A private helper without a
@@ -35,11 +36,15 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 
 
+def _trees() -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+            for p in sorted(SRC.glob("*.py"))}
+
+
 def _uncalled(wanted=_is_public) -> set[str]:
     """The functions, and the methods of public classes, whose names `wanted`
     accepts and that nothing else in the package refers to."""
-    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
-             for p in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     classes = {node.name for tree in trees.values() for node in tree.body
                if isinstance(node, ast.ClassDef)}
     # (qualified name, owning class or None, definition)
@@ -85,3 +90,29 @@ def test_every_private_function_has_a_caller_in_the_package():
     # Single-underscore helpers, dunders apart, with no allowlist: a helper
     # that only tests call, or that nothing calls, is deleted.
     assert sorted(_uncalled(_is_private)) == []
+
+
+def test_every_module_level_name_is_read_in_the_package():
+    # Assigned constants and imports, dunders apart: a name that nothing in
+    # src/ reads, such as a margin left behind by a deleted code path that
+    # only tests still set, is deleted.  A name counts as read when it is
+    # loaded, or spelled as an attribute (`torus.NAME`), anywhere in src/.
+    trees = _trees()
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+            or isinstance(node, ast.Attribute)}
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            elif isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                  and node.module != "__future__"):
+                names = [(a.asname or a.name).split(".")[0] for a in node.names]
+            else:
+                continue
+            unread += ["%s.%s" % (module, n) for n in names
+                       if not (n.startswith("__") and n.endswith("__")) and n not in read]
+    assert sorted(unread) == []

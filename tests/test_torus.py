@@ -47,6 +47,21 @@ def test_bundle_guards():
         DiscreteBundle(geo, k=12, N=8)  # k*h^2 far above the 0.3 limit
 
 
+def test_hermiticity_guard_catches_a_perturbed_entry(monkeypatch):
+    # The hop (0, 1) of the assembled H moved by 1e-12 before the scaling by
+    # 1/(2h^2): its mirror is off by 5e-13/h^2, five times the guard's bound.
+    csr = sp.csr_matrix
+
+    def perturbed(*args, **kwargs):
+        H = csr(*args, **kwargs)
+        H[0, 1] += 1e-12
+        return H
+
+    monkeypatch.setattr(torus.sp, "csr_matrix", perturbed)
+    with pytest.raises(GuardError, match="lost hermiticity"):
+        DiscreteBundle(TorusGeometry(d=1), 4, 16)
+
+
 def test_plaquette_phases_constant():
     geo = TorusGeometry(d=2)
     b = DiscreteBundle(geo, k=3, N=24)
@@ -152,7 +167,7 @@ def test_spectrum_residuals_and_cache(monkeypatch):
 def test_ring_solver_matches_dense_oracle(d, k, N):
     # (1, 8, 20): gcd(k*d, N^2) = 8 does not divide N, so the rings fall
     # into two classes.  (1, 16, 20): four classes, and rings 1 and 3 have
-    # no reflection, so they are bisected on their band.  (3, 1, 15): rings
+    # no reflection, so they are counted on their band.  (3, 1, 15): rings
     # of odd length 75.
     dec = resolve_levels(d, k, N, 1)
     clusters = detect_clusters(dec, 2)
@@ -167,18 +182,40 @@ def test_ring_solver_matches_dense_oracle(d, k, N):
         assert np.linalg.norm(P - Q, 2) < 1e-9
 
 
-def test_completeness_guard_catches_a_skipped_eigenvalue(monkeypatch):
-    eigsh = torus.spla.eigsh
+def _guard_cases(*one_class):
+    """The grids of a certificate test, as (d, k, N, count, call): the
+    one-class grids given and the two-class grid (2, 8, 72) with every eigsh
+    call mutated, and (1, 16, 20) with only the call of class 1 or 3, whose
+    rings have no reflection and are counted on their band."""
+    return ([pytest.param(*c, None, id="-".join(map(str, c)))
+             for c in one_class + ((2, 8, 72, 52),)]
+            + [pytest.param(1, 16, 20, 52, r, id="1-16-20-52-class%d" % r) for r in (1, 3)])
 
-    def skipping(A, k, **kwargs):
-        vals, vecs = eigsh(A, k=k + 1, **kwargs)
-        keep = np.argsort(vals)[1:]  # drop the lowest pair
+
+def _lanczos_stand_in(monkeypatch, extra, pick, call=None):
+    """Replace eigsh by one that asks for `extra` more pairs and returns the
+    columns pick(order, k) of them, order ascending by value: at every call,
+    or only at the call-th (from 0), which solves class `call` first."""
+    eigsh, calls = torus.spla.eigsh, []
+
+    def stand_in(A, k, **kwargs):
+        calls.append(k)
+        if call is not None and len(calls) != call + 1:
+            return eigsh(A, k=k, **kwargs)
+        vals, vecs = eigsh(A, k=k + extra, **kwargs)
+        keep = pick(np.argsort(vals), k)
         return vals[keep], vecs[:, keep]
 
-    monkeypatch.setattr(torus.spla, "eigsh", skipping)
-    bundle = DiscreteBundle(TorusGeometry(d=1), 4, 32)
+    monkeypatch.setattr(torus.spla, "eigsh", stand_in)
+
+
+@pytest.mark.parametrize("d,k,N,count,call", _guard_cases((1, 4, 32, 18)))
+def test_completeness_guard_catches_a_skipped_eigenvalue(monkeypatch, d, k, N, count, call):
+    # The lowest pair dropped and the next one up in the last place.
+    _lanczos_stand_in(monkeypatch, 1, lambda order, n: order[1:], call)
+    bundle = DiscreteBundle(TorusGeometry(d=d), k, N)
     with pytest.raises(GuardError, match="missed an eigenvalue"):
-        torus.lowest_spectrum(bundle, 18)
+        torus.lowest_spectrum(bundle, count)
 
 
 @pytest.mark.parametrize("d,k,N", [(1, 4, 32), (1, 6, 64), (2, 8, 72)])
@@ -197,38 +234,30 @@ def test_sector_mutation_trips_the_completeness_guard(monkeypatch, mutation, d, 
         torus.lowest_spectrum(bundle, 3 * k * d + 4)
 
 
-def _lanczos_stand_in(monkeypatch, pick):
-    """Replace eigsh by one that asks for five more pairs and returns the
-    columns pick(order, k) of them, order ascending by value."""
-    eigsh = torus.spla.eigsh
-
-    def stand_in(A, k, **kwargs):
-        vals, vecs = eigsh(A, k=k + 5, **kwargs)
-        keep = pick(np.argsort(vals), k)
-        return vals[keep], vecs[:, keep]
-
-    monkeypatch.setattr(torus.spla, "eigsh", stand_in)
-
-
-@pytest.mark.parametrize("d,k,N,count", [(1, 4, 32, 18), (1, 6, 64, 22)])
-def test_certificate_catches_a_duplicated_pair(monkeypatch, d, k, N, count):
+@pytest.mark.parametrize("d,k,N,count,call", _guard_cases((1, 4, 32, 18), (1, 6, 64, 22)))
+def test_certificate_catches_a_duplicated_pair(monkeypatch, d, k, N, count, call):
     # The lowest pair twice in place of the second: every pair is an
     # eigenpair.  At (1, 6, 64) both lie in level 0's cluster of three
     # near-equal values, so the counts match too, and only the
     # orthonormality of the vectors shows that one is missing; at
     # (1, 4, 32) the count would see it, but the gram check comes first.
-    _lanczos_stand_in(monkeypatch, lambda order, n: np.r_[order[0], order[0], order[2:n]])
+    _lanczos_stand_in(monkeypatch, 5, lambda order, n: np.r_[order[0], order[0], order[2:n]],
+                      call)
     bundle = DiscreteBundle(TorusGeometry(d=d), k, N)
     with pytest.raises(GuardError, match="missed an eigenvalue.*gram defect"):
         torus.lowest_spectrum(bundle, count)
 
 
-@pytest.mark.parametrize("d,k,N,count", [(1, 4, 32, 18), (1, 10, 64, 34)])
-def test_certificate_catches_a_value_replaced_from_a_higher_level(monkeypatch, d, k, N, count):
-    # The n-th value dropped and a value of the next level up in its place:
-    # the vectors stay orthonormal, so only the inertia count sees the gap.
+@pytest.mark.parametrize("d,k,N,count,call", _guard_cases((1, 4, 32, 18), (1, 10, 64, 34)))
+def test_certificate_catches_a_value_replaced_from_a_higher_level(monkeypatch, d, k, N, count,
+                                                                   call):
+    # The n-th value dropped and the one k*d/g places up, a ring's share of
+    # a level, in its place: the vectors stay orthonormal, so only the count
+    # sees the gap.  A swap within the top cluster, whose values lie within
+    # 2 tol of each other, would be accepted by design.
     per_level = k * d // math.gcd(N, k * d)
-    _lanczos_stand_in(monkeypatch, lambda order, n: np.r_[order[:n - 1], order[n - 1 + per_level]])
+    _lanczos_stand_in(monkeypatch, 5,
+                      lambda order, n: np.r_[order[:n - 1], order[n - 1 + per_level]], call)
     bundle = DiscreteBundle(TorusGeometry(d=d), k, N)
     with pytest.raises(GuardError, match="missed an eigenvalue.*its Lanczos values"):
         torus.lowest_spectrum(bundle, count)
@@ -267,6 +296,26 @@ def test_inertia_count_at_a_zero_pivot():
     assert torus._count_below([(np.array([0.5, 0.5]), np.array([10.0]))], 0.5) == 1
 
 
+@pytest.mark.parametrize("q0", [1, 3])
+def test_band_count_matches_dense_eigenvalues(q0):
+    # Rings 1 and 3 of (1, 16, 20) have no reflection.  Their count, from
+    # the 15 lowest band values, is the dense count tol inside either end of
+    # every gap wider than 2 tol among the 30 lowest values, up to the 15th
+    # value, and stops at 15 above it.
+    bundle = DiscreteBundle(TorusGeometry(d=1), 16, 20)
+    assert torus._congruence(16, 2 * q0 * 20, 400) is None
+    tol = torus.RESIDUAL_TOL * abs(bundle.laplacian()).sum(axis=0).max()
+    hop = -1.0 / (2 * bundle.h ** 2)
+    diag = list(torus._harper_rings(bundle))[q0][1]
+    dense = np.linalg.eigvalsh(torus._ring_matrix(diag, hop).toarray())
+    below = torus._ring_count(diag, hop, None, 15)
+    cuts = [j for j in range(1, 30) if dense[j] - dense[j - 1] > 2 * tol]
+    assert len(cuts) >= 7  # at least one per level
+    for j in cuts:
+        for cut in (dense[j - 1] + tol, dense[j] - tol):
+            assert below(cut) == min(15, j), (q0, j)
+
+
 def _bisection_ranked_shares(bundle, count):
     """Shares of a one-class grid ranked as by a merge of g bisected copies
     of ring 0's lowest ceil(count/g) values, ties to the lower ring."""
@@ -288,7 +337,7 @@ def test_one_class_shares_equal_the_bisection_ranked_ones(d, k, N):
     assert math.gcd(kd, N * N) == math.gcd(N, kd)  # one translation class
     for count in sorted({1, kd - 1, kd, kd + 1, 2 * kd + 3, 3 * kd + 4, 5 * kd + 1} - {0}):
         dec = torus.lowest_spectrum(bundle, count)
-        assert dec.solver["classes"] == 1 and dec.solver["bisected"] == 0
+        assert dec.solver["classes"] == 1
         assert dec.solver["shares"] == _bisection_ranked_shares(bundle, count), count
 
 
@@ -364,8 +413,7 @@ def test_translation_path_solves_ring_zero_only(monkeypatch):
     dec = torus.lowest_spectrum(bundle, 18)
     assert calls == [5]
     assert dec.solver == {"rings": 4, "ring_sites": 256, "classes": 1,
-                          "sectors": 1, "shares": [5, 5, 4, 4],
-                          "translation": True, "bisected": 0}
+                          "sectors": 1, "shares": [5, 5, 4, 4]}
 
 
 def test_wrong_magnetic_shift_trips_the_residual_guard(monkeypatch):
@@ -381,18 +429,25 @@ def test_wrong_magnetic_shift_trips_the_residual_guard(monkeypatch):
         torus.lowest_spectrum(bundle, 18)
 
 
-def test_bisection_request_doubles_until_it_passes_the_cut(monkeypatch):
+def test_lanczos_request_doubles_until_it_passes_the_cut(monkeypatch):
     # gcd(8, 400) = 8 does not divide N = 20, so the 4 rings fall into
-    # c = 8/4 = 2 translation classes, and rings 0 and 1 are bisected.  With
+    # c = 8/4 = 2 translation classes, and rings 0 and 1 are solved.  With
     # no margin each is asked for its even share of the three lowest levels,
     # 6 values, and fills it, so both requests double to 12, whose last
     # value lies above the cut.
-    monkeypatch.setattr(torus, "_BISECT_MARGIN", 0)
+    eigsh, calls = torus.spla.eigsh, []
+
+    def counting(A, k, **kwargs):
+        calls.append(k)
+        return eigsh(A, k=k, **kwargs)
+
+    monkeypatch.setattr(torus.spla, "eigsh", counting)
+    monkeypatch.setattr(torus, "_SHARE_MARGIN", 0)
     bundle = DiscreteBundle(TorusGeometry(d=1), 8, 20)
     dec = torus.lowest_spectrum(bundle, 24)
+    assert calls == [6, 6, 12, 12]
     assert dec.solver == {"rings": 4, "ring_sites": 100, "classes": 2,
-                          "sectors": 2, "shares": [6, 6, 6, 6],
-                          "translation": False, "bisected": 2 * 6 + 2 * 12}
+                          "sectors": 2, "shares": [6, 6, 6, 6]}
     vals, vecs = np.linalg.eigh(bundle.laplacian().toarray())
     assert np.max(np.abs(dec.eigenvalues - vals[:24]) / vals[:24]) < 1e-10
     P, Q = dec.vectors @ dec.vectors.conj().T, vecs[:, :24] @ vecs[:, :24].conj().T
