@@ -29,10 +29,12 @@ O(L) by their inertia (Sylvester's law; spectrum slicing); a ring without
 a reflection is counted by its lowest band values.  The certified values,
 merged, give each ring its share, and a class that may hold more values
 below the cut is solved again for twice as many.  A skipped eigenvalue
-trips a GuardError, and every pair, mapped back to the grid by an inverse
-FFT in y, is checked against the real-space H, which also checks the
-shift.  The Lanczos start vectors come from one fixed random stream, so a
-spectrum depends on (d, k, N, count) alone.
+trips a GuardError.  Ring q0's y-modes are the coset q0 + g*Z_N, so each
+pair maps back to the grid by one length-N/g inverse FFT in y, tiled g
+times under a phase, and every column is checked against the real-space H
+as it is written, which also checks the shift.  The Lanczos start vectors
+come from one fixed random stream, so a spectrum depends on (d, k, N,
+count) alone.
 `resolve_levels` is the one spectral entry point: from (d, k, N, top level)
 it returns the spectrum with levels 0..top resolved, from a byte-capped
 least-recently-used cache keyed by (d, k, N) and the eigenvalue count; a
@@ -65,7 +67,8 @@ from .bargmann import laguerre_q
 from .dimensions import dim_torus
 from .errors import GuardError
 
-# Eigen-residual bound, relative to a norm bound of H.
+# Eigen-residual bound, relative to 4/h^2: the largest absolute row sum of
+# the five-point H, which bounds its norm.
 RESIDUAL_TOL = 1e-9
 # Orthonormality bound for a cluster frame and for a ring's Lanczos vectors.
 GRAM_TOL = 1e-10
@@ -354,34 +357,49 @@ def _reflection_sectors(diag: np.ndarray, hop: float, centre: int):
 # more than the even share.
 _SHARE_MARGIN = 2
 
-# Columns per sparse product in the residual check, which bounds its scratch
-# memory at two N^2 x 16 complex arrays.  Wider batches were no faster at
-# N = 64 and 192, and their scratch raised the peak memory of a solve.
-_RESIDUAL_BATCH = 16
 
-
-def _to_grid(found, N: int) -> tuple[np.ndarray, np.ndarray]:
+def _to_grid(found, H, N: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Ring eigenpairs, as (modes, values, ring vectors) per ring, as grid
-    eigenpairs sorted by value: an inverse FFT in y of each vector's
-    (y-mode, x-site) amplitudes."""
+    eigenpairs sorted by value, and their largest residual against H.
+
+    Ring q0's y-modes are the coset q0 + g*Z_N, M = N/g of them, so the
+    inverse FFT in y of a vector's (y-mode, x-site) amplitudes is
+    psi(i, j) = N^(-1/2) e^(2 pi i q0 j/N) sum_u b(u, i) e^(2 pi i u j/M),
+    with b(u) the amplitude of mode q0 + g*u: one length-M transform per
+    ring, periodic in j with period M.  Each column is written once, as that
+    transform tiled g times times the phase, and its residual
+    |H psi - lambda psi| is taken while it is in cache.  The vectors are
+    returned as a read-only, Fortran-ordered (N^2, count) view, so that a
+    column range of them is one contiguous block.
+    """
     vals = np.concatenate([f[1] for f in found])
     count = len(vals)
     order = np.argsort(vals, kind="stable")
     column = np.empty(count, dtype=int)
     column[order] = np.arange(count)
-    # phi[n, q, i]: y-mode q at x-site i of output column n.
-    phi = np.zeros((count, N, N), dtype=complex)
-    start = 0
-    for modes, _, vecs in found:
-        n_r = vecs.shape[1]
-        cols = column[start:start + n_r]
-        phi[cols[:, None, None], modes[:, None], np.arange(N)] = \
-            vecs.reshape(len(modes), N, n_r).transpose(2, 0, 1)
+    # out[n, i + N*j] = psi_n(i, j): one contiguous row per output column.
+    out = np.empty((count, N * N), dtype=complex)
+    worst, start = 0.0, 0
+    for modes, lam, vecs in found:
+        q0, M, n_r = modes[0], len(modes), len(lam)
+        # Complex before the transform: numpy's ifft of a real array is
+        # slower than the cast and the transform together.
+        b = np.empty((n_r, M, N), dtype=complex)
+        b[:, (modes - q0) % N // (N // M)] = vecs.T.reshape(n_r, M, N)
+        b = np.fft.ifft(b, axis=1, norm="forward")
+        # (q0*j) % N keeps the phase's argument below 2 pi; phase[t, u] is
+        # the phase at j = t*M + u.
+        phase = np.exp(2j * pi * (q0 * np.arange(N) % N) / N).reshape(-1, M, 1) / sqrt(N)
+        for n, lam_n, tile in zip(column[start:], lam, b):
+            np.multiply(phase, tile, out=out[n].reshape(-1, M, N))
+            r = H @ out[n]
+            r -= lam_n * out[n]
+            worst = max(worst, np.vdot(r, r).real)  # squared norm
         start += n_r
-    # Back to the grid, p = i + N*j, column by column: the vectors are
-    # Fortran-ordered, so a column range of them is one contiguous block.
-    grid = np.fft.ifft(phi, axis=1, norm="ortho").reshape(count, N * N).T
-    return vals[order], grid
+    grid = out.T
+    # Cluster frames are views of these columns.
+    grid.flags.writeable = False
+    return vals[order], grid, float(np.sqrt(worst))
 
 
 def _count_below(chains, tau: float) -> int:
@@ -461,15 +479,17 @@ def lowest_spectrum(bundle: DiscreteBundle, count: int) -> SpectralDecomposition
     values fix each ring's share of the count lowest, ties going to the
     lower ring; with one class that gives the first count % g rings one
     value more than count // g.  A class whose last value lies below the
-    count-th merged one is solved again for twice as many.  Vectors map
-    back to the grid by an inverse FFT in y, and every pair is checked
-    against the real-space H, which does not use the symmetry.  `solver`
-    records the rings, the classes solved, how many through a reflection,
-    and the shares.
+    count-th merged one is solved again for twice as many.  `_to_grid`
+    maps the vectors back to the grid, one length-N/g inverse FFT in y per
+    ring, and checks every column against the real-space H as it writes
+    it; that check does not use the symmetry, and its bound is
+    RESIDUAL_TOL times 4/h^2.  `solver` records the rings, the classes
+    solved, how many through a reflection, the shares and the residual
+    bound.
     """
     H = bundle.laplacian()
     N, kd = bundle.N, bundle.k * bundle.geometry.d
-    tol = RESIDUAL_TOL * float(abs(H).sum(axis=0).max())
+    tol = RESIDUAL_TOL * 4 / bundle.h ** 2
     if count > N * N:
         raise ValueError("%d eigenvalues asked of a grid of %d sites: ask for "
                          "fewer levels (%s) or a finer grid (--grid)"
@@ -510,20 +530,12 @@ def lowest_spectrum(bundle: DiscreteBundle, count: int) -> SpectralDecomposition
     shares = np.bincount(owner[lowest], minlength=g)
     found = [(rings[q][0], solved[r][0][:n], np.roll(solved[r][1][:, :n], -t, axis=0))
              for q, ((r, t), n) in enumerate(zip(classes, shares)) if n]
-    vals, vecs = _to_grid(found, N)
-    resid = 0.0
-    for b in range(0, count, _RESIDUAL_BATCH):
-        V = vecs[:, b:b + _RESIDUAL_BATCH]
-        R = H @ V
-        R -= V * vals[b:b + _RESIDUAL_BATCH]
-        resid = max(resid, float(np.linalg.norm(R, axis=0).max()))
+    vals, vecs, resid = _to_grid(found, H, N)
     if resid > tol:
         raise GuardError("eigen-residual %g exceeds %g" % (resid, tol))
-    # Cluster frames are views of these columns.
-    vecs.flags.writeable = False
     solver = {"rings": g, "ring_sites": L, "classes": len(reps),
               "sectors": sum(centres[r] is not None for r in reps),
-              "shares": [int(n) for n in shares]}
+              "shares": [int(n) for n in shares], "residual_bound": tol}
     return SpectralDecomposition(bundle, vals, vecs, resid, solver)
 
 

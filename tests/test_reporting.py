@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -110,7 +111,9 @@ def test_run_torus_experiment_smoke(monkeypatch):
     assert body["residuals"]["4"] < 1e-8
     # levels 0..1 ask for 3 * k*d + 4 = 16 eigenvalues of 4 rings of 256 sites
     assert body["solver"]["4"] == {"rings": 4, "ring_sites": 256, "classes": 1,
-                                   "sectors": 1, "shares": [4, 4, 4, 4]}
+                                   "sectors": 1, "shares": [4, 4, 4, 4],
+                                   "residual_bound": pytest.approx(1e-9 * 2048 / math.pi,
+                                                                   rel=1e-15)}
     rows = body.pop("_eigen_rows")
     assert body["eigenvalue_rows"] == len(rows)
     # the remaining body must serialize cleanly

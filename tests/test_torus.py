@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -412,8 +413,10 @@ def test_translation_path_solves_ring_zero_only(monkeypatch):
     bundle = DiscreteBundle(TorusGeometry(d=1), 4, 32)
     dec = torus.lowest_spectrum(bundle, 18)
     assert calls == [5]
+    # The residual bound is RESIDUAL_TOL * 4/h^2, with h^2 = 2 pi d / N^2.
     assert dec.solver == {"rings": 4, "ring_sites": 256, "classes": 1,
-                          "sectors": 1, "shares": [5, 5, 4, 4]}
+                          "sectors": 1, "shares": [5, 5, 4, 4],
+                          "residual_bound": pytest.approx(1e-9 * 2048 / math.pi, rel=1e-15)}
 
 
 def test_wrong_magnetic_shift_trips_the_residual_guard(monkeypatch):
@@ -427,6 +430,82 @@ def test_wrong_magnetic_shift_trips_the_residual_guard(monkeypatch):
     bundle = DiscreteBundle(TorusGeometry(d=1), 4, 32)
     with pytest.raises(GuardError, match="eigen-residual"):
         torus.lowest_spectrum(bundle, 18)
+
+
+@pytest.mark.parametrize("d,k,N,count", [(1, 4, 32, 18), (4, 4, 64, 52)])
+def test_wrong_shift_on_the_last_ring_trips_the_residual_guard(monkeypatch, d, k, N, count):
+    # Only ring q0 = g - 1, which holds 4 and 3 of the values here, gets its
+    # class's vectors rolled one site too far: every ring's columns must be
+    # checked, not only the first ones written.
+    roll, g = torus._translation_class, math.gcd(N, k * d)
+
+    def last_off_by_one(N, kd, q0):
+        r, t = roll(N, kd, q0)
+        return r, t + (q0 == g - 1)
+
+    monkeypatch.setattr(torus, "_translation_class", last_off_by_one)
+    bundle = DiscreteBundle(TorusGeometry(d=d), k, N)
+    with pytest.raises(GuardError, match="eigen-residual"):
+        torus.lowest_spectrum(bundle, count)
+
+
+@pytest.mark.parametrize("d,k,N,count", [(1, 3, 8, 13), (1, 4, 32, 18), (2, 8, 72, 52),
+                                         (1, 16, 20, 52), (3, 1, 15, 13)])
+def test_coset_map_matches_the_full_length_inverse_fft(monkeypatch, d, k, N, count):
+    # g = 1 (M = N); one class; two classes; four classes, rings 1 and 3
+    # without a reflection; odd ring length L = 75.  The reference is each
+    # ring vector's (y-mode, x-site) amplitudes zero-padded to all N y-modes
+    # and taken back to the grid by one length-N inverse FFT in y.
+    to_grid, calls = torus._to_grid, []
+
+    def spy(found, H, N):
+        calls.append(found)
+        return to_grid(found, H, N)
+
+    monkeypatch.setattr(torus, "_to_grid", spy)
+    dec = torus.lowest_spectrum(DiscreteBundle(TorusGeometry(d=d), k, N), count)
+    (found,) = calls
+    expected = []
+    for modes, vals, vecs in found:
+        for lam, vec in zip(vals, vecs.T):
+            phi = np.zeros((N, N), dtype=complex)
+            phi[modes] = vec.reshape(len(modes), N)
+            expected.append((lam, np.fft.ifft(phi, axis=0, norm="ortho").ravel()))
+    order = np.argsort([lam for lam, _ in expected], kind="stable")
+    V = dec.vectors
+    assert np.all(np.diff(dec.eigenvalues) >= 0)
+    assert V.shape == (N * N, count) and V.flags.f_contiguous and not V.flags.writeable
+    for n, i in enumerate(order):
+        lam, psi = expected[i]
+        assert dec.eigenvalues[n] == lam
+        assert np.max(np.abs(V[:, n] - psi)) <= 1e-14 * np.max(np.abs(psi)), n
+
+
+@pytest.mark.parametrize("d,k,N", [(1, 4, 64), (2, 8, 72), (4, 12, 192), (1, 6, 256),
+                                   (1, 16, 20)])
+def test_residual_bound_is_the_row_sum_bound_of_the_stencil(d, k, N):
+    # The largest absolute row sum of H, taken from its entries, is the
+    # closed form 4/h^2 of the five-point stencil to rounding.
+    bundle = DiscreteBundle(TorusGeometry(d=d), k, N)
+    row_sums = float(abs(bundle.laplacian()).sum(axis=0).max())
+    closed = 4 / bundle.h ** 2
+    assert abs(row_sums - closed) <= 4 * np.spacing(closed)
+    bound = torus.lowest_spectrum(bundle, 1).solver["residual_bound"]
+    assert abs(bound - torus.RESIDUAL_TOL * row_sums) <= 4 * np.spacing(bound)
+
+
+def test_solve_peak_memory_stays_near_the_vectors_it_returns():
+    # The grid vectors are written once into the buffer that is returned,
+    # so a solve's traced peak stays near its bytes (1.18 times here); one
+    # more full-size array, such as a zero-padded transform, passes 2.
+    bundle = DiscreteBundle(TorusGeometry(d=2), 8, 72)
+    tracemalloc.start()
+    try:
+        dec = torus.lowest_spectrum(bundle, 52)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * dec.vectors.nbytes
 
 
 def test_lanczos_request_doubles_until_it_passes_the_cut(monkeypatch):
@@ -447,7 +526,8 @@ def test_lanczos_request_doubles_until_it_passes_the_cut(monkeypatch):
     dec = torus.lowest_spectrum(bundle, 24)
     assert calls == [6, 6, 12, 12]
     assert dec.solver == {"rings": 4, "ring_sites": 100, "classes": 2,
-                          "sectors": 2, "shares": [6, 6, 6, 6]}
+                          "sectors": 2, "shares": [6, 6, 6, 6],
+                          "residual_bound": pytest.approx(1e-9 * 800 / math.pi, rel=1e-15)}
     vals, vecs = np.linalg.eigh(bundle.laplacian().toarray())
     assert np.max(np.abs(dec.eigenvalues - vals[:24]) / vals[:24]) < 1e-10
     P, Q = dec.vectors @ dec.vectors.conj().T, vecs[:, :24] @ vecs[:, :24].conj().T
