@@ -1,9 +1,11 @@
 """Symbol calculus on the mixed polynomial space.
 
 Provides the Laguerre family used by kernel asymptotics, the exact Gaussian
-pairing on monomials, the vacuum projection in closed form together with a
-quadrature oracle, the symbol-to-operator map and its composition law, and
-the twisted product on symbols.
+pairing on monomials, the vacuum projection, the symbol-to-operator map and
+its composition law, and the twisted product on symbols.  The Laguerre
+coefficients, the p-symbols, their inverse expansion and the twisted
+product are binomial closed forms; the shift matrices are compositions of
+the ladders, so the symbol map checks one against the other.
 
 Conventions.  The pairing is <z^a zbar^b, z^c zbar^d> =
 prod_i [a_i + d_i == b_i + c_i] * (a_i + d_i)!, which makes 1 a unit vector
@@ -30,24 +32,12 @@ from .radicals import CRad, Rad, exact
 
 def laguerre_q(m: int, p: int) -> list[Fraction]:
     """Coefficients [c_0, ..., c_m] of the degree-m member with parameter p,
-    defined through x^{-p}/m! (d/dx - 1)^m x^{m+p}.  The recursion runs on
-    the integer coefficients of (d/dx - 1)^m x^{m+p}; only the final division
-    by m! makes fractions."""
+    defined through x^{-p}/m! (d/dx - 1)^m x^{m+p}.  Leibniz's rule gives
+    them in closed form: c_j = (-1)^j C(m+p, m-j) / j!."""
     if m < 0 or p < 0:
         raise ValueError("indices must be nonnegative")
-    coeffs = [0] * (m + p) + [1]
-    for _ in range(m):
-        nxt = [0] * len(coeffs)
-        for j, c in enumerate(coeffs):
-            if j >= 1:
-                nxt[j - 1] += j * c
-            nxt[j] -= c
-        coeffs = nxt
-    fm = factorial(m)
-    shifted = coeffs[p:]
-    if any(coeffs[:p]):
-        raise AssertionError("lower coefficients should vanish before the shift")
-    return [Fraction(c, fm) for c in shifted]
+    return [Fraction((-1) ** j * comb(m + p, m - j), factorial(j))
+            for j in range(m + 1)]
 
 
 def _factorial_scaled(coeffs: list[Fraction]) -> list[int] | None:
@@ -131,32 +121,19 @@ def gram_inner(f: PolyZZbar, g: PolyZZbar) -> CRad:
 # The p-symbols and the symbol-to-operator map
 
 
-def apply_raise(p: PolyZZbar, i: int) -> PolyZZbar:
-    """Apply a_i* = zbar_i - d/dz_i to a polynomial."""
-    n = p.n
-    out: dict = {}
-    for (a, b), c in p.terms():
-        key = (a, mi_add(b, mi_unit(n, i)))
-        cur = out.get(key)
-        out[key] = c if cur is None else cur + c
-        if a[i]:
-            key2 = (mi_sub(a, mi_unit(n, i)), b)
-            term = c * (-a[i])
-            cur2 = out.get(key2)
-            out[key2] = term if cur2 is None else cur2 + term
-    return PolyZZbar(n, out)
-
-
 def _shift_symbol(n: int, alpha, beta) -> PolyZZbar:
     """The integer symbol of the unnormalized (alpha, beta) shift:
-    (zbar - d/dz)^alpha applied to (-z)^beta, whose top-degree term is
-    (-1)^|beta| z^beta zbar^alpha."""
-    sign = -1 if mi_degree(beta) % 2 else 1
-    poly = PolyZZbar.monomial(n, beta, (0,) * n, sign)
-    for i in range(n):
-        for _ in range(alpha[i]):
-            poly = apply_raise(poly, i)
-    return poly
+    (zbar - d/dz)^alpha applied to (-z)^beta.  zbar and d/dz commute, so the
+    binomial theorem expands it per variable as
+    (zbar - d/dz)^a z^b = sum_j C(a, j) (-1)^j b!/(b-j)! z^(b-j) zbar^(a-j);
+    the j = 0 term, (-1)^|beta| z^beta zbar^alpha, is the top degree."""
+    out = {}
+    for j in itertools.product(*[range(min(a, b) + 1) for a, b in zip(alpha, beta)]):
+        c = -1 if (mi_degree(beta) + mi_degree(j)) % 2 else 1
+        for a, b, ji in zip(alpha, beta, j):
+            c *= comb(a, ji) * (factorial(b) // factorial(b - ji))
+        out[(mi_sub(beta, j), mi_sub(alpha, j))] = c
+    return PolyZZbar(n, out)
 
 
 def _normalization(alpha, beta) -> Rad:
@@ -228,36 +205,30 @@ def tilde_rho(basis: GradedBasis, alpha, beta) -> FockOperator:
 
 
 def _shift_coefficients(n: int, q: PolyZZbar) -> dict[tuple, Scalar]:
-    """Write q as a combination of the integer shift symbols; triangular
-    back-substitution from the top total degree down (each shift symbol is
-    its leading monomial, with coefficient +-1, plus corrections of total
-    degree lower by multiples of two).  The coefficients are rational when
-    q is: the normalization of the p-symbols never enters."""
-    remaining = PolyZZbar(n, dict(q.coeffs))
+    """Write q as a combination of the integer shift symbols S(alpha, beta),
+    by the inverse of the expansion in _shift_symbol:
+    z^a zbar^b = sum_j C(b, j) a!/(a-j)! (-1)^(|a| - |j|) S(b - j, a - j).
+    It is derived on its own (substituting _shift_symbol's expansion sums the
+    j's to (1 - 1)^l = 0 at every lower degree l), so a wrong shift symbol
+    is not inverted by itself.  The coefficients are rational when q is:
+    the normalization of the p-symbols never enters."""
     coeffs: dict[tuple, Scalar] = {}
-    while not remaining.is_zero():
-        deg = remaining.degree()
-        top = [(key, c) for key, c in remaining.terms()
-               if mi_degree(key[0]) + mi_degree(key[1]) == deg]
-        correction = PolyZZbar(n, {})
-        for (a, b), c in top:
-            alpha, beta = b, a
-            coeff = -c if mi_degree(beta) % 2 else c
-            key = (alpha, beta)
+    for (a, b), c in q.terms():
+        for j in itertools.product(*[range(min(ai, bi) + 1) for ai, bi in zip(a, b)]):
+            w = -1 if (mi_degree(a) - mi_degree(j)) % 2 else 1
+            for ai, bi, ji in zip(a, b, j):
+                w *= comb(bi, ji) * (factorial(ai) // factorial(ai - ji))
+            key = (mi_sub(b, j), mi_sub(a, j))
+            term = c * w
             cur = coeffs.get(key)
-            coeffs[key] = coeff if cur is None else cur + coeff
-            correction = correction + _shift_symbol(n, alpha, beta) * coeff
-        remaining = remaining - correction
-        if not remaining.is_zero() and remaining.degree() >= deg:
-            raise AssertionError("back-substitution failed to lower the degree")
+            coeffs[key] = term if cur is None else cur + term
     return {k: c for k, c in coeffs.items() if c}
 
 
 def op_of(basis: GradedBasis, q: PolyZZbar) -> FockOperator:
-    """Matrix of the operator attached to the symbol q, assembled through the
-    triangular change of basis onto the shift symbols: the p-symbol
-    coefficient times the normalization of its shift, applied to the integer
-    shift matrix."""
+    """Matrix of the operator attached to the symbol q: q is expanded on the
+    integer shift symbols, and each coefficient scales its integer shift
+    matrix."""
     if basis.kind != FULL:
         raise ValueError("op_of acts on the full kind")
     if q.n != basis.n:
@@ -299,69 +270,31 @@ def op_compose_law(basis: GradedBasis, q1: PolyZZbar, q2: PolyZZbar) -> bool:
 
 def star_product(u: PolyZZbar, v: PolyZZbar) -> PolyZZbar:
     """Twisted product: contract u(-zeta, zbar - zetabar) * v(z + zeta, zetabar)
-    with exp of the mixed zeta Laplacian, then set zeta = 0."""
+    with exp of the mixed zeta Laplacian, then set zeta = 0.  The contraction
+    is Wick's: zeta^P zetabar^Q goes to [P = Q] P!.  So a term z^a zbar^b of
+    u against a term z^c zbar^d of v gives, for each gamma <= c with
+    delta = a + c - gamma - d between 0 and b,
+    (-1)^(|a| + |delta|) C(b, delta) C(c, gamma) (a + c - gamma)!
+    z^gamma zbar^(b - delta)."""
     if u.n != v.n:
         raise ValueError("variable count mismatch")
-    n = u.n
-    zero = (0,) * n
-
-    left: dict = {}
-    for (a, b), c in u.terms():
-        base_sign = -1 if mi_degree(a) % 2 else 1
-        for delta in itertools.product(*[range(bi + 1) for bi in b]):
-            delta = tuple(delta)
-            weight = base_sign * (-1 if mi_degree(delta) % 2 else 1)
-            for bi, di in zip(b, delta):
-                weight *= comb(bi, di)
-            key = (zero, mi_sub(b, delta), a, delta)
-            term = c * weight
-            cur = left.get(key)
-            left[key] = term if cur is None else cur + term
-
-    right: dict = {}
-    for (cidx, d), c in v.terms():
-        for gamma in itertools.product(*[range(ci + 1) for ci in cidx]):
-            gamma = tuple(gamma)
-            weight = 1
-            for ci, gi in zip(cidx, gamma):
-                weight *= comb(ci, gi)
-            key = (gamma, zero, mi_sub(cidx, gamma), d)
-            term = c * weight
-            cur = right.get(key)
-            right[key] = term if cur is None else cur + term
-
-    prod: dict = {}
-    for (a1, b1, c1, d1), x in left.items():
-        for (a2, b2, c2, d2), y in right.items():
-            key = (mi_add(a1, a2), mi_add(b1, b2), mi_add(c1, c2), mi_add(d1, d2))
-            term = x * y
-            cur = prod.get(key)
-            prod[key] = term if cur is None else cur + term
-
-    total: dict = {k: c for k, c in prod.items() if c}
-    layer = dict(total)
-    j = 0
-    while layer:
-        j += 1
-        nxt: dict = {}
-        for (a, b, cz, dz), c in layer.items():
-            for i in range(n):
-                if cz[i] and dz[i]:
-                    key = (a, b, mi_sub(cz, mi_unit(n, i)), mi_sub(dz, mi_unit(n, i)))
-                    term = c * (cz[i] * dz[i])
-                    cur = nxt.get(key)
-                    nxt[key] = term if cur is None else cur + term
-        layer = {k: c for k, c in nxt.items() if c}
-        for k, c in layer.items():
-            scaled = c * Fraction(1, factorial(j))
-            cur = total.get(k)
-            total[k] = scaled if cur is None else cur + scaled
-
     out: dict = {}
-    for (a, b, cz, dz), c in total.items():
-        if cz == zero and dz == zero:
-            out[(a, b)] = c
-    return PolyZZbar(n, out)
+    for (a, b), cu in u.terms():
+        for (c, d), cv in v.terms():
+            cuv = cu * cv
+            for gamma in itertools.product(*[range(ci + 1) for ci in c]):
+                P = mi_sub(mi_add(a, c), gamma)
+                delta = mi_sub(P, d)
+                if not (min(delta) >= 0 and mi_leq(delta, b)):
+                    continue
+                w = -1 if (mi_degree(a) + mi_degree(delta)) % 2 else 1
+                for bi, di, ci, gi in zip(b, delta, c, gamma):
+                    w *= comb(bi, di) * comb(ci, gi)
+                key = (gamma, mi_sub(b, delta))
+                term = cuv * (w * mi_factorial(P))
+                cur = out.get(key)
+                out[key] = term if cur is None else cur + term
+    return PolyZZbar(u.n, out)
 
 
 def compare_star_orders(basis: GradedBasis, u: PolyZZbar, v: PolyZZbar) -> dict:

@@ -1,9 +1,12 @@
+import functools
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import genlaguerre
 
 from landau_lab import bargmann
@@ -20,7 +23,8 @@ from landau_lab.bargmann import (
     star_product,
     tilde_rho,
 )
-from landau_lab.fock import FULL, FockOperator, GradedBasis, PolyZZbar, ladder_matrices
+from landau_lab.fock import (FULL, FockOperator, GradedBasis, PolyZZbar, ladder_matrices,
+                             multi_indices)
 from landau_lab.radicals import CRad
 
 
@@ -45,8 +49,25 @@ def _project(f):
 # Laguerre layer
 
 
+def _laguerre_by_recursion(m, p):
+    """[c_0, ..., c_m] from the definition x^{-p}/m! (d/dx - 1)^m x^{m+p}:
+    apply d/dx - 1 m times to the integer coefficients of x^{m+p}."""
+    coeffs = [0] * (m + p) + [1]
+    for _ in range(m):
+        coeffs = [(j + 1) * up - c
+                  for j, (c, up) in enumerate(zip(coeffs, coeffs[1:] + [0]))]
+    assert not any(coeffs[:p])
+    return [Fraction(c, math.factorial(m)) for c in coeffs[p:]]
+
+
+def test_laguerre_closed_form_matches_its_definition():
+    for m in range(13):
+        for p in range(13):
+            assert laguerre_q(m, p) == _laguerre_by_recursion(m, p), (m, p)
+
+
 def test_laguerre_against_scipy():
-    """The Rodrigues-style recursion must reproduce scipy's generalized
+    """The closed-form coefficients must reproduce scipy's generalized
     Laguerre coefficients to float precision."""
     for m in range(9):
         for p in range(4):
@@ -222,6 +243,32 @@ def test_p11_is_first_laguerre():
     assert got == want
 
 
+def test_shift_symbols_are_the_raising_ladders_on_minus_z_beta():
+    """Each shift symbol's closed form against its definition: the full-kind
+    raising matrices a_i* = zbar_i - d/dz_i applied |alpha| times to
+    (-z)^beta, on every |alpha|, |beta| <= 3 for n <= 3."""
+    cases = 0
+    for n in (1, 2, 3):
+        raises = ladder_matrices(GradedBasis(n, 6, FULL))[1]
+        for alpha in multi_indices(n, 3):
+            for beta in multi_indices(n, 3):
+                poly = PolyZZbar.monomial(n, beta, (0,) * n, (-1) ** sum(beta))
+                for i, ai in enumerate(alpha):
+                    for _ in range(ai):
+                        poly = raises[i].apply_poly(poly)
+                assert bargmann._shift_symbol(n, alpha, beta) == poly, (alpha, beta)
+                cases += 1
+    assert cases == 516
+
+
+def test_shift_coefficients_invert_the_shift_symbols():
+    for n in (1, 2):
+        for alpha in multi_indices(n, 3):
+            for beta in multi_indices(n, 3):
+                sym = bargmann._shift_symbol(n, alpha, beta)
+                assert bargmann._shift_coefficients(n, sym) == {(alpha, beta): 1}
+
+
 def test_symbol_operator_is_normalized_shift():
     basis = GradedBasis(1, 6, FULL)
     for alpha, beta in [((0,), (0,)), ((2,), (1,)), ((1,), (3,))]:
@@ -284,6 +331,43 @@ def test_star_product_with_unit_projects():
     one = PolyZZbar.constant(1)
     f = PolyZZbar.monomial(1, (2,), (1,), 3)
     assert star_product(one, f) == _project(f)
+
+
+_SYMBOL_LABELS = {n: GradedBasis(n, 3, FULL).labels for n in (1, 2)}
+_coefficients = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.builds(CRad, st.integers(-2, 2), st.integers(-2, 2)),
+)
+
+
+def _symbols(n, count):
+    """count symbols in n variables, each at most three terms of degree <= 3."""
+    one = st.dictionaries(st.sampled_from(_SYMBOL_LABELS[n]), _coefficients,
+                          max_size=3).map(lambda terms: PolyZZbar(n, terms))
+    return st.tuples(*[one] * count)
+
+
+@functools.cache
+def _full_basis(n, D):
+    """One full-kind basis per (n, D), so its shift matrices are built once."""
+    return GradedBasis(n, D, FULL)
+
+
+@settings(deadline=None)
+@given(st.sampled_from([1, 2]).flatmap(lambda n: _symbols(n, 3)))
+def test_star_product_is_associative(uvw):
+    u, v, w = uvw
+    assert star_product(star_product(u, v), w) == star_product(u, star_product(v, w))
+
+
+@settings(deadline=None)
+@given(st.sampled_from([1, 2]).flatmap(lambda n: _symbols(n, 2)))
+def test_star_product_is_the_operator_of_the_left_factor(uv):
+    """u star v = Op(u) v on a full basis whose cutoff is deg u + deg v."""
+    u, v = uv
+    basis = _full_basis(u.n, u.degree() + v.degree())
+    assert star_product(u, v) == op_of(basis, u).apply_poly(v)
 
 
 

@@ -1,7 +1,7 @@
 import pytest
 
-from landau_lab import identities
-from landau_lab.fock import mi_degree
+from landau_lab import bargmann, identities
+from landau_lab.fock import PolyZZbar, mi_degree
 from landau_lab.identities import run_identity_checks
 
 EXPECTED_CHECKS = {
@@ -106,3 +106,41 @@ def test_parity_table_reads_the_entries(monkeypatch, n):
 
     monkeypatch.setattr(identities, "rho_ab", misplaced)
     assert not _parity_table(n, 4)["passed"]
+
+
+@pytest.mark.parametrize("n,degree,details", [
+    (1, 4, {"symbol_map": "15 (alpha, beta) shifts",
+            "compose_law": "9 symbol pairs",
+            "trace_law": "4 symbols",
+            "diagonal_symbols": "3 symbols"}),
+    (2, 4, {"symbol_map": "61 (alpha, beta) shifts",
+            "compose_law": "9 symbol pairs",
+            "trace_law": "4 symbols",
+            "diagonal_symbols": "6 symbols"}),
+])
+def test_symbol_checks_count_their_cases(n, degree, details):
+    recs = {r["name"]: r for r in run_identity_checks(n, degree)}
+    for name, detail in details.items():
+        assert recs[name]["passed"]
+        assert recs[name]["detail"] == detail
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_symbol_checks_fail_on_a_wrong_shift_symbol(monkeypatch, n):
+    """The p-symbols of (zbar + d/dz)^alpha (-z)^beta: op_of's inverse
+    expansion does not go through the shift symbols, so it does not undo
+    the error, and symbol_map fails.  The diagonal ones are no longer
+    products of Laguerre polynomials, which diagonal_symbols sees below
+    the top degree."""
+    true_symbol = bargmann._shift_symbol
+
+    def plus(nvar, alpha, beta):
+        # the term z^(beta-j) zbar^(alpha-j) loses its (-1)^|j|
+        return PolyZZbar(nvar, {(a, b): c * (-1) ** (sum(beta) - sum(a))
+                                for (a, b), c in true_symbol(nvar, alpha, beta).terms()})
+
+    assert plus(1, (2,), (1,)) != true_symbol(1, (2,), (1,))
+    monkeypatch.setattr(bargmann, "_shift_symbol", plus)
+    recs = {r["name"]: r["passed"] for r in run_identity_checks(n, 4)}
+    assert not recs["symbol_map"]
+    assert not recs["diagonal_symbols"]
