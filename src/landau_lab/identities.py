@@ -3,6 +3,14 @@
 Every check here is decided in exact arithmetic: a check passes only when the
 residual is identically zero (or the structural property holds verbatim).
 The suite backs both the command-line ledger and the acceptance tests.
+
+An object that several checks, or several cases of one check, read is built
+once per run: the p-symbols and the ladder frames made from them, one left
+shift per pair in shift_compose, one unit monomial per index in
+tilde_restriction.  These tables are locals of run_identity_checks, so a run
+reads nothing that an earlier run built.  Each ladder commutator relation is
+composed once: [a_i, a_j] and [a*_i, a*_j] for i < j only.  Every record
+says how many cases it checked.
 """
 
 from __future__ import annotations
@@ -48,22 +56,45 @@ def run_identity_checks(n: int, degree: int, seed: int = 0) -> list[dict]:
     full = GradedBasis(n, D, FULL)
     labels = list(anti.labels)
 
+    # The p-symbols and the ladder frames made from them, keyed by (alpha,
+    # beta) and built on first read: the frames feed gram_structure and
+    # tilde_unitary, the symbols symbol_map and diagonal_symbols too.
+    symbols: dict = {}
+    frames: dict = {}
+
+    def p_symbol(alpha, beta) -> PolyZZbar:
+        if (alpha, beta) not in symbols:
+            symbols[alpha, beta] = bg.p_ab(n, alpha, beta)
+        return symbols[alpha, beta]
+
+    def frame(alpha, hdeg) -> PolyZZbar:
+        """Orthonormal ladder-adapted element: normalized (a*)^alpha z^hdeg,
+        which is (-1)^|hdeg| times the p-symbol of the (alpha, hdeg) shift."""
+        if (alpha, hdeg) not in frames:
+            p = p_symbol(alpha, hdeg)
+            frames[alpha, hdeg] = -p if mi_degree(hdeg) % 2 else p
+        return frames[alpha, hdeg]
+
     # --- shift relations rho_ab . rho_a'b' = delta_{b,a'} rho_ab'
     ok = True
     pairs = _pair_sample(labels, rng, 2, 40)
+    partners = min(len(pairs), 12)
     for a1, b1 in pairs:
-        for a2, b2 in rng.sample(pairs, min(len(pairs), 12)):
-            lhs = rho_ab(anti, a1, b1) @ rho_ab(anti, a2, b2)
+        left = rho_ab(anti, a1, b1)
+        for a2, b2 in rng.sample(pairs, partners):
+            lhs = left @ rho_ab(anti, a2, b2)
             rhs = rho_ab(anti, a1, b2) if b1 == a2 else FockOperator.zero(anti)
             if not lhs.agrees_with(rhs, D):
                 ok = False
-    record("shift_compose", ok)
+    record("shift_compose", ok, detail="%d products of two shifts"
+           % (len(pairs) * partners))
 
     # --- adjoint exchanges the indices
+    adjoint_pairs = _pair_sample(labels, rng, 2, 40)
     ok = all(rho_ab(anti, a, b).adjoint().agrees_with(
         rho_ab(anti, b, a), D - abs(mi_degree(a) - mi_degree(b)))
-        for a, b in _pair_sample(labels, rng, 2, 40))
-    record("shift_adjoint", ok)
+        for a, b in adjoint_pairs)
+    record("shift_adjoint", ok, detail="%d shifts" % len(adjoint_pairs))
 
     # --- parity, read off the entries: a shift rho_ab has the parity of
     # |a| + |b|, a chain of shifts through matching indices is nonzero with
@@ -97,26 +128,32 @@ def run_identity_checks(n: int, degree: int, seed: int = 0) -> list[dict]:
             total = total + rho_ab(anti, alpha, alpha)
         if not total.agrees_with(pi_m(anti, m), D):
             ok = False
-    record("level_projector_sum", ok)
+    record("level_projector_sum", ok, detail="%d levels" % (D + 1))
 
-    # --- canonical commutators on both kinds
+    # --- canonical commutators on both kinds.  [a_i, a*_j] is checked for
+    # every (i, j); [a_i, a_j] and [a*_i, a*_j] only for i < j, since they
+    # vanish identically at i = j and change sign under i <-> j.
     ok = True
+    relations = 0
     for basis in (anti, full):
         low, high = ladder_matrices(basis)
         ident = FockOperator.identity(basis)
+        nil = FockOperator.zero(basis)
         for i in range(n):
             for j in range(n):
                 comm = low[i] @ high[j] - high[j] @ low[i]
-                want = ident if i == j else FockOperator.zero(basis)
-                if not comm.agrees_with(want, D - 1):
+                if not comm.agrees_with(ident if i == j else nil, D - 1):
                     ok = False
-                if not (low[i] @ low[j] - low[j] @ low[i]).agrees_with(
-                        FockOperator.zero(basis), D - 1):
+                relations += 1
+                if i >= j:
+                    continue
+                if not (low[i] @ low[j] - low[j] @ low[i]).agrees_with(nil, D - 1):
                     ok = False
-                if not (high[i] @ high[j] - high[j] @ high[i]).agrees_with(
-                        FockOperator.zero(basis), D - 2):
+                if not (high[i] @ high[j] - high[j] @ high[i]).agrees_with(nil, D - 2):
                     ok = False
-    record("ladder_commutators", ok)
+                relations += 2
+    record("ladder_commutators", ok, detail="%d commutators on the two kinds"
+           % relations)
 
     # --- the tangent representation is skew in the expected sense
     ok = True
@@ -129,17 +166,20 @@ def run_identity_checks(n: int, degree: int, seed: int = 0) -> list[dict]:
         right = rho_tangent(anti, [0] * n, v).scale(-1)
         if not left.agrees_with(right, D - 1):
             ok = False
-    record("tangent_adjoint", ok)
+    record("tangent_adjoint", ok, detail="%d %s" % (
+        n, "direction" if n == 1 else "directions"))
 
     # --- pairing structure on the full kind: diagonal factorials, orthonormal
     # pure blocks, orthonormal ladder-adapted frame
     ok = True
     zero = (0,) * n
     mis = multi_indices(n, min(D, 4))
+    diagonal = 0
     for a in mis:
         for b in mis:
             if sum(a) + sum(b) > D:
                 continue
+            diagonal += 1
             mono = PolyZZbar.monomial(n, a, b)
             diag = bg.gram_inner(mono, mono)
             want = CRad.of(mi_factorial(tuple(ai + bi for ai, bi in zip(a, b))))
@@ -148,63 +188,72 @@ def run_identity_checks(n: int, degree: int, seed: int = 0) -> list[dict]:
     norms = {a: Rad.sqrt(Fraction(1, mi_factorial(a))) for a in mis}
     antis = {a: PolyZZbar.monomial(n, zero, a, norms[a]) for a in mis}
     holos = {a: PolyZZbar.monomial(n, a, zero, norms[a]) for a in mis}
+    one, nought = CRad.of(1), CRad.of(0)
     for a in mis:
         for b in mis:
-            want = CRad.of(1 if a == b else 0)
+            want = one if a == b else nought
             if bg.gram_inner(antis[a], antis[b]) != want:
                 ok = False
             if bg.gram_inner(holos[a], holos[b]) != want:
                 ok = False
-    frame = {}
-    for alpha in multi_indices(n, 3):
-        for hdeg in multi_indices(n, 3):
-            if sum(alpha) + sum(hdeg) > D:
-                continue
-            frame[(alpha, hdeg)] = _ladder_frame_poly(n, alpha, hdeg)
-    keys = list(frame)
+    keys = [(alpha, hdeg) for alpha in multi_indices(n, 3)
+            for hdeg in multi_indices(n, 3) if sum(alpha) + sum(hdeg) <= D]
+    partners = min(len(keys), 10)
     for x in keys:
-        for y in rng.sample(keys, min(len(keys), 10)):
-            want = CRad.of(1 if x == y else 0)
-            if bg.gram_inner(frame[x], frame[y]) != want:
+        for y in rng.sample(keys, partners):
+            want = one if x == y else nought
+            if bg.gram_inner(frame(*x), frame(*y)) != want:
                 ok = False
-    record("gram_structure", ok)
+    record("gram_structure", ok, detail="%d diagonal, %d pure-block and %d "
+           "frame pairings" % (diagonal, 2 * len(mis) ** 2, len(keys) * partners))
 
     # --- normalized shifts on the full space: unitary between level blocks
     ok = True
     shift_pairs = [(a, b) for a in multi_indices(n, 2) for b in multi_indices(n, 2)]
-    for alpha, beta in rng.sample(shift_pairs, min(len(shift_pairs), 10)):
+    shifts = rng.sample(shift_pairs, min(len(shift_pairs), 10))
+    images = 0
+    for alpha, beta in shifts:
         op = bg.tilde_rho(full, alpha, beta)
         for hdeg in multi_indices(n, min(3, D - max(sum(alpha), sum(beta)))):
-            src = _ladder_frame_poly(n, beta, hdeg)
-            img = op.apply_poly(src)
-            want = _ladder_frame_poly(n, alpha, hdeg)
-            if not (img - want).is_zero():
+            img = op.apply_poly(frame(beta, hdeg))
+            if not (img - frame(alpha, hdeg)).is_zero():
                 ok = False
+            images += 1
         # and it kills the other level blocks
         for beta2 in multi_indices(n, 2):
             if beta2 == beta or sum(beta2) + 1 > D:
                 continue
-            src = _ladder_frame_poly(n, beta2, zero)
-            if not op.apply_poly(src).is_zero():
+            if not op.apply_poly(frame(beta2, zero)).is_zero():
                 ok = False
-    record("tilde_unitary", ok)
+            images += 1
+    record("tilde_unitary", ok, detail="%d shifts, %d frame images"
+           % (len(shifts), images))
 
-    # --- restriction of the full-space shifts to the antiholomorphic space
+    # --- restriction of the full-space shifts to the antiholomorphic space:
+    # the (alpha, beta) shift takes the unit zbar^beta / sqrt(beta!) to the
+    # unit zbar^alpha / sqrt(alpha!) and kills the other units
     ok = True
-    for alpha, beta in rng.sample(shift_pairs, min(len(shift_pairs), 12)):
+    units: dict = {}
+
+    def unit(gamma) -> PolyZZbar:
+        if gamma not in units:
+            units[gamma] = PolyZZbar.monomial(
+                n, zero, gamma, Rad.sqrt(Fraction(1, mi_factorial(gamma))))
+        return units[gamma]
+
+    shifts = rng.sample(shift_pairs, min(len(shift_pairs), 12))
+    images = 0
+    for alpha, beta in shifts:
         op = bg.tilde_rho(full, alpha, beta)
         for gamma in multi_indices(n, D - sum(alpha)):
-            src = PolyZZbar.monomial(n, zero, gamma,
-                                     Rad.sqrt(Fraction(1, mi_factorial(gamma))))
-            img = op.apply_poly(src)
+            img = op.apply_poly(unit(gamma))
             if gamma == beta:
-                want = PolyZZbar.monomial(n, zero, alpha,
-                                          Rad.sqrt(Fraction(1, mi_factorial(alpha))))
-            else:
-                want = PolyZZbar(n, {})
-            if not (img - want).is_zero():
+                img = img - unit(alpha)
+            if not img.is_zero():
                 ok = False
-    record("tilde_restriction", ok)
+            images += 1
+    record("tilde_restriction", ok, detail="%d shifts, %d unit images"
+           % (len(shifts), images))
 
     # --- symbol map: Op of the p-symbol is the normalized shift
     ok = True
@@ -217,7 +266,7 @@ def run_identity_checks(n: int, degree: int, seed: int = 0) -> list[dict]:
                  if sum(a) + sum(b) <= D]
         sym_pairs += rng.sample(extra, min(len(extra), 25))
     for alpha, beta in sym_pairs:
-        p = bg.p_ab(n, alpha, beta)
+        p = p_symbol(alpha, beta)
         if not bg.op_of(full, p).agrees_with(bg.tilde_rho(full, alpha, beta)):
             ok = False
     record("symbol_map", ok, detail="%d (alpha, beta) shifts" % len(sym_pairs))
@@ -255,7 +304,7 @@ def run_identity_checks(n: int, degree: int, seed: int = 0) -> list[dict]:
         family = [bg.laguerre_q(ai, 0) for ai in alpha]
         ref = {(j, j): prod(coeffs[ji] for coeffs, ji in zip(family, j))
                for j in itertools.product(*[range(ai + 1) for ai in alpha])}
-        if bg.p_ab(n, alpha, alpha) != PolyZZbar(n, ref):
+        if p_symbol(alpha, alpha) != PolyZZbar(n, ref):
             ok = False
     record("diagonal_symbols", ok, detail="%d symbols" % len(diagonal))
 
@@ -274,10 +323,3 @@ def run_identity_checks(n: int, degree: int, seed: int = 0) -> list[dict]:
         len(reps), uv, "matches" if uv == 1 else "match",
         vu, "matches" if vu == 1 else "match"))
     return results
-
-
-def _ladder_frame_poly(n: int, alpha, hdeg) -> PolyZZbar:
-    """Orthonormal ladder-adapted element: normalized (a*)^alpha z^hdeg, which
-    is (-1)^|hdeg| times the p-symbol of the (alpha, hdeg) shift."""
-    p = bg.p_ab(n, alpha, hdeg)
-    return -p if mi_degree(hdeg) % 2 else p

@@ -61,6 +61,8 @@ def _laguerre_by_recursion(m, p):
 
 
 def test_laguerre_closed_form_matches_its_definition():
+    # laguerre_q's binomial form c_j = (-1)^j C(m+p, m-j) / j! against the
+    # (d/dx - 1)^m recursion, exactly, over every m, p <= 12
     for m in range(13):
         for p in range(13):
             assert laguerre_q(m, p) == _laguerre_by_recursion(m, p), (m, p)
@@ -76,16 +78,6 @@ def test_laguerre_against_scipy():
             assert len(ours) == len(ref)
             for a, b in zip(ours, ref):
                 assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
-
-
-def test_laguerre_exact_binomial_form():
-    # c_i = (-1)^i / i! * C(m+p, m-i), exactly
-    for m in range(7):
-        for p in range(3):
-            coeffs = laguerre_q(m, p)
-            for i, c in enumerate(coeffs):
-                want = Fraction((-1) ** i * math.comb(m + p, m - i), math.factorial(i))
-                assert c == want
 
 
 def test_laguerre_endpoint_values():

@@ -22,6 +22,24 @@ def test_fock_identities_exit_zero(capsys):
     assert doc["schema_version"] == 1
 
 
+REFERENCE = Path(__file__).parent / "reference"
+
+
+@pytest.mark.parametrize("n,degree", [(1, 8), (2, 8), (3, 4)])
+@pytest.mark.parametrize("seed", [0, 101])
+def test_fock_report_matches_its_reference(capsys, n, degree, seed):
+    """The ledger at the benchmark's inputs gives the committed report byte
+    for byte, apart from the timestamp line; README gives the command that
+    rewrites the references."""
+    code = main(["--seed", str(seed), "fock", "--check-identities",
+                 "--n", str(n), "--degree", str(degree)])
+    assert code == 0
+    fresh = "".join(line for line in capsys.readouterr().out.splitlines(keepends=True)
+                    if '"generated_at"' not in line)
+    ref = REFERENCE / ("fock_n%d_d%d_s%d.json" % (n, degree, seed))
+    assert fresh == ref.read_text(encoding="utf-8")
+
+
 def test_fock_without_action_is_config_error(capsys):
     assert main(["fock"]) == 2
     assert "config error" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from landau_lab import bargmann, identities
@@ -125,6 +127,43 @@ def test_symbol_checks_count_their_cases(n, degree, details):
         assert recs[name]["detail"] == detail
 
 
+@pytest.mark.parametrize("n,degree,details", [
+    (1, 4, {"shift_compose": "588 products of two shifts",
+            "shift_adjoint": "49 shifts",
+            "level_projector_sum": "5 levels",
+            "ladder_commutators": "2 commutators on the two kinds",
+            "tangent_adjoint": "1 direction",
+            "gram_structure": "15 diagonal, 50 pure-block and 130 frame pairings",
+            "tilde_unitary": "9 shifts, 49 frame images",
+            "tilde_restriction": "9 shifts, 36 unit images"}),
+    # [a_i, a*_j] for all four (i, j), [a_i, a_j] and [a*_i, a*_j] for
+    # i < j only: six relations on each kind
+    (2, 4, {"shift_compose": "912 products of two shifts",
+            "shift_adjoint": "76 shifts",
+            "level_projector_sum": "5 levels",
+            "ladder_commutators": "12 commutators on the two kinds",
+            "tangent_adjoint": "2 directions",
+            "gram_structure": "70 diagonal, 450 pure-block and 600 frame pairings",
+            "tilde_unitary": "10 shifts, 122 frame images",
+            "tilde_restriction": "12 shifts, 93 unit images"}),
+])
+def test_structural_checks_count_their_cases(n, degree, details):
+    recs = {r["name"]: r for r in run_identity_checks(n, degree)}
+    for name, detail in details.items():
+        assert recs[name]["passed"]
+        assert recs[name]["detail"] == detail
+
+
+_TRUE_SHIFT_SYMBOL = bargmann._shift_symbol
+
+
+def _plus_symbol(nvar, alpha, beta):
+    """The integer symbol of (zbar + d/dz)^alpha (-z)^beta: the term
+    z^(beta-j) zbar^(alpha-j) loses its (-1)^|j|."""
+    return PolyZZbar(nvar, {(a, b): c * (-1) ** (sum(beta) - sum(a))
+                            for (a, b), c in _TRUE_SHIFT_SYMBOL(nvar, alpha, beta).terms()})
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_symbol_checks_fail_on_a_wrong_shift_symbol(monkeypatch, n):
     """The p-symbols of (zbar + d/dz)^alpha (-z)^beta: op_of's inverse
@@ -132,15 +171,45 @@ def test_symbol_checks_fail_on_a_wrong_shift_symbol(monkeypatch, n):
     the error, and symbol_map fails.  The diagonal ones are no longer
     products of Laguerre polynomials, which diagonal_symbols sees below
     the top degree."""
-    true_symbol = bargmann._shift_symbol
-
-    def plus(nvar, alpha, beta):
-        # the term z^(beta-j) zbar^(alpha-j) loses its (-1)^|j|
-        return PolyZZbar(nvar, {(a, b): c * (-1) ** (sum(beta) - sum(a))
-                                for (a, b), c in true_symbol(nvar, alpha, beta).terms()})
-
-    assert plus(1, (2,), (1,)) != true_symbol(1, (2,), (1,))
-    monkeypatch.setattr(bargmann, "_shift_symbol", plus)
+    assert _plus_symbol(1, (2,), (1,)) != _TRUE_SHIFT_SYMBOL(1, (2,), (1,))
+    monkeypatch.setattr(bargmann, "_shift_symbol", _plus_symbol)
     recs = {r["name"]: r["passed"] for r in run_identity_checks(n, 4)}
     assert not recs["symbol_map"]
     assert not recs["diagonal_symbols"]
+
+
+@pytest.mark.parametrize("n,degree", [(1, 8), (2, 4)])
+def test_each_p_symbol_is_built_once_per_run(monkeypatch, n, degree):
+    """The frames, symbol_map and diagonal_symbols read one table of
+    p-symbols, filled afresh by every run."""
+    built = Counter()
+    p_ab = bargmann.p_ab
+
+    def counting(nvar, alpha, beta):
+        built[(tuple(alpha), tuple(beta))] += 1
+        return p_ab(nvar, alpha, beta)
+
+    monkeypatch.setattr(bargmann, "p_ab", counting)
+    runs = []
+    for _ in range(2):
+        built.clear()
+        assert all(r["passed"] for r in run_identity_checks(n, degree))
+        assert set(built.values()) == {1}
+        runs.append(set(built))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_symbol_tables_do_not_outlive_a_run(monkeypatch, n):
+    """A run with wrong shift symbols leaves nothing that a clean run reads,
+    and a clean run leaves nothing that hides them from the next."""
+    def symbol_map_passes():
+        return next(r for r in run_identity_checks(n, 4)
+                    if r["name"] == "symbol_map")["passed"]
+
+    monkeypatch.setattr(bargmann, "_shift_symbol", _plus_symbol)
+    assert not symbol_map_passes()
+    monkeypatch.setattr(bargmann, "_shift_symbol", _TRUE_SHIFT_SYMBOL)
+    assert symbol_map_passes()
+    monkeypatch.setattr(bargmann, "_shift_symbol", _plus_symbol)
+    assert not symbol_map_passes()
