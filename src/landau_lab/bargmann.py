@@ -227,8 +227,8 @@ def _shift_coefficients(n: int, q: PolyZZbar) -> dict[tuple, Scalar]:
 
 def op_of(basis: GradedBasis, q: PolyZZbar) -> FockOperator:
     """Matrix of the operator attached to the symbol q: q is expanded on the
-    integer shift symbols, and each coefficient scales its integer shift
-    matrix."""
+    integer shift symbols, and each coefficient, a single term as it is for
+    rational symbols and p-symbols, scales its integer shift matrix."""
     if basis.kind != FULL:
         raise ValueError("op_of acts on the full kind")
     if q.n != basis.n:

@@ -14,16 +14,18 @@ unscaled entries.  The scalar is an ``int``, a ``Fraction`` or a single-term
 radical (a rational times sqrt(s), or i times one), and each entry is kept
 in its cheapest exact form (:func:`.radicals.exact`): a real rational is an
 ``int`` or a ``Fraction``, and an entry is in the exact radical ring only
-where it is complex or irrational.  Scaling multiplies the scalar and shares
-the entries, composition multiplies the two scalars once and runs its entry
-loop on the unscaled entries, and a sum keeps the scalar when both terms
-carry the same one.  So the normalized shifts, (alpha! beta!)^(-1/2) times
-an integer matrix, keep their integer entries.  Full-kind ladders, the
-vacuum projection and the operators of rational symbols are rational
-throughout, so their algebra runs on Python integers; radicals enter through
-the normalized antiholomorphic frame and the shift normalizations.
-Polynomial coefficients are kept in the same cheapest exact form, and
-polynomials have coordinates on the full kind, where operators apply to them.
+where it is complex or irrational.  Scaling by a single-term value
+multiplies the scalar and shares the entries, composition multiplies the
+two scalars once and runs its entry loop on the unscaled entries, and a
+sum keeps the scalar when both terms carry the same one.  So the normalized
+shifts, (alpha! beta!)^(-1/2) times an integer matrix, keep their integer
+entries.  Full-kind ladders, the vacuum projection and the operators of
+rational symbols are rational throughout, so their algebra runs on Python
+integers; radicals enter through the normalized antiholomorphic frame and
+the shift normalizations.
+Polynomial coefficients are kept in the same cheapest exact form.  On the
+full kind they are a polynomial's coordinates, so `FockOperator.apply_poly`
+walks the matrix columns of the polynomial's terms.
 
 Each basis carries one cache dict for the operators built on it: the ladder
 set from :func:`ladder_matrices` and, on the full kind, the vacuum
@@ -173,11 +175,6 @@ class PolyZZbar:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def degree(self) -> int:
-        if not self.coeffs:
-            return 0
-        return max(sum(a) + sum(b) for a, b in self.coeffs)
-
     def terms(self):
         return self.coeffs.items()
 
@@ -238,12 +235,6 @@ class PolyZZbar:
         return "PolyZZbar(%s)" % " + ".join(parts)
 
 
-def _single_term(c) -> bool:
-    """Whether an exact nonzero scalar is a rational times sqrt(s), or i times
-    one: the scalars whose products are again single terms."""
-    return type(c) is not CRad or len(c.re.terms) + len(c.im.terms) == 1
-
-
 def _is_one(c) -> bool:
     # exact() keeps a real rational out of CRad, so only an int can be 1
     return type(c) is int and c == 1
@@ -300,7 +291,8 @@ class FockOperator:
 
     def columns(self) -> dict[int, list]:
         """The unscaled entries grouped by column, j -> [(i, entry)], built on
-        first use; compose and apply_coords both walk a matrix this way."""
+        first use and kept with the operator: compose walks the left factor's
+        columns, and apply_poly the columns of the polynomial's terms."""
         if self._columns is None:
             cols: dict[int, list] = {}
             for (i, j), c in self.unscaled.items():
@@ -399,17 +391,15 @@ class FockOperator:
         return self._plus(other, -1)
 
     def scale(self, c) -> "FockOperator":
-        """c times the operator: O(1) for a single-term c, which multiplies
-        the scalar and shares the entries."""
+        """c times the operator, for a single-term c (a rational times sqrt(s),
+        or i times one), which multiplies the scalar and shares the entries."""
         c = exact(c)
         if not c:
             return FockOperator.zero(self.basis)
-        if _single_term(c):
-            return FockOperator._scaled(self.basis, self.unscaled, exact(self.scalar * c),
-                                        self.exactness_degree)
-        return FockOperator._scaled(self.basis,
-                                    _exact_entries({k: v * c for k, v in self.unscaled.items()}),
-                                    self.scalar, self.exactness_degree)
+        if type(c) is CRad and len(c.re.terms) + len(c.im.terms) > 1:
+            raise ValueError("an operator scalar is a single term, not %r" % c)
+        return FockOperator._scaled(self.basis, self.unscaled, exact(self.scalar * c),
+                                    self.exactness_degree)
 
     def adjoint(self) -> "FockOperator":
         """Conjugate transpose, valid as the adjoint only on the
@@ -465,48 +455,32 @@ class FockOperator:
             out[i, j] = complex(c)
         return out * complex(self.scalar)
 
-    def apply_coords(self, vec: dict[int, Scalar]) -> dict[int, Scalar]:
-        """The operator applied to a coordinate vector: the entry loop runs
-        on the unscaled entries, and the scalar multiplies each output
-        coordinate once."""
+    def apply_poly(self, p: PolyZZbar) -> PolyZZbar:
+        """The operator applied to a polynomial on the full kind, whose
+        coordinates are its coefficients against the plain monomials
+        z^a zbar^b: the entry loop walks the columns of the polynomial's
+        terms, and the scalar multiplies each output coefficient once."""
+        basis = self.basis
+        if basis.kind != FULL:
+            raise ValueError("polynomial coordinates are taken on the full kind")
+        if p.n != basis.n:
+            raise ValueError("variable count mismatch")
         by_col = self.columns()
         out: dict[int, Scalar] = {}
-        for j, x in vec.items():
-            for i, c in by_col.get(j, ()):
+        for (a, b), x in p.coeffs.items():
+            if sum(a) + sum(b) > basis.D:
+                raise ValueError("degree %d exceeds cutoff %d" % (sum(a) + sum(b), basis.D))
+            for i, c in by_col.get(basis.index((a, b)), ()):
                 cur = out.get(i)
                 term = c * x
                 out[i] = term if cur is None else cur + term
         s = self.scalar
-        if _is_one(s):
-            return {i: c for i, c in out.items() if c}
-        return {i: c * s for i, c in out.items() if c}
-
-    def apply_poly(self, p: PolyZZbar) -> PolyZZbar:
-        return poly_from_coords(self.basis, self.apply_coords(coords_from_poly(self.basis, p)))
+        return PolyZZbar(basis.n, {basis.labels[i]: c if _is_one(s) else c * s
+                                   for i, c in out.items()})
 
     def __repr__(self) -> str:
         return "FockOperator(%r, nnz=%d, parity=%r, exactness_degree=%d)" % (
             self.basis, len(self.unscaled), self.parity, self.exactness_degree)
-
-
-def coords_from_poly(basis: GradedBasis, p: PolyZZbar) -> dict[int, Scalar]:
-    """Coordinates of a polynomial on a full-kind basis: its coefficients
-    against the plain monomials z^a zbar^b."""
-    if basis.kind != FULL:
-        raise ValueError("polynomial coordinates are taken on the full kind")
-    if p.n != basis.n:
-        raise ValueError("variable count mismatch")
-    out: dict[int, Scalar] = {}
-    for (a, b), c in p.coeffs.items():
-        if sum(a) + sum(b) > basis.D:
-            raise ValueError("degree %d exceeds cutoff %d" % (sum(a) + sum(b), basis.D))
-        out[basis.index((a, b))] = c
-    return out
-
-
-def poly_from_coords(basis: GradedBasis, vec: dict[int, Scalar]) -> PolyZZbar:
-    """The polynomial with the given coordinates on a full-kind basis."""
-    return PolyZZbar(basis.n, {basis.labels[i]: c for i, c in vec.items()})
 
 
 def ladder_matrices(basis: GradedBasis) -> tuple[tuple[FockOperator, ...],

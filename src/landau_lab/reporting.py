@@ -61,7 +61,7 @@ class ExperimentConfig:
         return asdict(self)
 
 
-def emit_report(body: dict, path=None, timestamp: str | None = None) -> str:
+def emit_report(body: dict, path=None) -> str:
     """Serialize a report with schema version and timestamp; optionally write
     it to path.  Returns the JSON text."""
     for key in ("schema_version", "generated_at"):
@@ -69,7 +69,7 @@ def emit_report(body: dict, path=None, timestamp: str | None = None) -> str:
             raise ValueError("%r is reserved" % key)
     doc = dict(body)
     doc["schema_version"] = SCHEMA_VERSION
-    doc["generated_at"] = timestamp or datetime.now(timezone.utc).isoformat()
+    doc["generated_at"] = datetime.now(timezone.utc).isoformat()
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -194,9 +194,11 @@ def _run_torus(config: ExperimentConfig) -> dict:
                                    "max_angle": r["max_angle"]})
     body["eigenvalue_rows"] = len(eigen_rows)
     if "defects" in body and len(ks) >= 4:
-        body["defects"]["slopes"] = {
-            name: fit_slope(ks, body["defects"][name]).to_dict()
-            for name in ("D2", "D1", "DB")}
+        # A row with a zero, such as D1 when f = g, has no log-log slope.
+        defects = body["defects"]
+        defects["slopes"] = {name: fit_slope(ks, defects[name]).to_dict()
+                             if min(defects[name]) > 0 else None
+                             for name in ("D2", "D1", "DB")}
 
     body["_eigen_rows"] = eigen_rows
     return body

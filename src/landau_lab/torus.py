@@ -11,7 +11,7 @@ direction between clusters, matching the flat Bargmann model.
 
 The Laplacian is the standard five-point covariant form, (1/2) nabla* nabla,
 assembled once per bundle from its five stencil diagonals and checked for
-hermiticity.
+hermiticity; the central covariant derivatives come from the same links.
 
 The solver uses the Landau gauge.  A discrete Fourier transform in y makes
 the y-links diagonal, and the wrap column shifts the y-mode by k*d, so H
@@ -151,17 +151,13 @@ class TrigPoly:
     def scale(self, c) -> "TrigPoly":
         return TrigPoly(self.side, {k: c * v for k, v in self.coeffs.items()})
 
-    def __mul__(self, other):
-        if isinstance(other, TrigPoly):
-            out: dict = {}
-            for (p1, q1), c1 in self.coeffs.items():
-                for (p2, q2), c2 in other.coeffs.items():
-                    key = (p1 + p2, q1 + q2)
-                    out[key] = out.get(key, 0) + c1 * c2
-            return TrigPoly(self.side, out)
-        return self.scale(other)
-
-    __rmul__ = __mul__
+    def __mul__(self, other: "TrigPoly") -> "TrigPoly":
+        out: dict = {}
+        for (p1, q1), c1 in self.coeffs.items():
+            for (p2, q2), c2 in other.coeffs.items():
+                key = (p1 + p2, q1 + q2)
+                out[key] = out.get(key, 0) + c1 * c2
+        return TrigPoly(self.side, out)
 
 
 class DiscreteBundle:
@@ -182,19 +178,21 @@ class DiscreteBundle:
         self.xs = np.arange(N) * self.h
         # Coordinates of the sites p = i + N*j.
         self.X, self.Y = np.tile(self.xs, N), np.repeat(self.xs, N)
-        ux = np.ones((N, N), dtype=complex)
+        # Fortran order, so that the link phases vx and vy below are views.
+        ux = np.ones((N, N), dtype=complex, order="F")
         ux[N - 1, :] = np.exp(1j * k * geometry.side * self.xs)  # y_j = j*h
-        uy = np.exp(-1j * k * self.h * self.xs)[:, None] * np.ones((1, N))
+        uy = np.multiply(np.exp(-1j * k * self.h * self.xs)[:, None], np.ones((1, N)), order="F")
         self._ux, self._uy = ux, uy
+        # The links (px, vx), (py, vy): S_x sends psi(p) to vx(p) psi(px(p)).
         # One pass over the five stencil diagonals of 4 - S_x - S_x* - S_y -
-        # S_y*: each site p with itself and its x- and y-neighbours.  0 - u,
-        # not -u, keeps a zero imaginary part +0, as a sparse difference of
-        # the shift matrices does.
+        # S_y* assembles H.  0 - u, not -u, keeps a zero imaginary part +0,
+        # as a sparse difference of the shift matrices does.
         p = np.arange(N * N)
         grid = p.reshape(N, N, order="F")
         px = np.roll(grid, -1, axis=0).ravel(order="F")
         py = np.roll(grid, -1, axis=1).ravel(order="F")
         vx, vy = ux.ravel(order="F"), uy.ravel(order="F")
+        self._links = ((px, vx), (py, vy))
         H = sp.csr_matrix((np.concatenate([np.full(N * N, 4 + 0j), 0 - vx, 0 - vx.conj(),
                                            0 - vy, 0 - vy.conj()]),
                            (np.concatenate([p, p, px, p, py]),
@@ -206,13 +204,6 @@ class DiscreteBundle:
         if herm > 1e-13 / self.h ** 2:
             raise GuardError("laplacian lost hermiticity: %g" % herm)
         self._H = H
-
-    def _shift(self, phases: np.ndarray, axis: int) -> sp.csr_matrix:
-        """Matrix sending psi(p) to phases(p) * psi(p + e_axis)."""
-        n = self.N ** 2
-        cols = np.roll(np.arange(n).reshape(self.N, self.N, order="F"), -1, axis=axis)
-        return sp.csr_matrix((phases.ravel(order="F"), (np.arange(n), cols.ravel(order="F"))),
-                             shape=(n, n))
 
     def site_index(self, i: int, j: int) -> int:
         return i % self.N + self.N * (j % self.N)
@@ -227,19 +218,15 @@ class DiscreteBundle:
         """The covariant Laplacian H, assembled once in the constructor."""
         return self._H
 
-    def cov_x(self) -> sp.csr_matrix:
-        """Central covariant x-derivative (S_x - S_x*)/2h; anti-Hermitian."""
-        S = self._shift(self._ux, axis=0)
-        return ((S - S.getH()) / (2 * self.h)).tocsr()
-
-    def cov_y(self) -> sp.csr_matrix:
-        S = self._shift(self._uy, axis=1)
-        return ((S - S.getH()) / (2 * self.h)).tocsr()
-
     @cached_property
     def derivatives(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """(cov_x, cov_y), built on first use and kept as long as the bundle."""
-        return self.cov_x(), self.cov_y()
+        """The central covariant derivatives (S - S*)/2h along x and y, each
+        one pass over the links of H's stencil; anti-Hermitian, built on
+        first use and kept as long as the bundle."""
+        n, p = self.N ** 2, np.arange(self.N ** 2)
+        return tuple(sp.csr_matrix((np.concatenate([v, 0 - v.conj()]) * (1 / (2 * self.h)),
+                                    (np.concatenate([p, q]), np.concatenate([q, p]))),
+                                   shape=(n, n)) for q, v in self._links)
 
     def site_values(self, f: TrigPoly) -> np.ndarray:
         """f at every site, in the site order p = i + N*j."""
@@ -644,10 +631,9 @@ class LandauProjector:
         return self.V.shape[1]
 
 
-def toeplitz_fn(proj: LandauProjector, f) -> np.ndarray:
-    """Compression of multiplication by f (a TrigPoly or per-site values)."""
-    fv = proj.bundle.site_values(f) if isinstance(f, TrigPoly) else np.asarray(f)
-    return proj.V.conj().T @ (fv[:, None] * proj.V)
+def toeplitz_fn(proj: LandauProjector, f: TrigPoly) -> np.ndarray:
+    """Compression of multiplication by f."""
+    return proj.V.conj().T @ (proj.bundle.site_values(f)[:, None] * proj.V)
 
 
 def toeplitz_der(proj: LandauProjector, fields: list[tuple[TrigPoly, TrigPoly]]) -> np.ndarray:
@@ -819,10 +805,10 @@ def _bump(r: np.ndarray, inner: float, outer: float) -> np.ndarray:
     return num / (num + gl(1.0 - t))
 
 
-def peaked_section(bundle: DiscreteBundle, coeffs, center=None) -> np.ndarray:
+def peaked_section(bundle: DiscreteBundle, coeffs) -> np.ndarray:
     """Sample a coherent peak modulated by the polynomial sum_j c_j w^j.
 
-    Centered at a grid point; the profile is (k/2pi)^(1/2) times the model
+    Centered at the grid point (N/2, N/2); the profile is (k/2pi)^(1/2) times the model
     transport factor e^{-k rho^2/4 + i k W}, the polynomial evaluated at
     w = sqrt(k) * (xi_x + i xi_y)/sqrt(2), and a plateau cutoff supported
     in radius Lambda/4 and identically 1 inside Lambda/8.  The w^j
@@ -831,9 +817,7 @@ def peaked_section(bundle: DiscreteBundle, coeffs, center=None) -> np.ndarray:
     """
     b = bundle
     lam = b.geometry.side
-    if center is None:
-        center = (b.N // 2, b.N // 2)
-    x0, y0 = center[0] * b.h, center[1] * b.h
+    x0 = y0 = b.N // 2 * b.h
     xi_x, xi_y = b.X - x0, b.Y - y0
     rho = np.hypot(xi_x, xi_y)
     w = sqrt(b.k) * (xi_x + 1j * xi_y) / sqrt(2)

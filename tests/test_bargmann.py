@@ -326,18 +326,25 @@ def test_star_product_with_unit_projects():
 
 
 _SYMBOL_LABELS = {n: GradedBasis(n, 3, FULL).labels for n in (1, 2)}
-_coefficients = st.one_of(
+_rationals = st.one_of(
     st.integers(-3, 3),
     st.fractions(min_value=-3, max_value=3, max_denominator=4),
-    st.builds(CRad, st.integers(-2, 2), st.integers(-2, 2)),
 )
+_coefficients = st.one_of(_rationals, st.builds(CRad, st.integers(-2, 2), st.integers(-2, 2)))
+
+
+def _symbol(n, coefficients=_coefficients):
+    """A symbol in n variables of at most three terms of degree <= 3."""
+    return st.dictionaries(st.sampled_from(_SYMBOL_LABELS[n]), coefficients,
+                           max_size=3).map(lambda terms: PolyZZbar(n, terms))
 
 
 def _symbols(n, count):
-    """count symbols in n variables, each at most three terms of degree <= 3."""
-    one = st.dictionaries(st.sampled_from(_SYMBOL_LABELS[n]), _coefficients,
-                          max_size=3).map(lambda terms: PolyZZbar(n, terms))
-    return st.tuples(*[one] * count)
+    return st.tuples(*[_symbol(n)] * count)
+
+
+def _degree(p):
+    return max((sum(a) + sum(b) for a, b in p.coeffs), default=0)
 
 
 @functools.cache
@@ -354,11 +361,15 @@ def test_star_product_is_associative(uvw):
 
 
 @settings(deadline=None)
-@given(st.sampled_from([1, 2]).flatmap(lambda n: _symbols(n, 2)))
-def test_star_product_is_the_operator_of_the_left_factor(uv):
-    """u star v = Op(u) v on a full basis whose cutoff is deg u + deg v."""
+@given(st.sampled_from([1, 2]).flatmap(lambda n: st.tuples(_symbol(n, _rationals), _symbol(n))),
+       st.sampled_from([1, CRad(0, 1)]))
+def test_star_product_is_the_operator_of_the_left_factor(uv, unit):
+    """u star v = Op(u) v on a full basis whose cutoff is deg u + deg v.  Op
+    scales each shift matrix by a single term, so u is a rational symbol
+    times 1 or i, and v is any symbol."""
     u, v = uv
-    basis = _full_basis(u.n, u.degree() + v.degree())
+    u = u * unit
+    basis = _full_basis(u.n, _degree(u) + _degree(v))
     assert star_product(u, v) == op_of(basis, u).apply_poly(v)
 
 
@@ -377,7 +388,7 @@ def test_shift_cache_survives_arithmetic_on_its_scaled_copies():
                op_of(basis, p_ab(2, (1, 0), (0, 1))) + x, y + FockOperator.zero(basis)]
     for r in results:
         r.entries
-        r.apply_coords({0: 1, 1: CRad(0, 2)})
+        r.apply_poly(PolyZZbar(2, {basis.labels[0]: 1, basis.labels[1]: CRad(0, 2)}))
     after = [(S.scalar, dict(S.unscaled), S.as_array()) for S in shifts]
     for (s0, e0, a0), (s1, e1, a1) in zip(before, after):
         assert s0 == s1 and e0 == e1 and np.array_equal(a0, a1)

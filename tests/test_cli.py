@@ -1,6 +1,7 @@
 import csv
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -38,6 +39,50 @@ def test_fock_report_matches_its_reference(capsys, n, degree, seed):
                     if '"generated_at"' not in line)
     ref = REFERENCE / ("fock_n%d_d%d_s%d.json" % (n, degree, seed))
     assert fresh == ref.read_text(encoding="utf-8")
+
+
+TORUS_REFERENCES = {
+    "torus_d1_k4-10_n64": "--d 1 --k 4,6,8,10 --grid 64 --levels 2",
+    "torus_d2_k8_n72": "--d 2 --k 8 --grid 72 --levels 3",  # two classes
+    "torus_d1_k9_n24": "--d 1 --k 9 --grid 24 --levels 2",  # rings without a reflection
+}
+
+
+@pytest.mark.parametrize("name", sorted(TORUS_REFERENCES))
+def test_torus_report_matches_its_reference(tmp_path, capsys, name):
+    """A lattice run gives the committed report and CSV: every count, the
+    solver block and the configuration exactly, and each eigenvalue within
+    sqrt(count) * (r_ref + r_new) of the reference, r being each report's
+    largest eigen-residual at that k.  That is Kahan's bound: an orthonormal
+    set with residuals r_i has its Ritz values within ||R||_2 <= sqrt(count)
+    max r_i of as many eigenvalues of H, and both runs are certified to hold
+    the lowest ones.  A cluster's mean of lambda/k moves by at most the
+    bound over k.  README gives the command that rewrites the references."""
+    out = tmp_path / (name + ".json")
+    assert main(["--out", str(out), "torus"] + TORUS_REFERENCES[name].split()) == 0
+    new, ref = (json.loads(path.read_text(encoding="utf-8"))
+                for path in (out, REFERENCE / out.name))
+    del new["generated_at"]
+    assert sorted(new) == sorted(ref)
+    for key in ("config", "dims", "solver", "eigenvalue_rows", "eigenvalue_csv",
+                "schema_version"):
+        assert new[key] == ref[key], key
+    tables = []
+    for path in (out.with_suffix(".csv"), REFERENCE / (name + ".csv")):
+        with open(path, newline="", encoding="utf-8") as fh:
+            tables.append(list(csv.reader(fh)))
+    new_rows, ref_rows = tables
+    assert [row[:2] for row in new_rows] == [row[:2] for row in ref_rows]
+    assert len(ref_rows) == ref["eigenvalue_rows"] + 1
+    for k in ref["residuals"]:
+        rows = [(float(a[2]), float(b[2])) for a, b in zip(new_rows[1:], ref_rows[1:])
+                if a[0] == k]
+        bound = math.sqrt(len(rows)) * (new["residuals"][k] + ref["residuals"][k])
+        assert max(abs(a - b) for a, b in rows) <= bound, k
+        for a, b in zip(new["clusters"][k], ref["clusters"][k]):
+            assert (a["m"], a["count"], a["center"]) == (b["m"], b["count"], b["center"])
+            assert abs(a["mean_scaled"] - b["mean_scaled"]) <= bound / int(k)
+        assert len(new["clusters"][k]) == len(ref["clusters"][k])
 
 
 def test_fock_without_action_is_config_error(capsys):
@@ -250,6 +295,19 @@ def test_torus_json_with_side_csv(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0] == ["k", "index", "eigenvalue"]
     assert len(rows) == doc["eigenvalue_rows"] + 1
+
+
+def test_zero_defect_row_has_no_slope(tmp_path, capsys):
+    # f = g makes the commutator defect D1 exactly 0 at every k; the run
+    # still fits the product defects and exits 0.
+    out = tmp_path / "run.json"
+    assert main(["--out", str(out), "torus", "--d", "1", "--k", "4,6,8,10", "--grid", "64",
+                 "--levels", "2", "--defects", "f=cosx", "g=cosx"]) == 0
+    defects = json.loads(out.read_text())["defects"]
+    assert defects["D1"] == [0.0] * 4 and defects["slopes"]["D1"] is None
+    for name in ("D2", "DB"):
+        assert min(defects[name]) > 0
+        assert defects["slopes"][name]["points"] == 4 and defects["slopes"][name]["slope"] < 0
 
 
 def test_torus_csv_stdout(capsys):

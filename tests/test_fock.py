@@ -12,13 +12,11 @@ from landau_lab.fock import (
     FockOperator,
     PolyZZbar,
     GradedBasis,
-    coords_from_poly,
     ladder_matrices,
     mi_degree,
     multi_indices,
     multi_indices_of_degree,
     pi_m,
-    poly_from_coords,
     rho_ab,
     rho_tangent,
 )
@@ -162,15 +160,25 @@ def test_parity_split_reassembles():
     assert even.parity == 0 and odd.parity == 1
 
 
+def _coords(basis, p):
+    """A polynomial's coordinates on a full-kind basis: its coefficients
+    against the plain monomials z^a zbar^b."""
+    return {basis.index(label): c for label, c in p.terms()}
+
+
 def test_poly_coordinate_round_trip():
     basis = GradedBasis(2, 4, FULL)
     rng = random.Random(10)
     p = _random_poly(2, 4, rng)
-    back = poly_from_coords(basis, coords_from_poly(basis, p))
-    assert back == p
-    # coordinates are taken on the full kind only
+    assert FockOperator.identity(basis).apply_poly(p) == p
+    # coordinates are taken on the full kind only, of a polynomial in the
+    # basis's variables and within its cutoff
     with pytest.raises(ValueError, match="full kind"):
-        coords_from_poly(GradedBasis(2, 4), p)
+        FockOperator.identity(GradedBasis(2, 4)).apply_poly(p)
+    with pytest.raises(ValueError, match="variable count"):
+        FockOperator.identity(GradedBasis(1, 4, FULL)).apply_poly(p)
+    with pytest.raises(ValueError, match="degree 5 exceeds cutoff 4"):
+        FockOperator.identity(basis).apply_poly(PolyZZbar.monomial(2, (2, 0), (1, 2)))
 
 
 def test_apply_poly_matches_matrix():
@@ -180,13 +188,12 @@ def test_apply_poly_matches_matrix():
     rng = random.Random(12)
     p = _random_poly(1, 4, rng)
     image = A.apply_poly(p)
-    coords = coords_from_poly(basis, p)
     vec = np.zeros(basis.size, dtype=complex)
-    for i, c in coords.items():
+    for i, c in _coords(basis, p).items():
         vec[i] = complex(c)
     expect = A.as_array() @ vec
     got = np.zeros_like(expect)
-    for i, c in coords_from_poly(basis, image).items():
+    for i, c in _coords(basis, image).items():
         got[i] = complex(c)
     assert np.max(np.abs(got - expect)) < 1e-12
 
@@ -206,6 +213,14 @@ _entries = st.dictionaries(
     st.tuples(st.integers(0, _MIXED_BASIS.size - 1),
               st.integers(0, _MIXED_BASIS.size - 1)),
     _scalars, max_size=12)
+# The values an operator scales by: a rational times sqrt(s), or i times one.
+_nonzero = st.integers(-3, 3).filter(bool)
+_single_terms = st.one_of(
+    _nonzero,
+    st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool),
+    st.builds(lambda s, c: CRad(Rad.sqrt(s) * c, 0), st.sampled_from([2, 3, 6]), _nonzero),
+    st.builds(lambda s, c: CRad(0, Rad.sqrt(s) * c), st.sampled_from([1, 2, 3]), _nonzero),
+)
 
 
 def _dense(entries):
@@ -220,7 +235,7 @@ def _close(x, y):
 
 
 @settings(deadline=None)
-@given(_entries, _entries, _scalars)
+@given(_entries, _entries, _single_terms)
 def test_mixed_entry_algebra_matches_numpy(ea, eb, c):
     A = FockOperator(_MIXED_BASIS, ea)
     B = FockOperator(_MIXED_BASIS, eb)
@@ -282,13 +297,7 @@ def test_radical_and_rational_entries_agree():
 # ---------------------------------------------------------------------------
 # Operators that carry a scalar: one exact scalar times unscaled entries
 
-_nonzero = st.integers(-3, 3).filter(bool)
-_single_terms = st.one_of(
-    _nonzero,
-    st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool),
-    st.builds(lambda s, c: CRad(Rad.sqrt(s) * c, 0), st.sampled_from([2, 3, 6]), _nonzero),
-    st.builds(lambda s, c: CRad(0, Rad.sqrt(s) * c), st.sampled_from([1, 2, 3]), _nonzero),
-)
+_FULL_TWIN = GradedBasis(1, 2, FULL)
 _vectors = st.dictionaries(st.integers(0, _MIXED_BASIS.size - 1), _scalars, max_size=4)
 
 
@@ -303,7 +312,7 @@ def _with_scalar(entries, s):
 
 
 @settings(deadline=None)
-@given(_entries, _entries, _single_terms, _single_terms, _scalars, _vectors)
+@given(_entries, _entries, _single_terms, _single_terms, _single_terms, _vectors)
 def test_scaled_operator_algebra_matches_numpy(ea, eb, s, t, c, vec):
     A, B, Bs = _with_scalar(ea, s), _with_scalar(eb, t), _with_scalar(eb, s)
     a, b, bs = _dense(ea) * _value(s), _dense(eb) * _value(t), _dense(eb) * _value(s)
@@ -320,13 +329,26 @@ def test_scaled_operator_algebra_matches_numpy(ea, eb, s, t, c, vec):
     v = np.zeros(_MIXED_BASIS.size, dtype=complex)
     for i, x in vec.items():
         v[i] = _value(x)
+    # the same matrix on the full-kind basis of one variable, also of size
+    # 6, applied to the polynomial with coordinates vec
+    F = FockOperator(_FULL_TWIN, ea).scale(s)
     got = np.zeros_like(v)
-    for i, x in A.apply_coords(vec).items():
+    for i, x in _coords(_FULL_TWIN, F.apply_poly(
+            PolyZZbar(1, {_FULL_TWIN.labels[i]: x for i, x in vec.items()}))).items():
         got[i] = _value(x)
     assert _close(got, a @ v)
     if not (A.is_zero() or B.is_zero()):
         # equal scalars stay factored out of a sum
         assert (A + Bs).scalar == s and (A @ B).scalar == CRad.of(s) * CRad.of(t)
+
+
+def test_scale_takes_single_terms_only():
+    # a multi-term value would have to enter every entry
+    A = FockOperator(_MIXED_BASIS, {(0, 0): 1, (1, 2): Rad.sqrt(2)})
+    for c in (CRad(1, 1), CRad(Rad.sqrt(2), 1)):
+        with pytest.raises(ValueError, match="single term"):
+            A.scale(c)
+    assert A.scale(0).is_zero() and A.scale(CRad(0, 3)).scalar == CRad(0, 3)
 
 
 @settings(deadline=None)

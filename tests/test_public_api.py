@@ -3,11 +3,13 @@ and every module-level constant and import a reader.
 
 A public name that only tests call is API kept alive by its tests: their
 checks pin behaviour that no command runs.  A private helper without a
-caller is dead code.  The scan matches by name, and it
-resolves a receiver that is a class of the package: `Cls.name` counts only
-for the method `Cls.name`.  Any other name or attribute in src/ (a bare
-call, `self.name`, `obj.name`, `module.name`) counts for every function and
-method it spells, outside that function's own body.
+caller is dead code.  The scan matches by name, and it resolves three kinds
+of receiver to a class of the package, so that the attribute counts only
+for that class's method: the class itself (`Cls.name`), `self` or `cls` in
+a method of the class, and a parameter annotated with the class
+(`f: TrigPoly`).  Any other name or attribute in src/ (a bare call,
+`obj.name`, `module.name`) counts for every function and method it spells,
+outside that function's own body.
 """
 
 import ast
@@ -25,6 +27,8 @@ ALLOWED = {
         "entry point of the surface-table acceptance criterion",
     "torus.peaked_gram":
         "entry point of the peaked-section pairing acceptance criterion",
+    "fock.PolyZZbar.evaluate":
+        "quadrature oracle: exact pairings of polynomials are tested against it",
 }
 
 
@@ -39,6 +43,48 @@ def _is_private(name: str) -> bool:
 def _trees() -> dict[str, ast.Module]:
     return {p.stem: ast.parse(p.read_text(encoding="utf-8"))
             for p in sorted(SRC.glob("*.py"))}
+
+
+def _annotated_class(arg: ast.arg, classes: set[str]) -> str | None:
+    """The package class a parameter is annotated with, bare or quoted."""
+    ann = arg.annotation
+    if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+        name = ann.value
+    else:
+        name = ann.id if isinstance(ann, ast.Name) else None
+    return name if name in classes else None
+
+
+def _collect_refs(node, classes, receivers, enclosing, out) -> None:
+    """Append (spelled name, the package class it is looked up on or None,
+    node) for every name and attribute under node.  receivers maps the
+    names known to hold a package class to it; enclosing is the class whose
+    body node is in, whose methods' self and cls hold it."""
+    if isinstance(node, ast.ClassDef):
+        enclosing = node.name
+    elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        receivers = dict(receivers)
+        a = node.args
+        for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]:
+            if arg is None:
+                continue
+            owner = (enclosing if arg.arg in ("self", "cls")
+                     else _annotated_class(arg, classes))
+            if owner is None:
+                receivers.pop(arg.arg, None)
+            else:
+                receivers[arg.arg] = owner
+        enclosing = None
+    if isinstance(node, ast.Name):
+        out.append((node.id, None, node))
+    elif isinstance(node, ast.Attribute):
+        owner = None
+        if isinstance(node.value, ast.Name):
+            name = node.value.id
+            owner = receivers.get(name, name if name in classes else None)
+        out.append((node.attr, owner, node))
+    for child in ast.iter_child_nodes(node):
+        _collect_refs(child, classes, receivers, enclosing, out)
 
 
 def _uncalled(wanted=_is_public) -> set[str]:
@@ -57,16 +103,9 @@ def _uncalled(wanted=_is_public) -> set[str]:
                 defs += [("%s.%s.%s" % (module, node.name, sub.name), node.name, sub)
                          for sub in node.body
                          if isinstance(sub, ast.FunctionDef) and wanted(sub.name)]
-    # (spelled name, the package class it is looked up on or None, node)
     refs = []
     for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                refs.append((node.id, None, node))
-            elif isinstance(node, ast.Attribute):
-                owner = node.value.id if (isinstance(node.value, ast.Name)
-                                          and node.value.id in classes) else None
-                refs.append((node.attr, owner, node))
+        _collect_refs(tree, classes, {}, None, refs)
     out = set()
     for qualname, cls, node in defs:
         name = node.name
@@ -75,6 +114,14 @@ def _uncalled(wanted=_is_public) -> set[str]:
                    for r, owner, n in refs):
             out.add(qualname)
     return out
+
+
+def test_scan_resolves_self_and_annotated_receivers():
+    tree = ast.parse("class A:\n    def m(self):\n        return self.go()\n"
+                     "def f(x: 'A', y):\n    return x.go(), y.go()\n")
+    refs = []
+    _collect_refs(tree, {"A"}, {}, None, refs)
+    assert [owner for name, owner, _ in refs if name == "go"] == ["A", "A", None]
 
 
 def test_every_public_function_has_a_caller_in_the_package():

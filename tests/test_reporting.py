@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -51,16 +52,18 @@ def test_fit_slope_input_guards():
         fit_slope([1, 2, 3, 4], [1, 2, 3])
 
 
-def test_emit_report_deterministic_with_fixed_timestamp(tmp_path):
+def test_emit_report_deterministic_apart_from_its_timestamp(tmp_path):
     body = {"b": 2, "a": {"y": 1, "x": [3, 1]}}
-    t = "2026-08-25T00:00:00+00:00"
-    first = emit_report(body, timestamp=t)
-    second = emit_report(body, path=tmp_path / "r.json", timestamp=t)
-    assert first == second
-    assert (tmp_path / "r.json").read_text() == first
-    doc = json.loads(first)
-    assert doc["schema_version"] == SCHEMA_VERSION
-    assert doc["generated_at"] == t
+    first = emit_report(body)
+    second = emit_report(body, path=tmp_path / "r.json")
+    assert (tmp_path / "r.json").read_text() == second
+    docs = [json.loads(text) for text in (first, second)]
+    stamps = [doc.pop("generated_at") for doc in docs]
+    assert docs[0] == docs[1] == dict(body, schema_version=SCHEMA_VERSION)
+    assert all(datetime.fromisoformat(t).tzinfo is not None for t in stamps)
+    # the timestamp is the only line that differs
+    assert [line for line in first.splitlines() if "generated_at" not in line] == \
+        [line for line in second.splitlines() if "generated_at" not in line]
     # keys are sorted for stable diffs
     assert first.index('"a"') < first.index('"b"')
 
@@ -117,7 +120,7 @@ def test_run_torus_experiment_smoke(monkeypatch):
     rows = body.pop("_eigen_rows")
     assert body["eigenvalue_rows"] == len(rows)
     # the remaining body must serialize cleanly
-    emit_report(body, timestamp="t")
+    emit_report(body)
 
 
 def test_torus_run_solves_each_power_once(monkeypatch):

@@ -82,22 +82,36 @@ def test_laplacian_hermitian_covariant_antihermitian():
     # <u, D v> = -<D u, v> for the bundle's derivatives
     rng = np.random.default_rng(3)
     u, v = (rng.standard_normal((b.N ** 2, 2)) @ [1, 1j] for _ in range(2))
-    for D in (b.cov_x(), b.cov_y()):
+    for D in b.derivatives:
         assert abs(np.vdot(u, D @ v) + np.vdot(D @ u, v)) < 1e-13 * b.N ** 2 / b.h
+
+
+def _shift_matrix(b, phases, axis):
+    """The matrix sending psi(p) to phases(p) * psi(p + e_axis)."""
+    n = b.N ** 2
+    cols = np.roll(np.arange(n).reshape(b.N, b.N, order="F"), -1, axis=axis)
+    return sp.csr_matrix((phases.ravel(order="F"), (np.arange(n), cols.ravel(order="F"))),
+                         shape=(n, n))
 
 
 @pytest.mark.parametrize("d,k,N", [(1, 3, 8), (2, 8, 72), (3, 1, 15)])
 def test_laplacian_is_the_sum_of_its_shift_matrices(d, k, N):
-    # The one-pass assembly stores the bits of (4 - S_x - S_x* - S_y - S_y*)/2h^2
-    # summed as sparse matrices, in the same canonical CSR layout.
+    # The one-pass assemblies store the bits of (4 - S_x - S_x* - S_y - S_y*)/2h^2
+    # and of (S - S*)/2h summed as sparse matrices, in the same canonical CSR
+    # layout.
     b = DiscreteBundle(TorusGeometry(d=d), k=k, N=N)
-    Sx, Sy = b._shift(b._ux, axis=0), b._shift(b._uy, axis=1)
+    Sx, Sy = _shift_matrix(b, b._ux, 0), _shift_matrix(b, b._uy, 1)
     want = ((4 * sp.identity(N * N, dtype=complex, format="csr")
              - Sx - Sx.getH() - Sy - Sy.getH()) / (2 * b.h ** 2)).tocsr()
     H = b.laplacian()
     assert H.format == "csr" and H.has_canonical_format
     assert np.array_equal(H.indptr, want.indptr) and np.array_equal(H.indices, want.indices)
     assert np.array_equal(H.data.view(np.uint64), want.data.view(np.uint64))
+    for D, S in zip(b.derivatives, (Sx, Sy)):
+        want = ((S - S.getH()) / (2 * b.h)).tocsr()
+        assert D.format == "csr" and D.has_canonical_format
+        assert np.array_equal(D.indptr, want.indptr) and np.array_equal(D.indices, want.indices)
+        assert np.array_equal(D.data.view(np.uint64), want.data.view(np.uint64))
 
 
 def _explicit_derivatives(b):
@@ -120,9 +134,8 @@ def _explicit_derivatives(b):
 def test_bundle_derivatives_match_the_link_phases(N):
     b = DiscreteBundle(TorusGeometry(d=1), k=3, N=N)
     assert np.max(np.abs(b._ux[N - 1, :] - 1)) > 0.1  # the wrap column is twisted
-    Dx, Dy = _explicit_derivatives(b)
-    assert np.max(np.abs(b.cov_x().toarray() - Dx)) < 1e-13
-    assert np.max(np.abs(b.cov_y().toarray() - Dy)) < 1e-13
+    for D, want in zip(b.derivatives, _explicit_derivatives(b)):
+        assert np.max(np.abs(D.toarray() - want)) < 1e-13
 
 
 def _sites_pointwise(b, f):
@@ -138,14 +151,14 @@ def test_toeplitz_der_matches_the_sparse_operator_chain():
     b = proj.bundle
     side = b.geometry.side
     f, g = TrigPoly.cos_x(side), TrigPoly.sin_y(side)
+    dx, dy = b.derivatives
     # hamiltonian_vf(cos x) has no x-component, hamiltonian_vf(sin y) no
     # y-component; the last pair has both
     for fields in ([hamiltonian_vf(f), hamiltonian_vf(g)],
                    [hamiltonian_vf(f + g), hamiltonian_vf(f * g)]):
         W = proj.V
         for fx, fy in reversed(fields):
-            op = (sp.diags(_sites_pointwise(b, fx)) @ b.cov_x()
-                  + sp.diags(_sites_pointwise(b, fy)) @ b.cov_y())
+            op = sp.diags(_sites_pointwise(b, fx)) @ dx + sp.diags(_sites_pointwise(b, fy)) @ dy
             W = op @ W
         want = proj.V.conj().T @ W / b.k
         got = torus.toeplitz_der(proj, fields)
@@ -672,8 +685,8 @@ def test_toeplitz_unit_and_adjoint():
     dec = compute_spectrum(1, 4, 32, count=18)
     proj = LandauProjector(dec, 0)
     side = proj.bundle.geometry.side
-    f = TrigPoly.cos_x(side) + TrigPoly.sin_y(side).scale(0.5) * 1j
-    one = toeplitz_fn(proj, np.ones(dec.bundle.N ** 2))
+    f = TrigPoly.cos_x(side) + TrigPoly.sin_y(side).scale(0.5j)
+    one = toeplitz_fn(proj, TrigPoly(side, {(0, 0): 1}))
     assert np.linalg.norm(one - np.eye(proj.dim), 2) < 1e-10
     # the conjugate symbol compresses to the adjoint
     fbar = TrigPoly(side, {(-p, -q): np.conj(c) for (p, q), c in f.coeffs.items()})
@@ -776,7 +789,8 @@ def test_ladder_angle_matches_subspace_angles(d, k, N):
     dec = resolve_levels(d, k, N, 1)
     b = dec.bundle
     V0, V1 = LandauProjector(dec, 0).V, LandauProjector(dec, 1).V
-    raised = (b.cov_x() @ V0 - 1j * (b.cov_y() @ V0)) / math.sqrt(2)
+    dx, dy = b.derivatives
+    raised = (dx @ V0 - 1j * (dy @ V0)) / math.sqrt(2)
     want = np.max(subspace_angles(raised, V1))
     got = ladder_map(dec, 1)["max_angle"]
     assert abs(got - want) < 1e-9 * want
