@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import itertools
 import json
 import math
@@ -25,20 +27,52 @@ def test_fock_identities_exit_zero(capsys):
 
 REFERENCE = Path(__file__).parent / "reference"
 
+# The reference tables: the benchmark's ledger inputs at two seeds, the
+# README's exact-side examples and three torus runs.  Running this file as a
+# script rewrites every reference from them.
+FOCK_INPUTS = [(1, 8), (2, 8), (3, 4)]
+FOCK_SEEDS = [0, 101]
+EXACT_REFERENCES = {
+    "surface_g2_B5_l3.json": "surface --genus 2 --B 5 --levels 3",
+    "surface_g0_d4_l3.csv": "--format csv surface --genus 0 --degree 4 --levels 3",
+    "surface_g0_d4_l3_iterate.json": "surface --genus 0 --degree 4 --levels 3 --iterate",
+    "dim_g2_d10_t1-2_k3_m1.json": "dim --surface g=2,d=10 --torus d=1:2 --k 3 --m 1",
+}
 
-@pytest.mark.parametrize("n,degree", [(1, 8), (2, 8), (3, 4)])
-@pytest.mark.parametrize("seed", [0, 101])
-def test_fock_report_matches_its_reference(capsys, n, degree, seed):
+
+def _fock_reference(n, degree, seed):
+    return ("fock_n%d_d%d_s%d.json" % (n, degree, seed),
+            "--seed %d fock --check-identities --n %d --degree %d" % (seed, n, degree))
+
+
+def _printed_report(args):
+    """main's exit code and standard output for the argument string, without
+    the timestamp line."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(args.split())
+    return code, "".join(line for line in out.getvalue().splitlines(keepends=True)
+                         if '"generated_at"' not in line)
+
+
+@pytest.mark.parametrize("n,degree", FOCK_INPUTS)
+@pytest.mark.parametrize("seed", FOCK_SEEDS)
+def test_fock_report_matches_its_reference(n, degree, seed):
     """The ledger at the benchmark's inputs gives the committed report byte
-    for byte, apart from the timestamp line; README gives the command that
-    rewrites the references."""
-    code = main(["--seed", str(seed), "fock", "--check-identities",
-                 "--n", str(n), "--degree", str(degree)])
+    for byte, apart from the timestamp line."""
+    name, args = _fock_reference(n, degree, seed)
+    code, fresh = _printed_report(args)
     assert code == 0
-    fresh = "".join(line for line in capsys.readouterr().out.splitlines(keepends=True)
-                    if '"generated_at"' not in line)
-    ref = REFERENCE / ("fock_n%d_d%d_s%d.json" % (n, degree, seed))
-    assert fresh == ref.read_text(encoding="utf-8")
+    assert fresh == (REFERENCE / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_REFERENCES))
+def test_readme_example_matches_its_reference(name):
+    """Each exact-side README example prints the committed report or CSV
+    byte for byte, apart from the timestamp line."""
+    code, fresh = _printed_report(EXACT_REFERENCES[name])
+    assert code == 0
+    assert fresh.encode("utf-8") == (REFERENCE / name).read_bytes()
 
 
 TORUS_REFERENCES = {
@@ -57,7 +91,7 @@ def test_torus_report_matches_its_reference(tmp_path, capsys, name):
     set with residuals r_i has its Ritz values within ||R||_2 <= sqrt(count)
     max r_i of as many eigenvalues of H, and both runs are certified to hold
     the lowest ones.  A cluster's mean of lambda/k moves by at most the
-    bound over k.  README gives the command that rewrites the references."""
+    bound over k."""
     out = tmp_path / (name + ".json")
     assert main(["--out", str(out), "torus"] + TORUS_REFERENCES[name].split()) == 0
     new, ref = (json.loads(path.read_text(encoding="utf-8"))
@@ -392,3 +426,27 @@ def test_torus_report_does_not_depend_on_the_seed(tmp_path, monkeypatch):
         tables.append(out.with_suffix(".csv").read_bytes())
     assert docs[0] == docs[1]
     assert tables[0] == tables[1]
+
+
+def _rewrite_references() -> None:
+    """Rewrite every file in tests/reference/ from the tables above."""
+    exact = dict(EXACT_REFERENCES)
+    exact.update(_fock_reference(n, degree, seed)
+                 for n, degree in FOCK_INPUTS for seed in FOCK_SEEDS)
+    for name, args in sorted(exact.items()):
+        code, text = _printed_report(args)
+        if code != 0:
+            raise SystemExit("%s exited %d" % (args, code))
+        (REFERENCE / name).write_text(text, encoding="utf-8", newline="")
+    for name, args in sorted(TORUS_REFERENCES.items()):
+        out = REFERENCE / (name + ".json")
+        code = main(["--out", str(out), "torus"] + args.split())
+        if code != 0:
+            raise SystemExit("torus %s exited %d" % (args, code))
+        lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
+        out.write_text("".join(line for line in lines if '"generated_at"' not in line),
+                       encoding="utf-8", newline="")
+
+
+if __name__ == "__main__":
+    _rewrite_references()
