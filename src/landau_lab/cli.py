@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands: fock (exact identity ledger), surface (closed-form spectra),
-dim (dimension counts), torus (lattice spectral experiments).  Exit codes:
+dim (dimension counts), torus (lattice spectral experiments).  Each
+subparser binds its runner, which parses its own flags, then does the work
+and returns the report body and the table a CSV gets (or None).  Exit codes:
 0 on success, 1 when a numerical guard trips or an identity fails, 2 for
-configuration errors, 3 for an internal error (a bug), with its traceback.
+configuration errors, among them an --out that cannot be written, and 3 for
+an internal error (a bug), with its traceback.
 Only torus runs import the lattice stack (numpy, scipy); fock, dim and
 surface load neither, so a cold dim run takes about 0.1 s on a 2-vCPU VM.
 """
@@ -13,11 +16,13 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
+from fractions import Fraction
 from pathlib import Path
 
 from .errors import GuardError
-from .reporting import (ExperimentConfig, emit_report, run_experiment,
-                        write_csv, _TRIG_NAMES)
+from .reporting import emit_report, fit_slope, write_csv
+
+_TRIG_NAMES = ("cosx", "sinx", "cosy", "siny")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -35,6 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fock = sub.add_parser("fock", help="exact operator-algebra checks")
+    p_fock.set_defaults(run=_run_fock)
     p_fock.add_argument("--check-identities", action="store_true",
                         help="run the zero-tolerance identity suite")
     p_fock.add_argument("--n", type=int, default=1, help="complex variables")
@@ -42,6 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="truncation degree")
 
     p_surf = sub.add_parser("surface", help="constant-curvature level tables")
+    p_surf.set_defaults(run=_run_surface)
     p_surf.add_argument("--genus", type=int, required=True)
     group = p_surf.add_mutually_exclusive_group(required=True)
     group.add_argument("--B", type=str, help="field strength (rational)")
@@ -53,6 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "instead of the closed form")
 
     p_dim = sub.add_parser("dim", help="level dimension counts")
+    p_dim.set_defaults(run=_run_dim)
     p_dim.add_argument("--surface", type=str, default=None,
                        metavar="g=G,d=D", help="surface target")
     p_dim.add_argument("--torus", type=str, default=None,
@@ -61,6 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dim.add_argument("--m", type=int, default=0)
 
     p_tor = sub.add_parser("torus", help="lattice magnetic Laplacian runs")
+    p_tor.set_defaults(run=_run_torus)
     p_tor.add_argument("--d", type=int, default=1, help="bundle degree")
     p_tor.add_argument("--k", type=str, default="8",
                        help="tensor power, or comma list for slope studies")
@@ -98,88 +107,187 @@ def _kv_value(kv: dict, key: str, what: str) -> str:
     return kv[key]
 
 
-def _config_from_args(args) -> ExperimentConfig:
-    if args.command == "fock":
-        if not args.check_identities:
-            raise ValueError("nothing to do; pass --check-identities")
-        return ExperimentConfig("fock", {"n": args.n, "degree": args.degree},
-                                seed=args.seed)
-    if args.command == "surface":
-        params = {"genus": args.genus,
-                  "area_over_pi": args.area_over_pi,
-                  "levels": args.levels,
-                  "iterate": bool(args.iterate)}
-        if args.B is not None:
-            params["B"] = args.B
-        else:
-            params["degree"] = args.degree
-        return ExperimentConfig("surface", params, seed=args.seed)
-    if args.command == "dim":
-        params: dict = {"k": args.k, "m": args.m}
-        if args.surface is None and args.torus is None:
-            raise ValueError("pass --surface and/or --torus")
-        if args.surface is not None:
-            kv = _kv_pairs(args.surface, "--surface")
-            params["surface"] = {"g": int(_kv_value(kv, "g", "--surface")),
-                                 "d": int(_kv_value(kv, "d", "--surface"))}
-        if args.torus is not None:
-            kv = _kv_pairs(args.torus, "--torus")
-            params["torus"] = {"d_list": [
-                int(x) for x in _kv_value(kv, "d", "--torus").split(":")]}
-        return ExperimentConfig("dim", params, seed=args.seed)
-    if args.command == "torus":
-        ks = [int(tok) for tok in args.k.split(",") if tok]
-        if not ks:
-            raise ValueError("--k needs at least one power")
-        params = {"d": args.d, "ks": ks, "N": args.grid,
-                  "levels": args.levels, "m": args.m}
+def _rational(text, flag: str) -> Fraction:
+    try:
+        return Fraction(str(text))
+    except ZeroDivisionError:
+        raise ValueError("%s %s has a zero denominator" % (flag, text)) from None
+
+
+def _run_fock(args):
+    if not args.check_identities:
+        raise ValueError("nothing to do; pass --check-identities")
+    from .identities import run_identity_checks
+    results = run_identity_checks(args.n, args.degree, seed=args.seed)
+    return {"config": {"kind": "fock", "params": {"n": args.n, "degree": args.degree},
+                       "seed": args.seed},
+            "identities": results,
+            "all_passed": all(r["passed"] for r in results)}, None
+
+
+def _run_surface(args):
+    from .surfaces import SurfaceGeometry, landau_spectrum, weitzenbock_iterate
+    params = {"genus": args.genus, "area_over_pi": args.area_over_pi,
+              "levels": args.levels, "iterate": args.iterate}
+    area = _rational(args.area_over_pi, "--area-over-pi")
+    if args.B is not None:
+        params["B"] = args.B
+        geom = SurfaceGeometry.from_field(args.genus, _rational(args.B, "--B"), area)
+    else:
+        params["degree"] = args.degree
+        geom = SurfaceGeometry(args.genus, args.degree, area)
+    if args.levels < 1:
+        raise ValueError("--levels must be at least 1, got %d" % args.levels)
+    if args.iterate:
+        table = weitzenbock_iterate(geom, max_steps=args.levels).to_dict()
+    else:
+        table = landau_spectrum(geom, args.levels).to_dict()
+    body = {"config": {"kind": "surface", "params": params, "seed": args.seed},
+            "surface": table}
+    header = ("m", "eigenvalue", "multiplicity", "flag")
+    rows = [tuple(r[key] for key in header) for r in table["rows"]]
+    return body, (header, rows) if args.format == "csv" else None
+
+
+def _run_dim(args):
+    if args.surface is None and args.torus is None:
+        raise ValueError("pass --surface and/or --torus")
+    params: dict = {"k": args.k, "m": args.m}
+    if args.surface is not None:
+        kv = _kv_pairs(args.surface, "--surface")
+        params["surface"] = {"g": int(_kv_value(kv, "g", "--surface")),
+                             "d": int(_kv_value(kv, "d", "--surface"))}
+    if args.torus is not None:
+        kv = _kv_pairs(args.torus, "--torus")
+        params["torus"] = {"d_list": [
+            int(x) for x in _kv_value(kv, "d", "--torus").split(":")]}
+    from .dimensions import dim_surface, dim_torus, torus_composition_check
+    k, m = args.k, args.m
+    out = {"config": {"kind": "dim", "params": params, "seed": args.seed}, "reports": []}
+    if "surface" in params:
+        out["reports"].append(dim_surface(k=k, m=m, **params["surface"]).to_dict())
+    if "torus" in params:
+        d_list = params["torus"]["d_list"]
+        out["reports"].append(dim_torus(n=len(d_list), k=k, d_list=d_list, m=m).to_dict())
+        out["composition"] = torus_composition_check(
+            n=len(d_list), k=k, d_list=d_list, m=m)
+    return out, None
+
+
+def _run_torus(args):
+    ks = [int(tok) for tok in args.k.split(",") if tok]
+    if not ks:
+        raise ValueError("--k needs at least one power")
+    d, N, levels, m = args.d, args.grid, args.levels, args.m
+    params = {"d": d, "ks": ks, "N": N, "levels": levels, "m": m}
+    if args.defects:
+        params["defects"] = [args.defects[0].removeprefix("f="),
+                             args.defects[1].removeprefix("g=")]
+    if args.kernel_compare:
+        params["kernel_compare"] = True
+    if args.ladder is not None:
+        params["ladder"] = lm = int(args.ladder.removeprefix("m="))
+    from . import torus as T
+
+    body: dict = {"config": {"kind": "torus", "params": params, "seed": args.seed},
+                  "clusters": {}, "dims": {}, "residuals": {}, "solver": {}}
+    # The levels the blocks read; one solve per k resolves all of them.
+    read = [levels - 1]
+    if args.defects:
+        fname, gname = params["defects"]
+        side = T.TorusGeometry(d).side
+        f, g = (_trig_by_name(name, side) for name in (fname, gname))
+        body["defects"] = {"f": fname, "g": gname, "m": m,
+                           "D2": [], "D1": [], "DB": []}
+        rounded = set()
+        read.append(m)
+    if args.kernel_compare:
+        body["kernel_compare"] = []
+    if args.ladder is not None:
+        body["ladder"] = []
+        read.append(lm)
+    if min(read) < 0:
+        raise ValueError("level %d does not exist: --levels must be at least 1, "
+                         "and --m and --ladder m=M at least 0" % min(read))
+    eigen_rows = []
+    for k in ks:
+        dec = T.resolve_levels(d, k, N, max(read))
+        cls = T.detect_clusters(dec, levels)
+        body["residuals"][str(k)] = dec.residual_max
+        body["solver"][str(k)] = dec.solver
+        body["clusters"][str(k)] = [{key: c[key] for key in (
+            "m", "count", "center", "mean_scaled")} for c in cls]
+        body["dims"][str(k)] = {str(c["m"]): c["count"] for c in cls}
+        eigen_rows += [(k, i, repr(float(lam))) for i, lam in enumerate(dec.eigenvalues)]
         if args.defects:
-            params["defects"] = [args.defects[0].removeprefix("f="),
-                                 args.defects[1].removeprefix("g=")]
+            row = T.asymptotic_defects(dec, m, f, g)
+            for name in ("D2", "D1", "DB"):
+                body["defects"][name].append(row[name])
+                if row[name] <= row["rounding"][name]:
+                    rounded.add(name)
         if args.kernel_compare:
-            params["kernel_compare"] = True
+            body["kernel_compare"] += T.kernel_error(dec, min(levels, 3))
         if args.ladder is not None:
-            params["ladder"] = int(args.ladder.removeprefix("m="))
-        return ExperimentConfig("torus", params, seed=args.seed)
-    raise ValueError("unknown command %r" % args.command)
+            r = T.ladder_map(dec, lm)
+            body["ladder"].append({"k": k, "m": lm, **{key: r[key] for key in (
+                "vtv_defect", "vvt_defect", "max_angle")}})
+    body["eigenvalue_rows"] = len(eigen_rows)
+    if args.defects and len(ks) >= 4:
+        # A row with an entry that is zero to rounding, such as D1 when
+        # f = g, has no log-log slope.
+        defects = body["defects"]
+        defects["slopes"] = {name: None if name in rounded
+                             else fit_slope(ks, defects[name]).to_dict()
+                             for name in ("D2", "D1", "DB")}
+    return body, (("k", "index", "eigenvalue"), eigen_rows)
 
 
-def _emit(args, body: dict) -> None:
-    eigen_rows = body.pop("_eigen_rows", None)
-    if args.format == "csv":
-        if args.command == "surface":
-            rows = [(r["m"], r["eigenvalue"], r["multiplicity"], r["flag"])
-                    for r in body["surface"]["rows"]]
-            header = ("m", "eigenvalue", "multiplicity", "flag")
-        else:  # torus: main() turns csv down for the other reports
-            rows = eigen_rows or []
-            header = ("k", "index", "eigenvalue")
-        if args.out is None:
+def _trig_by_name(name: str, side: float):
+    from .torus import TrigPoly
+    makers = {"cosx": TrigPoly.cos_x, "sinx": TrigPoly.sin_x,
+              "cosy": TrigPoly.cos_y, "siny": TrigPoly.sin_y}
+    if name not in makers:
+        raise ValueError("unknown observable %r; choose from %s"
+                         % (name, ", ".join(_TRIG_NAMES)))
+    return makers[name](side)
+
+
+def _emit(args, body: dict, table) -> None:
+    """Print the report, or its table for csv, or write either to --out; a
+    torus report written to --out gets its eigenvalue table beside it."""
+    if args.out is None:
+        if args.format == "csv":
+            header, rows = table
             print(",".join(header))
             for row in rows:
                 print(",".join(str(x) for x in row))
         else:
-            write_csv(args.out, header, rows)
+            sys.stdout.write(emit_report(body))
         return
-    if args.command == "torus" and eigen_rows and args.out is not None:
-        csv_path = args.out.with_suffix(".csv")
-        write_csv(csv_path, ("k", "index", "eigenvalue"), eigen_rows)
-        body["eigenvalue_csv"] = csv_path.name
-    text = emit_report(body, path=args.out)
-    if args.out is None:
-        sys.stdout.write(text)
+    try:
+        if args.format == "csv":
+            write_csv(args.out, *table)
+            return
+        if table is not None:
+            csv_path = args.out.with_suffix(".csv")
+            write_csv(csv_path, *table)
+            body["eigenvalue_csv"] = csv_path.name
+        emit_report(body, path=args.out)
+    except OSError as exc:
+        raise ValueError("cannot write --out %s: %s" % (args.out, exc)) from None
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
         if args.format == "csv" and args.command not in ("surface", "torus"):
             raise ValueError("csv output is only available for surface and "
                              "torus reports")
-        body = run_experiment(config)
-        _emit(args, body)
+        if args.out is not None and not args.out.parent.is_dir():
+            raise ValueError("--out %s: %s is not a directory"
+                             % (args.out, args.out.parent))
+        body, table = args.run(args)
+        _emit(args, body, table)
     except GuardError as exc:
         print("guard tripped: %s" % exc, file=sys.stderr)
         return 1
@@ -187,12 +295,9 @@ def main(argv=None) -> int:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     except Exception:
-        print("internal error:\n%s" % traceback.format_exc(), file=sys.stderr,
-              end="")
+        sys.stderr.write("internal error:\n%s" % traceback.format_exc())
         return 3
-    if args.command == "fock" and not body.get("all_passed", True):
-        return 1
-    return 0
+    return 0 if body.get("all_passed", True) else 1
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
-"""Experiment configuration, log-log slope fitting, and report emission.
+"""Log-log slope fitting and report emission.
 
 Reports are deterministic: keys are sorted and the only run-dependent field
-is the isolated top-level timestamp, so two runs with the same config differ
-in at most that one line.
+is the isolated top-level timestamp, so two runs with the same arguments
+differ in at most that one line.  The command-line runners build the report
+bodies (cli.py).
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import csv
 import json
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from fractions import Fraction
 
 SCHEMA_VERSION = 1
 
@@ -51,16 +51,6 @@ def fit_slope(xs, ys) -> SlopeFit:
     return SlopeFit(float(slope), float(intercept), float(r2), len(xs))
 
 
-@dataclass
-class ExperimentConfig:
-    kind: str
-    params: dict
-    seed: int = 0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 def emit_report(body: dict, path=None) -> str:
     """Serialize a report with schema version and timestamp; optionally write
     it to path.  Returns the JSON text."""
@@ -82,140 +72,3 @@ def write_csv(path, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def run_experiment(config: ExperimentConfig) -> dict:
-    """Dispatch a config to the matching driver; returns the report body."""
-    runner = _RUNNERS.get(config.kind)
-    if runner is None:
-        raise ValueError("unknown experiment kind %r" % config.kind)
-    return runner(config)
-
-
-def _run_fock(config: ExperimentConfig) -> dict:
-    from .identities import run_identity_checks
-    results = run_identity_checks(config.params["n"], config.params["degree"],
-                                  seed=config.seed)
-    return {"config": config.to_dict(),
-            "identities": results,
-            "all_passed": all(r["passed"] for r in results)}
-
-
-def _rational(text, flag: str) -> Fraction:
-    try:
-        return Fraction(str(text))
-    except ZeroDivisionError:
-        raise ValueError("%s %s has a zero denominator" % (flag, text)) from None
-
-
-def _run_surface(config: ExperimentConfig) -> dict:
-    from .surfaces import SurfaceGeometry, landau_spectrum, weitzenbock_iterate
-    p = config.params
-    area = _rational(p["area_over_pi"], "--area-over-pi")
-    if "B" in p:
-        geom = SurfaceGeometry.from_field(p["genus"], _rational(p["B"], "--B"), area)
-    else:
-        geom = SurfaceGeometry(p["genus"], p["degree"], area)
-    levels = p["levels"]
-    if levels < 1:
-        raise ValueError("--levels must be at least 1, got %d" % levels)
-    if p["iterate"]:
-        table = weitzenbock_iterate(geom, max_steps=levels)
-    else:
-        table = landau_spectrum(geom, levels)
-    return {"config": config.to_dict(), "surface": table.to_dict()}
-
-
-def _run_dim(config: ExperimentConfig) -> dict:
-    from .dimensions import dim_surface, dim_torus, torus_composition_check
-    p = config.params
-    k, m = p["k"], p["m"]
-    out = {"config": config.to_dict(), "reports": []}
-    if "surface" in p:
-        s = p["surface"]
-        rep = dim_surface(k=k, d=s["d"], g=s["g"], m=m)
-        out["reports"].append(rep.to_dict())
-    if "torus" in p:
-        d_list = p["torus"]["d_list"]
-        rep = dim_torus(n=len(d_list), k=k, d_list=d_list, m=m)
-        out["reports"].append(rep.to_dict())
-        out["composition"] = torus_composition_check(
-            n=len(d_list), k=k, d_list=d_list, m=m)
-    return out
-
-
-def _run_torus(config: ExperimentConfig) -> dict:
-    from . import torus as T
-    p = config.params
-    d, ks, N, levels, m = p["d"], p["ks"], p["N"], p["levels"], p["m"]
-
-    body: dict = {"config": config.to_dict(), "clusters": {}, "dims": {},
-                  "residuals": {}, "solver": {}}
-    # The levels the blocks read; one solve per k resolves all of them.
-    read = [levels - 1]
-    if "defects" in p:
-        fname, gname = p["defects"]
-        side = T.TorusGeometry(d).side
-        f, g = (_trig_by_name(name, side) for name in (fname, gname))
-        body["defects"] = {"f": fname, "g": gname, "m": m,
-                           "D2": [], "D1": [], "DB": []}
-        read.append(m)
-    if "kernel_compare" in p:
-        body["kernel_compare"] = []
-    if "ladder" in p:
-        lm = p["ladder"]
-        body["ladder"] = []
-        read.append(lm)
-    if min(read) < 0:
-        raise ValueError("level %d does not exist: --levels must be at least 1, "
-                         "and --m and --ladder m=M at least 0" % min(read))
-    eigen_rows = []
-    for k in ks:
-        dec = T.resolve_levels(d, k, N, max(read))
-        cls = T.detect_clusters(dec, levels)
-        body["residuals"][str(k)] = dec.residual_max
-        body["solver"][str(k)] = dec.solver
-        body["clusters"][str(k)] = [
-            {"m": c["m"], "count": c["count"], "center": c["center"],
-             "mean_scaled": c["mean_scaled"]} for c in cls]
-        body["dims"][str(k)] = {str(c["m"]): c["count"] for c in cls}
-        for i, lam in enumerate(dec.eigenvalues):
-            eigen_rows.append((k, i, repr(float(lam))))
-        if "defects" in body:
-            row = T.asymptotic_defects(dec, m, f, g)
-            for name in ("D2", "D1", "DB"):
-                body["defects"][name].append(row[name])
-        if "kernel_compare" in body:
-            body["kernel_compare"] += T.kernel_error(dec, min(levels, 3))
-        if "ladder" in body:
-            r = T.ladder_map(dec, lm)
-            body["ladder"].append({"k": k, "m": lm, "vtv_defect": r["vtv_defect"],
-                                   "vvt_defect": r["vvt_defect"],
-                                   "max_angle": r["max_angle"]})
-    body["eigenvalue_rows"] = len(eigen_rows)
-    if "defects" in body and len(ks) >= 4:
-        # A row with a zero, such as D1 when f = g, has no log-log slope.
-        defects = body["defects"]
-        defects["slopes"] = {name: fit_slope(ks, defects[name]).to_dict()
-                             if min(defects[name]) > 0 else None
-                             for name in ("D2", "D1", "DB")}
-
-    body["_eigen_rows"] = eigen_rows
-    return body
-
-
-_TRIG_NAMES = ("cosx", "sinx", "cosy", "siny")
-
-
-def _trig_by_name(name: str, side: float):
-    from .torus import TrigPoly
-    makers = {"cosx": TrigPoly.cos_x, "sinx": TrigPoly.sin_x,
-              "cosy": TrigPoly.cos_y, "siny": TrigPoly.sin_y}
-    if name not in makers:
-        raise ValueError("unknown observable %r; choose from %s"
-                         % (name, ", ".join(_TRIG_NAMES)))
-    return makers[name](side)
-
-
-_RUNNERS = {"fock": _run_fock, "surface": _run_surface,
-            "dim": _run_dim, "torus": _run_torus}

@@ -679,17 +679,39 @@ def asymptotic_defects(dec: SpectralDecomposition, m: int, f: TrigPoly,
       D2: T(f)T(g) - T(fg) - k^(-1) T(X_f, X_g)
       D1: i k [T(f), T(g)] - T({f, g})
       DB: T(f)T(g) - T(fg) - k^(-1) T(B_1(f, g))
-    and the cluster's dimension.
+    the cluster's dimension n, and under "rounding" each defect's bound
+    n N^2 eps S, within which rounding alone can move it.  A compression V*W
+    of the unit-column frame is sums over the N^2 sites, so rounding moves it
+    by at most N^2 eps/2 sqrt(n) ||W||_F: n N^2 eps/2 |s| for W = s V, |s|
+    being the sum of the moduli of s's Fourier coefficients, and
+    n N^2 eps/2 |X_f||X_g| / h^2 (|X| = |X^x| + |X^y|) for the derivative
+    chain, whose central differences have norm at most 1/h.  T(f)T(g) carries
+    both factors' errors and adds its own sums over n <= N^2 columns:
+    3 n N^2 eps/2 |f||g|.  So S is 3|f||g| + |fg| + |X_f||X_g| / (k h^2) for
+    D2, 6k|f||g| + |{f, g}| for D1 and 3|f||g| + |fg| + |B_1(f, g)| / k for
+    DB; doubling eps/2 covers the few other operations per entry.
     """
     proj, k = dec.projector(m), dec.bundle.k
-    Tf, Tg, Tfg, Tpb, Tb1 = (toeplitz_fn(proj, s) for s in (
-        f, g, f * g, poisson_bracket(f, g), b1_correction(f, g, m)))
-    TXY = toeplitz_der(proj, [hamiltonian_vf(f), hamiltonian_vf(g)])
+    pb, b1 = poisson_bracket(f, g), b1_correction(f, g, m)
+    Tf, Tg, Tfg, Tpb, Tb1 = (toeplitz_fn(proj, s) for s in (f, g, f * g, pb, b1))
+    Xf, Xg = hamiltonian_vf(f), hamiltonian_vf(g)
+    TXY = toeplitz_der(proj, [Xf, Xg])
     prod = Tf @ Tg
+
+    def size(*parts: TrigPoly) -> float:
+        return sum(abs(c) for s in parts for c in s.coeffs.values())
+
+    unit = proj.dim * dec.bundle.N ** 2 * float(np.finfo(float).eps)
+    fg = size(f) * size(g)
     return {"D2": float(np.linalg.norm(prod - Tfg - TXY / k, 2)),
             "D1": float(np.linalg.norm(1j * k * (prod - Tg @ Tf) - Tpb, 2)),
             "DB": float(np.linalg.norm(prod - Tfg - Tb1 / k, 2)),
-            "dim": proj.dim}
+            "dim": proj.dim,
+            "rounding": {
+                "D2": unit * (3 * fg + size(f * g)
+                              + size(*Xf) * size(*Xg) / (k * dec.bundle.h ** 2)),
+                "D1": unit * (6 * k * fg + size(pb)),
+                "DB": unit * (3 * fg + size(f * g) + size(b1) / k)}}
 
 
 def _kernel_pairs(b: DiscreteBundle):

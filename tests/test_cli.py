@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from landau_lab import cli, errors, torus
+from landau_lab import cli, dimensions, errors, surfaces, torus
 from landau_lab.cli import main
 
 
@@ -178,10 +178,10 @@ def test_dim_missing_key_is_config_error(capsys):
 
 
 def test_internal_error_exits_three(capsys, monkeypatch):
-    def broken(config):
+    def broken(args):
         raise KeyError("no such record")
 
-    monkeypatch.setattr(cli, "run_experiment", broken)
+    monkeypatch.setattr(cli, "_run_dim", broken)
     assert main(["dim", "--torus", "d=1", "--k", "2"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error:")
@@ -195,10 +195,10 @@ def test_csv_unavailable_for_fock(capsys):
 
 
 def test_csv_format_is_rejected_before_any_work(capsys, monkeypatch):
-    def must_not_run(config):
+    def must_not_run(args):
         raise AssertionError("the experiment ran")
 
-    monkeypatch.setattr(cli, "run_experiment", must_not_run)
+    monkeypatch.setattr(cli, "_run_fock", must_not_run)
     code = main(["--format", "csv", "fock", "--check-identities",
                  "--n", "2", "--degree", "8"])
     assert code == 2
@@ -342,6 +342,56 @@ def test_zero_defect_row_has_no_slope(tmp_path, capsys):
     for name in ("D2", "DB"):
         assert min(defects[name]) > 0
         assert defects["slopes"][name]["points"] == 4 and defects["slopes"][name]["slope"] < 0
+
+
+@pytest.mark.parametrize("argv,work", [
+    (["--out", "{missing}/r.json", "dim", "--torus", "d=1", "--k", "2"],
+     (dimensions, "dim_torus")),
+    (["--format", "csv", "--out", "{missing}/r.csv", "surface", "--genus", "0",
+      "--degree", "2", "--levels", "2"], (surfaces, "landau_spectrum")),
+    # the eigenvalue CSV would go beside the report
+    (["--out", "{missing}/r.json", "torus", "--d", "1", "--k", "4", "--grid", "32",
+      "--levels", "1"], (torus, "resolve_levels")),
+], ids=["json", "csv", "torus"])
+def test_out_in_a_missing_directory_is_refused_before_any_work(tmp_path, capsys,
+                                                                 monkeypatch, argv, work):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the runner ran")
+
+    monkeypatch.setattr(*work, must_not_run)
+    missing = tmp_path / "missing"
+    assert main([a.format(missing=missing) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "--out" in err and "Traceback" not in err
+    assert not missing.exists()
+
+
+def test_out_that_cannot_be_written_is_config_error(tmp_path, capsys):
+    # the directory exists, but the eigenvalue CSV's path is a directory
+    (tmp_path / "run.csv").mkdir()
+    assert main(["--out", str(tmp_path / "run.json"), "torus", "--d", "1", "--k", "4",
+                 "--grid", "32", "--levels", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "--out" in err and "Traceback" not in err
+
+
+def test_rounding_level_defect_row_has_no_slope(tmp_path, capsys):
+    # f = cos x and g = sin x leave D1 at rounding level at every k, and D2
+    # and DB at k = 4 only; a row with an entry within its rounding bound
+    # gets no slope.  With g = sin y every entry is far above its bound.
+    def defects(g):
+        out = tmp_path / (g + ".json")
+        assert main(["--out", str(out), "torus", "--d", "1", "--k", "4,6,8,10",
+                     "--grid", "64", "--levels", "1", "--defects", "f=cosx", "g=" + g]) == 0
+        return json.loads(out.read_text())["defects"]
+
+    flat = defects("sinx")
+    assert max(flat["D1"]) < 1e-13 and flat["D2"][0] < 1e-13 and flat["DB"][0] < 1e-13
+    assert min(flat["D2"][1:]) > 0.1 and min(flat["DB"][1:]) > 0.01
+    assert flat["slopes"] == {"D2": None, "D1": None, "DB": None}
+    slopes = defects("siny")["slopes"]
+    assert all(slopes[name]["points"] == 4 and slopes[name]["slope"] < 0
+               for name in ("D2", "D1", "DB"))
 
 
 def test_torus_csv_stdout(capsys):

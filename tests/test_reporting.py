@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from landau_lab import torus
-from landau_lab.reporting import (
-    SCHEMA_VERSION,
-    ExperimentConfig,
-    emit_report,
-    fit_slope,
-    run_experiment,
-    write_csv,
-)
+from landau_lab.cli import build_parser, main
+from landau_lab.reporting import SCHEMA_VERSION, emit_report, fit_slope, write_csv
+
+
+def _run(argv):
+    """The report body and CSV table that the runner argv picks returns."""
+    args = build_parser().parse_args(argv)
+    return args.run(args)
 
 
 def test_fit_slope_exact_power_law():
@@ -84,32 +84,30 @@ def test_write_csv_round_trip(tmp_path):
 
 
 def test_run_fock_experiment():
-    body = run_experiment(ExperimentConfig("fock", {"n": 1, "degree": 3}))
+    body, _ = _run(["fock", "--check-identities", "--n", "1", "--degree", "3"])
     assert body["all_passed"] is True
     names = [r["name"] for r in body["identities"]]
     assert "shift_compose" in names
 
 
 def test_run_surface_experiment_from_field():
-    body = run_experiment(ExperimentConfig("surface", {
-        "genus": 2, "B": "5", "area_over_pi": "4", "levels": 2, "iterate": False}))
+    body, _ = _run(["surface", "--genus", "2", "--B", "5", "--area-over-pi", "4",
+                    "--levels", "2"])
     rows = body["surface"]["rows"]
     assert rows[1]["eigenvalue"] == "13/2"
     assert rows[1]["multiplicity"] == 7
 
 
 def test_run_dim_experiment():
-    body = run_experiment(ExperimentConfig("dim", {"torus": {"d_list": [1, 1]},
-                                                   "k": 3, "m": 2}))
+    body, _ = _run(["dim", "--torus", "d=1:1", "--k", "3", "--m", "2"])
     assert body["reports"][0]["value"] == 27
     assert body["composition"]["match"] is True
 
 
 def test_run_torus_experiment_smoke(monkeypatch):
     monkeypatch.setattr(torus, "_SPECTRUM_CACHE", {})  # solve for this count
-    cfg = ExperimentConfig("torus", {"d": 1, "ks": [4], "N": 32, "levels": 2,
-                                     "m": 0})
-    body = run_experiment(cfg)
+    body, (_, rows) = _run(["torus", "--d", "1", "--k", "4", "--grid", "32",
+                            "--levels", "2", "--m", "0"])
     assert body["dims"]["4"] == {"0": 4, "1": 4}
     assert body["residuals"]["4"] < 1e-8
     # levels 0..1 ask for 3 * k*d + 4 = 16 eigenvalues of 4 rings of 256 sites
@@ -117,7 +115,6 @@ def test_run_torus_experiment_smoke(monkeypatch):
                                    "sectors": 1, "shares": [4, 4, 4, 4],
                                    "residual_bound": pytest.approx(1e-9 * 2048 / math.pi,
                                                                    rel=1e-15)}
-    rows = body.pop("_eigen_rows")
     assert body["eigenvalue_rows"] == len(rows)
     # the remaining body must serialize cleanly
     emit_report(body)
@@ -137,9 +134,9 @@ def test_torus_run_solves_each_power_once(monkeypatch):
         return solve(bundle, count)
 
     monkeypatch.setattr(torus, "lowest_spectrum", counting)
-    body = run_experiment(ExperimentConfig("torus", {
-        "d": 1, "ks": [4, 6], "N": 32, "levels": 2, "m": 2, "defects": ["cosx", "siny"],
-        "kernel_compare": True, "ladder": 3}))
+    body, _ = _run(["torus", "--d", "1", "--k", "4,6", "--grid", "32", "--levels", "2",
+                    "--m", "2", "--defects", "cosx", "siny", "--kernel-compare",
+                    "--ladder", "m=3"])
     assert calls == [(4, 24), (6, 34)]
     assert body["dims"] == {"4": {"0": 4, "1": 4}, "6": {"0": 6, "1": 6}}
     assert body["eigenvalue_rows"] == 24 + 34
@@ -161,19 +158,21 @@ def test_torus_run_builds_each_cluster_projector_once(monkeypatch):
         init(self, dec, m)
 
     monkeypatch.setattr(torus.LandauProjector, "__init__", counting)
-    cfg = ExperimentConfig("torus", {
-        "d": 1, "ks": [4, 6], "N": 32, "levels": 2, "m": 0, "defects": ["cosx", "siny"],
-        "kernel_compare": True, "ladder": 1})
-    first = run_experiment(cfg)
+    cfg = ["torus", "--d", "1", "--k", "4,6", "--grid", "32", "--levels", "2", "--m", "0",
+           "--defects", "cosx", "siny", "--kernel-compare", "--ladder", "m=1"]
+    first = _run(cfg)
     assert sorted(built) == [(4, 0), (4, 1), (6, 0), (6, 1)]
     built.clear()
-    assert run_experiment(cfg) == first
+    assert _run(cfg) == first
     assert built == []
     torus._SPECTRUM_CACHE.clear()
-    run_experiment(cfg)
+    _run(cfg)
     assert sorted(built) == [(4, 0), (4, 1), (6, 0), (6, 1)]
 
 
-def test_unknown_kind_rejected():
-    with pytest.raises(ValueError):
-        run_experiment(ExperimentConfig("nope", {}))
+def test_unknown_kind_rejected(capsys):
+    # argparse picks the subcommand, and rejects one that does not exist
+    # with the configuration-error exit code
+    with pytest.raises(SystemExit) as err:
+        main(["nope"])
+    assert err.value.code == 2

@@ -12,7 +12,7 @@ from scipy.stats import random_correlation
 
 from landau_lab import torus
 from landau_lab.bargmann import laguerre_q
-from landau_lab.reporting import ExperimentConfig, run_experiment
+from landau_lab.cli import build_parser
 from landau_lab.torus import (
     DiscreteBundle,
     GuardError,
@@ -765,8 +765,9 @@ def test_run_kernel_comparison_equals_the_direct_model(monkeypatch):
         return pairs(b)
 
     monkeypatch.setattr(torus, "_kernel_pairs", counting)
-    body = run_experiment(ExperimentConfig("torus", {
-        "d": 1, "ks": [4, 6], "N": 32, "levels": 3, "m": 0, "kernel_compare": True}))
+    args = build_parser().parse_args(["torus", "--d", "1", "--k", "4,6", "--grid", "32",
+                                      "--levels", "3", "--m", "0", "--kernel-compare"])
+    body, _ = args.run(args)
     assert built == [4, 6]
     assert [(r["k"], r["m"]) for r in body["kernel_compare"]] == [
         (k, m) for k in (4, 6) for m in range(3)]
