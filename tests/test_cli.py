@@ -45,12 +45,12 @@ def _fock_reference(n, degree, seed):
             "--seed %d fock --check-identities --n %d --degree %d" % (seed, n, degree))
 
 
-def _printed_report(args):
-    """main's exit code and standard output for the argument string, without
+def _printed_report(command):
+    """main's exit code and standard output for the command line, without
     the timestamp line."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(args.split())
+        code = main(command.split())
     return code, "".join(line for line in out.getvalue().splitlines(keepends=True)
                          if '"generated_at"' not in line)
 
@@ -60,8 +60,8 @@ def _printed_report(args):
 def test_fock_report_matches_its_reference(n, degree, seed):
     """The ledger at the benchmark's inputs gives the committed report byte
     for byte, apart from the timestamp line."""
-    name, args = _fock_reference(n, degree, seed)
-    code, fresh = _printed_report(args)
+    name, command = _fock_reference(n, degree, seed)
+    code, fresh = _printed_report(command)
     assert code == 0
     assert fresh == (REFERENCE / name).read_text(encoding="utf-8")
 
@@ -483,10 +483,10 @@ def _rewrite_references() -> None:
     exact = dict(EXACT_REFERENCES)
     exact.update(_fock_reference(n, degree, seed)
                  for n, degree in FOCK_INPUTS for seed in FOCK_SEEDS)
-    for name, args in sorted(exact.items()):
-        code, text = _printed_report(args)
+    for name, command in sorted(exact.items()):
+        code, text = _printed_report(command)
         if code != 0:
-            raise SystemExit("%s exited %d" % (args, code))
+            raise SystemExit("%s exited %d" % (command, code))
         (REFERENCE / name).write_text(text, encoding="utf-8", newline="")
     for name, args in sorted(TORUS_REFERENCES.items()):
         out = REFERENCE / (name + ".json")
