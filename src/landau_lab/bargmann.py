@@ -4,8 +4,9 @@ Provides the Laguerre family used by kernel asymptotics, the exact Gaussian
 pairing on monomials, the vacuum projection, the symbol-to-operator map and
 its composition law, and the twisted product on symbols.  The Laguerre
 coefficients, the p-symbols, their inverse expansion and the twisted
-product are binomial closed forms; the shift matrices are compositions of
-the ladders, so the symbol map checks one against the other.
+product are binomial closed forms; each shift matrix is one ladder product
+from a smaller one, down to the vacuum projection, so the symbol map checks
+one construction against the other.
 
 Conventions.  The pairing is <z^a zbar^b, z^c zbar^d> =
 prod_i [a_i + d_i == b_i + c_i] * (a_i + d_i)!, which makes 1 a unit vector
@@ -166,32 +167,24 @@ def bargmann_project_operator(basis: GradedBasis) -> FockOperator:
     return cache["P00"]
 
 
-def _power(basis: GradedBasis, which: int, alpha) -> FockOperator:
-    """The power a^alpha (which = 0) or (a*)^alpha (which = 1) of the basis's
-    ladders, built once per basis."""
-    key = ("ladder_pow", which)
-    if key not in basis.cache:
-        basis.cache[key] = {(0,) * basis.n: FockOperator.identity(basis)}
-    table = basis.cache[key]
-    alpha = tuple(alpha)
-    if alpha in table:
-        return table[alpha]
-    i = next(k for k, v in enumerate(alpha) if v)
-    prev = _power(basis, which, mi_sub(alpha, mi_unit(basis.n, i)))
-    table[alpha] = ladder_matrices(basis)[which][i] @ prev
-    return table[alpha]
-
-
 def _shift(basis: GradedBasis, alpha, beta) -> FockOperator:
     """The unnormalized shift (a*)^alpha P_vac a^beta on the full kind, an
-    integer matrix built once per basis."""
+    integer matrix built once per basis, each from a smaller one by a single
+    ladder product: a*_i times the (alpha - e_i, beta) shift, i the first
+    index with alpha_i > 0; at alpha = 0, the (0, beta - e_j) shift times
+    a_j, j the last index with beta_j > 0; and P_vac at the base."""
     cache = basis.cache
     key = ("shift", alpha, beta)
     if key not in cache:
-        mid_key = ("vac_low", beta)
-        if mid_key not in cache:
-            cache[mid_key] = bargmann_project_operator(basis) @ _power(basis, 0, beta)
-        cache[key] = _power(basis, 1, alpha) @ cache[mid_key]
+        lowers, raises_ = ladder_matrices(basis)
+        if any(alpha):
+            i = next(k for k, v in enumerate(alpha) if v)
+            cache[key] = raises_[i] @ _shift(basis, mi_sub(alpha, mi_unit(basis.n, i)), beta)
+        elif any(beta):
+            j = max(k for k, v in enumerate(beta) if v)
+            cache[key] = _shift(basis, alpha, mi_sub(beta, mi_unit(basis.n, j))) @ lowers[j]
+        else:
+            cache[key] = bargmann_project_operator(basis)
     return cache[key]
 
 
@@ -227,16 +220,27 @@ def _shift_coefficients(n: int, q: PolyZZbar) -> dict[tuple, Scalar]:
 
 def op_of(basis: GradedBasis, q: PolyZZbar) -> FockOperator:
     """Matrix of the operator attached to the symbol q: q is expanded on the
-    integer shift symbols, and each coefficient, a single term as it is for
-    rational symbols and p-symbols, scales its integer shift matrix."""
+    integer shift symbols.  A single coefficient, a single term as a
+    p-symbol's is, scales its integer shift matrix and shares its entries;
+    several are summed entry by entry into one matrix."""
     if basis.kind != FULL:
         raise ValueError("op_of acts on the full kind")
     if q.n != basis.n:
         raise ValueError("variable count mismatch")
-    out = FockOperator.zero(basis)
-    for (alpha, beta), c in _shift_coefficients(basis.n, q).items():
-        out = out + _shift(basis, alpha, beta).scale(c)
-    return out
+    coeffs = _shift_coefficients(basis.n, q)
+    if len(coeffs) == 1:
+        ((alpha, beta), c), = coeffs.items()
+        return _shift(basis, alpha, beta).scale(c)
+    out: dict = {}
+    ed = basis.D
+    for (alpha, beta), c in coeffs.items():
+        shift = _shift(basis, alpha, beta)
+        ed = min(ed, shift.exactness_degree)
+        for key, v in shift.entries.items():
+            term = v * c
+            cur = out.get(key)
+            out[key] = term if cur is None else cur + term
+    return FockOperator(basis, out, exactness_degree=ed)
 
 
 def op_trace_antiholo(basis_full: GradedBasis, op: FockOperator) -> Scalar:

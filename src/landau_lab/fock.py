@@ -29,7 +29,7 @@ walks the matrix columns of the polynomial's terms.
 
 Each basis carries one cache dict for the operators built on it: the ladder
 set from :func:`ladder_matrices` and, on the full kind, the vacuum
-projection, ladder powers and shift matrices of the bargmann module.  Every
+projection and shift matrices of the bargmann module.  Every
 caller on the same basis shares one copy, which lives as long as the basis.
 """
 

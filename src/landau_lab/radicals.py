@@ -36,12 +36,13 @@ def square_free_split(n: int) -> tuple[int, int]:
 
 
 class Rad:
-    """A finite sum of c * sqrt(s) terms, keyed by squarefree s."""
+    """A finite sum of c * sqrt(s) terms, keyed by squarefree s, each c a
+    nonzero int or Fraction."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[int, Fraction] | None = None):
-        self.terms: dict[int, Fraction] = \
+    def __init__(self, terms: dict[int, int | Fraction] | None = None):
+        self.terms: dict[int, int | Fraction] = \
             {s: c for s, c in terms.items() if c} if terms else {}
 
     @classmethod
@@ -50,22 +51,25 @@ class Rad:
 
     @classmethod
     def sqrt(cls, q) -> "Rad":
-        """Exact square root of a nonnegative rational."""
-        q = Fraction(q)
+        """Exact square root of a nonnegative rational; an integer's has an
+        int coefficient."""
+        if type(q) is not int:
+            q = Fraction(q)
         if q < 0:
             raise ValueError("cannot take a real square root of %s" % q)
         if q == 0:
             return cls()
         g, s = square_free_split(q.numerator * q.denominator)
-        return cls({s: Fraction(g, q.denominator)})
+        return cls({s: g if q.denominator == 1 else Fraction(g, q.denominator)})
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_rational(self) -> bool:
-        return all(s == 1 for s in self.terms)
+        terms = self.terms
+        return not terms or (len(terms) == 1 and 1 in terms)
 
-    def as_fraction(self) -> Fraction:
+    def as_fraction(self) -> int | Fraction:
         if not self.terms:
             return Fraction(0)
         if not self.is_rational():
@@ -89,9 +93,10 @@ class Rad:
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Rad:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         out = dict(self.terms)
         for s, c in other.terms.items():
             out[s] = out.get(s, Fraction(0)) + c
@@ -110,6 +115,11 @@ class Rad:
             return Rad({s: c * other for s, c in self.terms.items()})
         if not isinstance(other, Rad):
             return NotImplemented
+        if len(self.terms) == 1 and len(other.terms) == 1:
+            (s, c), = self.terms.items()
+            (t, d), = other.terms.items()
+            g = gcd(s, t)
+            return Rad({(s // g) * (t // g): c * d * g})
         out: dict[int, Fraction] = {}
         for s, c in self.terms.items():
             for t, d in other.terms.items():
@@ -121,9 +131,10 @@ class Rad:
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Rad:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         return self.terms == other.terms
 
     def __repr__(self) -> str:
@@ -142,8 +153,8 @@ class CRad:
     __slots__ = ("re", "im")
 
     def __init__(self, re=None, im=None):
-        self.re = re if isinstance(re, Rad) else Rad.rational(re or 0)
-        self.im = im if isinstance(im, Rad) else Rad.rational(im or 0)
+        self.re = re if isinstance(re, Rad) else Rad.rational(re) if re else Rad()
+        self.im = im if isinstance(im, Rad) else Rad.rational(im) if im else Rad()
 
     @classmethod
     def of(cls, x) -> "CRad":
@@ -151,10 +162,8 @@ class CRad:
         complex numbers are rejected, integer-valued or not."""
         if isinstance(x, CRad):
             return x
-        if isinstance(x, Rad):
-            return cls(x, Rad())
-        if isinstance(x, (int, Fraction)):
-            return cls(Rad.rational(x), Rad())
+        if isinstance(x, (Rad, int, Fraction)):
+            return cls(x)
         raise TypeError("cannot coerce %r to an exact scalar" % (x,))
 
     def is_zero(self) -> bool:
@@ -176,34 +185,41 @@ class CRad:
         return CRad(-self.re, -self.im)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CRad(self.re + other, self.im)
-        try:
-            other = CRad.of(other)
-        except TypeError:
-            return NotImplemented
+        if type(other) is not CRad:
+            if isinstance(other, (int, Fraction)):
+                return CRad(self.re + other, self.im)
+            try:
+                other = CRad.of(other)
+            except TypeError:
+                return NotImplemented
+        if not (self.im.terms or other.im.terms):
+            return CRad(self.re + other.re)
         return CRad(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CRad(self.re * other, self.im * other)
-        try:
-            other = CRad.of(other)
-        except TypeError:
-            return NotImplemented
+        if type(other) is not CRad:
+            if isinstance(other, (int, Fraction)):
+                return CRad(self.re * other, self.im * other)
+            try:
+                other = CRad.of(other)
+            except TypeError:
+                return NotImplemented
+        if not (self.im.terms or other.im.terms):
+            return CRad(self.re * other.re)
         return CRad(self.re * other.re - self.im * other.im,
                     self.re * other.im + self.im * other.re)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        try:
-            other = CRad.of(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not CRad:
+            try:
+                other = CRad.of(other)
+            except TypeError:
+                return NotImplemented
+        return self.re.terms == other.re.terms and self.im.terms == other.im.terms
 
     def __repr__(self) -> str:
         return "CRad(%r, %r)" % (self.re, self.im)

@@ -24,7 +24,7 @@ from landau_lab.bargmann import (
     tilde_rho,
 )
 from landau_lab.fock import (FULL, FockOperator, GradedBasis, PolyZZbar, ladder_matrices,
-                             multi_indices)
+                             mi_sub, mi_unit, multi_indices)
 from landau_lab.radicals import CRad
 
 
@@ -392,6 +392,66 @@ def test_shift_cache_survives_arithmetic_on_its_scaled_copies():
     after = [(S.scalar, dict(S.unscaled), S.as_array()) for S in shifts]
     for (s0, e0, a0), (s1, e1, a1) in zip(before, after):
         assert s0 == s1 and e0 == e1 and np.array_equal(a0, a1)
+
+
+def _ladder_powers(basis, ladders):
+    """Every power of the ladders up to the cutoff: the ladder at the first
+    nonzero index times the power one below."""
+    powers = {(0,) * basis.n: FockOperator.identity(basis)}
+    for alpha in multi_indices(basis.n, basis.D)[1:]:
+        i = next(k for k, v in enumerate(alpha) if v)
+        powers[alpha] = ladders[i] @ powers[mi_sub(alpha, mi_unit(basis.n, i))]
+    return powers
+
+
+def _shift_by_powers(basis):
+    """Every shift (a*)^alpha P_vac a^beta with |alpha| + |beta| <= D, built
+    from whole ladder powers as (a*)^alpha @ (P_vac @ a^beta)."""
+    lows, highs = ladder_matrices(basis)
+    low_pow, high_pow = _ladder_powers(basis, lows), _ladder_powers(basis, highs)
+    vac = bargmann_project_operator(basis)
+    return {(alpha, beta): high_pow[alpha] @ (vac @ low_pow[beta])
+            for alpha in low_pow for beta in low_pow
+            if sum(alpha) + sum(beta) <= basis.D}
+
+
+@pytest.mark.parametrize("n,D,count", [(1, 8, 45), (2, 6, 210), (3, 4, 210)])
+def test_shift_is_the_product_of_whole_ladder_powers(n, D, count):
+    """Each shift, built from a smaller one by one ladder product, equals
+    the product of whole ladder powers in every entry (op_trace_antiholo
+    reads entries above the exactness degree), in its scalar and in its
+    exactness degree.  The oracle runs on a basis of its own, so it shares
+    no cached matrix with the shifts."""
+    want = _shift_by_powers(GradedBasis(n, D, FULL))
+    basis = GradedBasis(n, D, FULL)
+    assert len(want) == count
+    for (alpha, beta), op in want.items():
+        got = bargmann._shift(basis, alpha, beta)
+        assert got.unscaled == op.unscaled, (alpha, beta)
+        assert (got.scalar, got.exactness_degree) == (op.scalar, op.exactness_degree)
+
+
+def _op_by_sums(basis, q):
+    """Op(q) as a chain of sums of scaled shift matrices."""
+    out = FockOperator.zero(basis)
+    for (alpha, beta), c in bargmann._shift_coefficients(basis.n, q).items():
+        out = out + bargmann._shift(basis, alpha, beta).scale(c)
+    return out
+
+
+@pytest.mark.parametrize("n,D", [(1, 6), (2, 4)])
+def test_symbol_map_equals_the_sum_of_its_scaled_shifts(n, D):
+    """A multi-term symbol's matrix, summed into one entry dict, has the
+    entries and the exactness degree of the chain of operator sums."""
+    basis = GradedBasis(n, D, FULL)
+    rng = random.Random(n + D)
+    for unit in (1, 1, CRad(0, 1)):  # two rational symbols, then one times i
+        terms = rng.sample(basis.labels, 5)
+        q = PolyZZbar(n, {ab: rng.choice([-2, -1, Fraction(1, 2), 3]) for ab in terms}) * unit
+        assert len(bargmann._shift_coefficients(n, q)) > 1
+        got, want = op_of(basis, q), _op_by_sums(basis, q)
+        assert got.entries == want.entries
+        assert got.exactness_degree == want.exactness_degree
 
 
 def test_symbol_map_scales_each_shift_once(monkeypatch):

@@ -27,10 +27,11 @@ def test_fock_identities_exit_zero(capsys):
 
 REFERENCE = Path(__file__).parent / "reference"
 
-# The reference tables: the benchmark's ledger inputs at two seeds, the
-# README's exact-side examples and three torus runs.  Running this file as a
-# script rewrites every reference from them.
-FOCK_INPUTS = [(1, 8), (2, 8), (3, 4)]
+# The reference tables: the benchmark's ledger inputs and the README's
+# (2, 6) ledger example at two seeds, the README's other exact-side
+# examples and three torus runs.  Running this file as a script rewrites
+# every reference from them.
+FOCK_INPUTS = [(1, 8), (2, 6), (2, 8), (3, 4)]
 FOCK_SEEDS = [0, 101]
 EXACT_REFERENCES = {
     "surface_g2_B5_l3.json": "surface --genus 2 --B 5 --levels 3",

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from landau_lab.radicals import CRad, Rad, square_free_split
 
@@ -73,3 +75,71 @@ def test_crad_of_rejects_inexact():
         CRad.of(2.0)
     with pytest.raises(TypeError):
         CRad.of(2 + 1j)
+
+
+# Property checks on the arithmetic.  Single-term, multi-term and zero
+# values, real and complex, and plain rationals are drawn together, so every
+# shortcut in the operators meets the general path on the same inputs.
+_rationals = st.one_of(st.integers(-4, 4),
+                       st.fractions(min_value=-4, max_value=4, max_denominator=6))
+_rads = st.one_of(
+    st.dictionaries(st.sampled_from([1, 2, 3, 5, 6, 10]), _rationals, max_size=3).map(Rad),
+    st.builds(Rad.sqrt, st.integers(0, 40)),
+    st.builds(Rad.sqrt, st.fractions(min_value=0, max_value=8, max_denominator=6)),
+)
+_crads = st.one_of(st.builds(CRad, _rads), st.builds(CRad, _rads, _rads))
+_scalars = st.one_of(_rationals, _rads, _crads)
+
+
+def _stored(x):
+    """The coefficients a value stores, by part."""
+    if isinstance(x, CRad):
+        return [x.re.terms, x.im.terms]
+    return [x.terms] if isinstance(x, Rad) else []
+
+
+def _value(x):
+    return complex(x.value()) if isinstance(x, (Rad, CRad)) else complex(x)
+
+
+def _check(x, want):
+    """x stores no zero coefficient, and only ints and Fractions, and its
+    value agrees with the floating-point one."""
+    for terms in _stored(x):
+        assert all(c and type(c) in (int, Fraction) for c in terms.values()), terms
+    assert abs(_value(x) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scalars, _scalars, _scalars)
+def test_ring_laws(x, y, z):
+    assert x + y == y + x
+    assert x * y == y * x
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + (-x) == 0 and 0 == x + (-x)
+    vx, vy, vz = _value(x), _value(y), _value(z)
+    _check(x + y, vx + vy)
+    _check(x + (-y), vx - vy)
+    _check(x * y, vx * vy)
+    _check(x * (y + z), vx * (vy + vz))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_rationals, _rads)
+def test_equality_with_rationals_in_both_orders(q, r):
+    for x in (Rad.rational(q), CRad(q), CRad.of(Rad.rational(q)), CRad(Rad.rational(q), 0)):
+        assert x == q and q == x
+        assert not (x != q) and not (q != x)
+    for x in (Rad.rational(q) + Rad.sqrt(2), CRad(q, 1)):
+        assert x != q and q != x
+    want = r.is_rational() and r.as_fraction() == q
+    assert (r == q) == (q == r) == (CRad(r) == q) == (q == CRad(r)) == want
+
+
+def test_square_roots_of_integers_keep_int_coefficients():
+    assert Rad.sqrt(12).terms == {3: 2} and type(Rad.sqrt(12).terms[3]) is int
+    assert Rad.sqrt(9) == 3 and type(Rad.sqrt(9).terms[1]) is int
+    assert Rad.sqrt(Fraction(1, 2)).terms == {2: Fraction(1, 2)}
+    assert Rad.sqrt(Fraction(4, 1)).terms == {1: 2}
