@@ -3,15 +3,20 @@
 Provides the Laguerre family used by kernel asymptotics, the exact Gaussian
 pairing on monomials, the vacuum projection, the symbol-to-operator map and
 its composition law, and the twisted product on symbols.  The Laguerre
-coefficients, the p-symbols, their inverse expansion and the twisted
-product are binomial closed forms; each shift matrix is one ladder product
-from a smaller one, down to the vacuum projection, so the symbol map checks
-one construction against the other.
+coefficients, the integer shift symbols, their inverse expansion and the
+twisted product are binomial closed forms; each shift matrix is one ladder
+product from a smaller one, down to the vacuum projection, and a shift
+applied to frames built from the symbols checks one construction against
+the other.  Shifts and symbols are kept unnormalized, with integer entries
+and coefficients: conjugation by diag(sqrt(alpha!)) carries them to the
+normalized ones (Bargmann, Comm. Pure Appl. Math. 14 (1961) 187), so each
+relation holds in one form exactly when it holds in the other, and no
+square root enters here.
 
 Conventions.  The pairing is <z^a zbar^b, z^c zbar^d> =
 prod_i [a_i + d_i == b_i + c_i] * (a_i + d_i)!, which makes 1 a unit vector
-and the normalized purely (anti)holomorphic monomials orthonormal.  The
-operator attached to a symbol q is
+and the purely (anti)holomorphic monomials z^a (zbar^a) orthogonal with
+squared norm a!.  The operator attached to a symbol q is
 (Op(q) f)(u) = (2 pi)^{-n} integral e^{u.vbar - |v|^2} q(u - v) f(v) dmu(v)
 with dmu twice the Lebesgue measure per complex variable.
 """
@@ -25,7 +30,7 @@ from math import comb, factorial
 from .fock import (FULL, FockOperator, GradedBasis, PolyZZbar, Scalar,
                    ladder_matrices, mi_add, mi_degree, mi_factorial, mi_leq,
                    mi_sub, mi_unit, multi_indices_of_degree)
-from .radicals import CRad, Rad, exact
+from .radicals import CRad, exact
 
 # ---------------------------------------------------------------------------
 # Laguerre family
@@ -119,7 +124,7 @@ def gram_inner(f: PolyZZbar, g: PolyZZbar) -> CRad:
 
 
 # ---------------------------------------------------------------------------
-# The p-symbols and the symbol-to-operator map
+# The integer shift symbols and the symbol-to-operator map
 
 
 def _shift_symbol(n: int, alpha, beta) -> PolyZZbar:
@@ -135,17 +140,6 @@ def _shift_symbol(n: int, alpha, beta) -> PolyZZbar:
             c *= comb(a, ji) * (factorial(b) // factorial(b - ji))
         out[(mi_sub(beta, j), mi_sub(alpha, j))] = c
     return PolyZZbar(n, out)
-
-
-def _normalization(alpha, beta) -> Rad:
-    return Rad.sqrt(Fraction(1, mi_factorial(alpha) * mi_factorial(beta)))
-
-
-def p_ab(n: int, alpha, beta) -> PolyZZbar:
-    """Symbol whose attached operator is the normalized (alpha, beta) shift:
-    (alpha! beta!)^(-1/2) times (zbar - d/dz)^alpha applied to (-z)^beta."""
-    alpha, beta = tuple(alpha), tuple(beta)
-    return _shift_symbol(n, alpha, beta) * _normalization(alpha, beta)
 
 
 def bargmann_project_operator(basis: GradedBasis) -> FockOperator:
@@ -188,23 +182,13 @@ def _shift(basis: GradedBasis, alpha, beta) -> FockOperator:
     return cache[key]
 
 
-def tilde_rho(basis: GradedBasis, alpha, beta) -> FockOperator:
-    """Normalized shift between level subspaces of the full space:
-    (alpha! beta!)^(-1/2) (a*)^alpha P_vac a^beta."""
-    if basis.kind != FULL:
-        raise ValueError("tilde_rho acts on the full kind")
-    alpha, beta = tuple(alpha), tuple(beta)
-    return _shift(basis, alpha, beta).scale(_normalization(alpha, beta))
-
-
 def _shift_coefficients(n: int, q: PolyZZbar) -> dict[tuple, Scalar]:
     """Write q as a combination of the integer shift symbols S(alpha, beta),
     by the inverse of the expansion in _shift_symbol:
     z^a zbar^b = sum_j C(b, j) a!/(a-j)! (-1)^(|a| - |j|) S(b - j, a - j).
     It is derived on its own (substituting _shift_symbol's expansion sums the
     j's to (1 - 1)^l = 0 at every lower degree l), so a wrong shift symbol
-    is not inverted by itself.  The coefficients are rational when q is:
-    the normalization of the p-symbols never enters."""
+    is not inverted by itself.  The coefficients are rational when q is."""
     coeffs: dict[tuple, Scalar] = {}
     for (a, b), c in q.terms():
         for j in itertools.product(*[range(min(ai, bi) + 1) for ai, bi in zip(a, b)]):
@@ -220,9 +204,9 @@ def _shift_coefficients(n: int, q: PolyZZbar) -> dict[tuple, Scalar]:
 
 def op_of(basis: GradedBasis, q: PolyZZbar) -> FockOperator:
     """Matrix of the operator attached to the symbol q: q is expanded on the
-    integer shift symbols.  A single coefficient, a single term as a
-    p-symbol's is, scales its integer shift matrix and shares its entries;
-    several are summed entry by entry into one matrix."""
+    integer shift symbols.  A single coefficient, as a shift symbol's is,
+    scales its integer shift matrix and shares its entries; several are
+    summed entry by entry into one matrix."""
     if basis.kind != FULL:
         raise ValueError("op_of acts on the full kind")
     if q.n != basis.n:

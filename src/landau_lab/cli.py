@@ -2,11 +2,12 @@
 
 Subcommands: fock (exact identity ledger), surface (closed-form spectra),
 dim (dimension counts), torus (lattice spectral experiments).  Each
-subparser binds its runner, which parses its own flags, then does the work
+subparser binds its runner, which checks its own flags, then does the work
 and returns the report body and the table a CSV gets (or None).  Exit codes:
-0 on success, 1 when a numerical guard trips or an identity fails, 2 for
-configuration errors, among them an --out that cannot be written, and 3 for
-an internal error (a bug), with its traceback.
+0 on success, 1 when a numerical guard trips or an identity fails, 2 for a
+ConfigError: a flag check, a lattice count that the grid cannot hold, or an
+--out that cannot be written; 3 for any other exception, a ValueError from
+the work included, which is an internal error (a bug), with its traceback.
 Only torus runs import the lattice stack (numpy, scipy); fock, dim and
 surface load neither, so a cold dim run takes about 0.1 s on a 2-vCPU VM.
 """
@@ -19,7 +20,7 @@ import traceback
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import GuardError
+from .errors import ConfigError, GuardError
 from .reporting import emit_report, fit_slope, write_csv
 
 _TRIG_NAMES = ("cosx", "sinx", "cosy", "siny")
@@ -90,34 +91,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _require(ok, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
+
+
+def _parsed(convert, *values):
+    """convert(*values) for values taken from flags, before any work: a
+    ValueError there is the flags' problem."""
+    try:
+        return convert(*values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _kv_pairs(text: str, what: str) -> dict:
     out = {}
     for chunk in text.split(","):
-        if "=" not in chunk:
-            raise ValueError("bad %s syntax %r; expected key=value pairs"
-                             % (what, text))
+        _require("=" in chunk, "bad %s syntax %r; expected key=value pairs"
+                 % (what, text))
         key, _, val = chunk.partition("=")
         out[key.strip()] = val.strip()
     return out
 
 
 def _kv_value(kv: dict, key: str, what: str) -> str:
-    if key not in kv:
-        raise ValueError("%s needs %s=..." % (what, key))
+    _require(key in kv, "%s needs %s=..." % (what, key))
     return kv[key]
 
 
 def _rational(text, flag: str) -> Fraction:
     try:
-        return Fraction(str(text))
+        return _parsed(Fraction, str(text))
     except ZeroDivisionError:
-        raise ValueError("%s %s has a zero denominator" % (flag, text)) from None
+        raise ConfigError("%s %s has a zero denominator" % (flag, text)) from None
 
 
 def _run_fock(args):
-    if not args.check_identities:
-        raise ValueError("nothing to do; pass --check-identities")
-    from .identities import run_identity_checks
+    _require(args.check_identities, "nothing to do; pass --check-identities")
+    from .identities import input_problem, run_identity_checks
+    problem = input_problem(args.n, args.degree)
+    _require(problem is None, problem)
     results = run_identity_checks(args.n, args.degree, seed=args.seed)
     return {"config": {"kind": "fock", "params": {"n": args.n, "degree": args.degree},
                        "seed": args.seed},
@@ -132,12 +146,12 @@ def _run_surface(args):
     area = _rational(args.area_over_pi, "--area-over-pi")
     if args.B is not None:
         params["B"] = args.B
-        geom = SurfaceGeometry.from_field(args.genus, _rational(args.B, "--B"), area)
+        geom = _parsed(SurfaceGeometry.from_field, args.genus,
+                       _rational(args.B, "--B"), area)
     else:
         params["degree"] = args.degree
-        geom = SurfaceGeometry(args.genus, args.degree, area)
-    if args.levels < 1:
-        raise ValueError("--levels must be at least 1, got %d" % args.levels)
+        geom = _parsed(SurfaceGeometry, args.genus, args.degree, area)
+    _require(args.levels >= 1, "--levels must be at least 1, got %d" % args.levels)
     if args.iterate:
         table = weitzenbock_iterate(geom, max_steps=args.levels).to_dict()
     else:
@@ -150,19 +164,24 @@ def _run_surface(args):
 
 
 def _run_dim(args):
-    if args.surface is None and args.torus is None:
-        raise ValueError("pass --surface and/or --torus")
-    params: dict = {"k": args.k, "m": args.m}
+    _require(args.surface is not None or args.torus is not None,
+             "pass --surface and/or --torus")
+    k, m = args.k, args.m
+    params: dict = {"k": k, "m": m}
     if args.surface is not None:
         kv = _kv_pairs(args.surface, "--surface")
-        params["surface"] = {"g": int(_kv_value(kv, "g", "--surface")),
-                             "d": int(_kv_value(kv, "d", "--surface"))}
+        g = _parsed(int, _kv_value(kv, "g", "--surface"))
+        params["surface"] = {"g": g, "d": _parsed(int, _kv_value(kv, "d", "--surface"))}
+        _require(k >= 1, "k must be at least 1")
+        _require(g >= 0 and m >= 0, "genus and level must be nonnegative, got "
+                 "g=%d, m=%d" % (g, m))
     if args.torus is not None:
         kv = _kv_pairs(args.torus, "--torus")
-        params["torus"] = {"d_list": [
-            int(x) for x in _kv_value(kv, "d", "--torus").split(":")]}
+        d_list = [_parsed(int, x) for x in _kv_value(kv, "d", "--torus").split(":")]
+        params["torus"] = {"d_list": d_list}
+        _require(k >= 1 and min(d_list) >= 1, "k and all degrees must be positive")
+        _require(m >= 0, "level must be nonnegative, got m=%d" % m)
     from .dimensions import dim_surface, dim_torus, torus_composition_check
-    k, m = args.k, args.m
     out = {"config": {"kind": "dim", "params": params, "seed": args.seed}, "reports": []}
     if "surface" in params:
         out["reports"].append(dim_surface(k=k, m=m, **params["surface"]).to_dict())
@@ -175,24 +194,33 @@ def _run_dim(args):
 
 
 def _run_torus(args):
-    ks = [int(tok) for tok in args.k.split(",") if tok]
-    if not ks:
-        raise ValueError("--k needs at least one power")
+    ks = [_parsed(int, tok) for tok in args.k.split(",") if tok]
+    _require(ks, "--k needs at least one power")
     d, N, levels, m = args.d, args.grid, args.levels, args.m
     params = {"d": d, "ks": ks, "N": N, "levels": levels, "m": m}
+    # The levels the blocks read; one solve per k resolves all of them.
+    read = [levels - 1]
     if args.defects:
         params["defects"] = [args.defects[0].removeprefix("f="),
                              args.defects[1].removeprefix("g=")]
+        for name in params["defects"]:
+            _require(name in _TRIG_NAMES, "unknown observable %r; choose from %s"
+                     % (name, ", ".join(_TRIG_NAMES)))
+        read.append(m)
     if args.kernel_compare:
         params["kernel_compare"] = True
     if args.ladder is not None:
-        params["ladder"] = lm = int(args.ladder.removeprefix("m="))
+        params["ladder"] = lm = _parsed(int, args.ladder.removeprefix("m="))
+        read.append(lm)
+    _require(min(read) >= 0, "level %d does not exist: --levels must be at least "
+             "1, and --m and --ladder m=M at least 0" % min(read))
+    _require(d >= 1, "degree d must be a positive integer")
+    _require(min(ks) >= 1, "k must be a positive integer")
+    _require(N >= 8, "grid too coarse, need N >= 8")
     from . import torus as T
 
     body: dict = {"config": {"kind": "torus", "params": params, "seed": args.seed},
                   "clusters": {}, "dims": {}, "residuals": {}, "solver": {}}
-    # The levels the blocks read; one solve per k resolves all of them.
-    read = [levels - 1]
     if args.defects:
         fname, gname = params["defects"]
         side = T.TorusGeometry(d).side
@@ -200,15 +228,10 @@ def _run_torus(args):
         body["defects"] = {"f": fname, "g": gname, "m": m,
                            "D2": [], "D1": [], "DB": []}
         rounded = set()
-        read.append(m)
     if args.kernel_compare:
         body["kernel_compare"] = []
     if args.ladder is not None:
         body["ladder"] = []
-        read.append(lm)
-    if min(read) < 0:
-        raise ValueError("level %d does not exist: --levels must be at least 1, "
-                         "and --m and --ladder m=M at least 0" % min(read))
     eigen_rows = []
     for k in ks:
         dec = T.resolve_levels(d, k, N, max(read))
@@ -246,9 +269,6 @@ def _trig_by_name(name: str, side: float):
     from .torus import TrigPoly
     makers = {"cosx": TrigPoly.cos_x, "sinx": TrigPoly.sin_x,
               "cosy": TrigPoly.cos_y, "siny": TrigPoly.sin_y}
-    if name not in makers:
-        raise ValueError("unknown observable %r; choose from %s"
-                         % (name, ", ".join(_TRIG_NAMES)))
     return makers[name](side)
 
 
@@ -274,24 +294,24 @@ def _emit(args, body: dict, table) -> None:
             body["eigenvalue_csv"] = csv_path.name
         emit_report(body, path=args.out)
     except OSError as exc:
-        raise ValueError("cannot write --out %s: %s" % (args.out, exc)) from None
+        raise ConfigError("cannot write --out %s: %s" % (args.out, exc)) from None
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.format == "csv" and args.command not in ("surface", "torus"):
-            raise ValueError("csv output is only available for surface and "
-                             "torus reports")
+            raise ConfigError("csv output is only available for surface and "
+                              "torus reports")
         if args.out is not None and not args.out.parent.is_dir():
-            raise ValueError("--out %s: %s is not a directory"
-                             % (args.out, args.out.parent))
+            raise ConfigError("--out %s: %s is not a directory"
+                              % (args.out, args.out.parent))
         body, table = args.run(args)
         _emit(args, body, table)
     except GuardError as exc:
         print("guard tripped: %s" % exc, file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     except Exception:

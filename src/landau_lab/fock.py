@@ -17,12 +17,11 @@ in its cheapest exact form (:func:`.radicals.exact`): a real rational is an
 where it is complex or irrational.  Scaling by a single-term value
 multiplies the scalar and shares the entries, composition multiplies the
 two scalars once and runs its entry loop on the unscaled entries, and a
-sum keeps the scalar when both terms carry the same one.  So the normalized
-shifts, (alpha! beta!)^(-1/2) times an integer matrix, keep their integer
-entries.  Full-kind ladders, the vacuum projection and the operators of
-rational symbols are rational throughout, so their algebra runs on Python
-integers; radicals enter through the normalized antiholomorphic frame and
-the shift normalizations.
+sum keeps the scalar when both terms carry the same one.  So a scaled
+integer matrix keeps its integer entries.  Full-kind ladders, the vacuum
+projection, the unnormalized shifts and the operators of rational symbols
+are rational throughout, so their algebra runs on Python integers; radicals
+enter only through the normalized antiholomorphic frame.
 Polynomial coefficients are kept in the same cheapest exact form.  On the
 full kind they are a polynomial's coordinates, so `FockOperator.apply_poly`
 walks the matrix columns of the polynomial's terms.
@@ -524,8 +523,9 @@ def rho_ab(basis: GradedBasis, alpha: MultiIndex, beta: MultiIndex) -> FockOpera
     """Rank-one map sending the normalized zbar^beta to the normalized
     zbar^alpha and killing the other normalized monomials."""
     if basis.kind != ANTIHOLOMORPHIC:
-        raise ValueError("rho_ab acts on the antiholomorphic kind; use "
-                         "tilde_rho from the bargmann module for the full kind")
+        raise ValueError("rho_ab acts on the antiholomorphic kind; the full "
+                         "kind's shifts are the integer shift matrices of the "
+                         "bargmann module")
     alpha, beta = tuple(alpha), tuple(beta)
     return FockOperator(basis, {(basis.index(alpha), basis.index(beta)): 1},
                         exactness_degree=basis.D)

@@ -4,13 +4,22 @@ Every check here is decided in exact arithmetic: a check passes only when the
 residual is identically zero (or the structural property holds verbatim).
 The suite backs both the command-line ledger and the acceptance tests.
 
+The full-kind checks run on the unnormalized forms: the integer shift
+symbols S(alpha, beta), the frames (-1)^|h| S(alpha, h) and the integer
+shifts T(alpha, beta) = (a*)^alpha P_vac a^beta.  Conjugation by
+diag(sqrt(alpha!)) carries them to the paper's normalized ones, so each
+normalized statement is checked in its integer form with its stated
+rational factor: the plain monomials and the frames are orthogonal with
+squared norms alpha! and alpha! h!, T(alpha, beta) takes the (beta, h)
+frame to beta! times the (alpha, h) frame, and S(alpha, alpha) is alpha!
+times a product of Laguerre polynomials.  No square root enters them.
+
 An object that several checks, or several cases of one check, read is built
-once per run: the p-symbols and the ladder frames made from them, one left
-shift per pair in shift_compose, one unit monomial per index in
-tilde_restriction.  These tables are locals of run_identity_checks, so a run
-reads nothing that an earlier run built.  Each ladder commutator relation is
-composed once: [a_i, a_j] and [a*_i, a*_j] for i < j only.  Every record
-says how many cases it checked.
+once per run: the shift symbols and the ladder frames made from them, one
+left shift per pair in shift_compose.  These tables are locals of
+run_identity_checks, so a run reads nothing that an earlier run built.
+Each ladder commutator relation is composed once: [a_i, a_j] and
+[a*_i, a*_j] for i < j only.  Every record says how many cases it checked.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from .fock import (ANTIHOLOMORPHIC, FULL, FockOperator, GradedBasis, PolyZZbar,
                    ladder_matrices, mi_degree, mi_factorial, mi_unit,
                    multi_indices, multi_indices_of_degree, pi_m, rho_ab,
                    rho_tangent)
-from .radicals import CRad, Rad
+from .radicals import CRad
 
 
 def _pair_sample(labels, rng, exhaustive_degree: int, sample: int):
@@ -38,13 +47,21 @@ def _pair_sample(labels, rng, exhaustive_degree: int, sample: int):
     return pairs
 
 
+def input_problem(n: int, degree: int) -> str | None:
+    """Why the suite does not take this variable count and cutoff, or None."""
+    if not 1 <= n <= 3:
+        return "n must be between 1 and 3"
+    if not 2 <= degree <= 8:
+        return "degree must be between 2 and 8"
+    return None
+
+
 def run_identity_checks(n: int, degree: int, seed: int = 0) -> list[dict]:
     """Run the suite for the given variable count and cutoff; returns one
     record per check with name, passed flag, and detail."""
-    if not 1 <= n <= 3:
-        raise ValueError("n must be between 1 and 3")
-    if not 2 <= degree <= 8:
-        raise ValueError("degree must be between 2 and 8")
+    problem = input_problem(n, degree)
+    if problem:
+        raise ValueError(problem)
     rng = random.Random(seed)
     results: list[dict] = []
 
@@ -56,22 +73,23 @@ def run_identity_checks(n: int, degree: int, seed: int = 0) -> list[dict]:
     full = GradedBasis(n, D, FULL)
     labels = list(anti.labels)
 
-    # The p-symbols and the ladder frames made from them, keyed by (alpha,
-    # beta) and built on first read: the frames feed gram_structure and
-    # tilde_unitary, the symbols symbol_map and diagonal_symbols too.
+    # The integer shift symbols and the ladder frames made from them, keyed
+    # by (alpha, beta) and built on first read: the frames feed
+    # gram_structure and tilde_unitary, the symbols symbol_map and
+    # diagonal_symbols too.
     symbols: dict = {}
     frames: dict = {}
 
-    def p_symbol(alpha, beta) -> PolyZZbar:
+    def shift_symbol(alpha, beta) -> PolyZZbar:
         if (alpha, beta) not in symbols:
-            symbols[alpha, beta] = bg.p_ab(n, alpha, beta)
+            symbols[alpha, beta] = bg._shift_symbol(n, alpha, beta)
         return symbols[alpha, beta]
 
     def frame(alpha, hdeg) -> PolyZZbar:
-        """Orthonormal ladder-adapted element: normalized (a*)^alpha z^hdeg,
-        which is (-1)^|hdeg| times the p-symbol of the (alpha, hdeg) shift."""
+        """Ladder-adapted element (a*)^alpha z^hdeg, of squared norm
+        alpha! hdeg!: (-1)^|hdeg| times the (alpha, hdeg) shift symbol."""
         if (alpha, hdeg) not in frames:
-            p = p_symbol(alpha, hdeg)
+            p = shift_symbol(alpha, hdeg)
             frames[alpha, hdeg] = -p if mi_degree(hdeg) % 2 else p
         return frames[alpha, hdeg]
 
@@ -169,8 +187,9 @@ def run_identity_checks(n: int, degree: int, seed: int = 0) -> list[dict]:
     record("tangent_adjoint", ok, detail="%d %s" % (
         n, "direction" if n == 1 else "directions"))
 
-    # --- pairing structure on the full kind: diagonal factorials, orthonormal
-    # pure blocks, orthonormal ladder-adapted frame
+    # --- pairing structure on the full kind: diagonal factorials, orthogonal
+    # pure blocks of squared norm a!, orthogonal ladder-adapted frame of
+    # squared norm alpha! hdeg!
     ok = True
     zero = (0,) * n
     mis = multi_indices(n, min(D, 4))
@@ -185,13 +204,13 @@ def run_identity_checks(n: int, degree: int, seed: int = 0) -> list[dict]:
             want = CRad.of(mi_factorial(tuple(ai + bi for ai, bi in zip(a, b))))
             if diag != want:
                 ok = False
-    norms = {a: Rad.sqrt(Fraction(1, mi_factorial(a))) for a in mis}
-    antis = {a: PolyZZbar.monomial(n, zero, a, norms[a]) for a in mis}
-    holos = {a: PolyZZbar.monomial(n, a, zero, norms[a]) for a in mis}
-    one, nought = CRad.of(1), CRad.of(0)
+    antis = {a: PolyZZbar.monomial(n, zero, a) for a in mis}
+    holos = {a: PolyZZbar.monomial(n, a, zero) for a in mis}
+    norms = {a: CRad.of(mi_factorial(a)) for a in mis}
+    nought = CRad.of(0)
     for a in mis:
         for b in mis:
-            want = one if a == b else nought
+            want = norms[a] if a == b else nought
             if bg.gram_inner(antis[a], antis[b]) != want:
                 ok = False
             if bg.gram_inner(holos[a], holos[b]) != want:
@@ -201,22 +220,23 @@ def run_identity_checks(n: int, degree: int, seed: int = 0) -> list[dict]:
     partners = min(len(keys), 10)
     for x in keys:
         for y in rng.sample(keys, partners):
-            want = one if x == y else nought
+            want = CRad.of(mi_factorial(x[0]) * mi_factorial(x[1])) if x == y else nought
             if bg.gram_inner(frame(*x), frame(*y)) != want:
                 ok = False
     record("gram_structure", ok, detail="%d diagonal, %d pure-block and %d "
            "frame pairings" % (diagonal, 2 * len(mis) ** 2, len(keys) * partners))
 
-    # --- normalized shifts on the full space: unitary between level blocks
+    # --- shifts on the full space: T(alpha, beta) takes each (beta, hdeg)
+    # frame to beta! times the (alpha, hdeg) frame
     ok = True
     shift_pairs = [(a, b) for a in multi_indices(n, 2) for b in multi_indices(n, 2)]
     shifts = rng.sample(shift_pairs, min(len(shift_pairs), 10))
     images = 0
     for alpha, beta in shifts:
-        op = bg.tilde_rho(full, alpha, beta)
+        op = bg._shift(full, alpha, beta)
         for hdeg in multi_indices(n, min(3, D - max(sum(alpha), sum(beta)))):
             img = op.apply_poly(frame(beta, hdeg))
-            if not (img - frame(alpha, hdeg)).is_zero():
+            if not (img - frame(alpha, hdeg) * mi_factorial(beta)).is_zero():
                 ok = False
             images += 1
         # and it kills the other level blocks
@@ -230,32 +250,24 @@ def run_identity_checks(n: int, degree: int, seed: int = 0) -> list[dict]:
            % (len(shifts), images))
 
     # --- restriction of the full-space shifts to the antiholomorphic space:
-    # the (alpha, beta) shift takes the unit zbar^beta / sqrt(beta!) to the
-    # unit zbar^alpha / sqrt(alpha!) and kills the other units
+    # T(alpha, beta) takes zbar^beta to beta! zbar^alpha and kills the other
+    # monomials zbar^gamma
     ok = True
-    units: dict = {}
-
-    def unit(gamma) -> PolyZZbar:
-        if gamma not in units:
-            units[gamma] = PolyZZbar.monomial(
-                n, zero, gamma, Rad.sqrt(Fraction(1, mi_factorial(gamma))))
-        return units[gamma]
-
     shifts = rng.sample(shift_pairs, min(len(shift_pairs), 12))
     images = 0
     for alpha, beta in shifts:
-        op = bg.tilde_rho(full, alpha, beta)
+        op = bg._shift(full, alpha, beta)
         for gamma in multi_indices(n, D - sum(alpha)):
-            img = op.apply_poly(unit(gamma))
+            img = op.apply_poly(PolyZZbar.monomial(n, zero, gamma))
             if gamma == beta:
-                img = img - unit(alpha)
+                img = img - PolyZZbar.monomial(n, zero, alpha, mi_factorial(beta))
             if not img.is_zero():
                 ok = False
             images += 1
     record("tilde_restriction", ok, detail="%d shifts, %d unit images"
            % (len(shifts), images))
 
-    # --- symbol map: Op of the p-symbol is the normalized shift
+    # --- symbol map: Op of the (alpha, beta) shift symbol is T(alpha, beta)
     ok = True
     if n == 1:
         sym_pairs = [((a,), (b,)) for a in range(D + 1) for b in range(D + 1)
@@ -266,8 +278,8 @@ def run_identity_checks(n: int, degree: int, seed: int = 0) -> list[dict]:
                  if sum(a) + sum(b) <= D]
         sym_pairs += rng.sample(extra, min(len(extra), 25))
     for alpha, beta in sym_pairs:
-        p = p_symbol(alpha, beta)
-        if not bg.op_of(full, p).agrees_with(bg.tilde_rho(full, alpha, beta)):
+        p = shift_symbol(alpha, beta)
+        if not bg.op_of(full, p).agrees_with(bg._shift(full, alpha, beta)):
             ok = False
     record("symbol_map", ok, detail="%d (alpha, beta) shifts" % len(sym_pairs))
 
@@ -297,14 +309,15 @@ def run_identity_checks(n: int, degree: int, seed: int = 0) -> list[dict]:
     record("laguerre_sum", ok, detail="%d (m, n) cases, %d with more than one "
            "variable" % (len(cases), sum(nn > 1 for _, nn in cases)))
 
-    # --- diagonal p-symbols are products of the parameter-0 family of |z_i|^2
+    # --- the diagonal shift symbol S(alpha, alpha) is alpha! times a product
+    # of the parameter-0 family of |z_i|^2
     ok = True
     diagonal = multi_indices(n, D // 2)
     for alpha in diagonal:
         family = [bg.laguerre_q(ai, 0) for ai in alpha]
         ref = {(j, j): prod(coeffs[ji] for coeffs, ji in zip(family, j))
                for j in itertools.product(*[range(ai + 1) for ai in alpha])}
-        if p_symbol(alpha, alpha) != PolyZZbar(n, ref):
+        if shift_symbol(alpha, alpha) != PolyZZbar(n, ref) * mi_factorial(alpha):
             ok = False
     record("diagonal_symbols", ok, detail="%d symbols" % len(diagonal))
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .dimensions import dim_surface
+
 
 @dataclass(frozen=True)
 class SurfaceGeometry:
@@ -102,14 +104,14 @@ def landau_eigenvalue(geom: SurfaceGeometry, m: int) -> Fraction:
 
 
 def landau_multiplicity(geom: SurfaceGeometry, m: int):
-    """Level-m multiplicity degree + (m + 1/2)*chi, or None with a reason
-    when the level sits outside the Landau regime."""
-    if geom.B + (m + 1) * geom.S <= 0:
+    """Level-m multiplicity degree + (m + 1/2)*chi, the Riemann-Roch count
+    of dimensions.dim_surface at k = 1, or None with a reason when the level
+    sits outside the Landau regime.  B and S share the factor 2*pi/area, so
+    B + (m+1)S > 0 is the count's condition degree + (m+1)*chi > 0."""
+    count = dim_surface(1, geom.degree, geom.genus, m)
+    if not count.threshold_ok:
         return None, "outside Landau regime (B + (m+1)S <= 0)"
-    val = geom.degree + (2 * m + 1) * geom.chi / Fraction(2)
-    if val.denominator != 1:
-        raise AssertionError("multiplicity should be an integer, got %s" % val)
-    return int(val), ""
+    return count.value, ""
 
 
 def landau_spectrum(geom: SurfaceGeometry, levels: int) -> SpectrumTable:

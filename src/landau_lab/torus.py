@@ -65,7 +65,7 @@ from scipy.linalg.lapack import dstebz
 
 from .bargmann import laguerre_q
 from .dimensions import dim_torus
-from .errors import GuardError
+from .errors import ConfigError, GuardError
 
 # Eigen-residual bound, relative to 4/h^2: the largest absolute row sum of
 # the five-point H, which bounds its norm.
@@ -448,10 +448,10 @@ def _certify_lowest(vals: np.ndarray, vecs: np.ndarray, below, tol: float) -> No
                                  "its Lanczos values %d" % (found, cut, i))
 
 
-def _ring_capacity_error(n: int, L: int) -> ValueError:
-    return ValueError("at least %d eigenvalues asked of a Landau-gauge ring of %d "
-                      "sites, where eigsh takes at most %d: ask for fewer levels "
-                      "(%s) or a finer grid (--grid)" % (n, L, L - 1, _LEVEL_FLAGS))
+def _ring_capacity_error(n: int, L: int) -> ConfigError:
+    return ConfigError("at least %d eigenvalues asked of a Landau-gauge ring of %d "
+                       "sites, where eigsh takes at most %d: ask for fewer levels "
+                       "(%s) or a finer grid (--grid)" % (n, L, L - 1, _LEVEL_FLAGS))
 
 
 def lowest_spectrum(bundle: DiscreteBundle, count: int) -> SpectralDecomposition:
@@ -478,9 +478,9 @@ def lowest_spectrum(bundle: DiscreteBundle, count: int) -> SpectralDecomposition
     N, kd = bundle.N, bundle.k * bundle.geometry.d
     tol = RESIDUAL_TOL * 4 / bundle.h ** 2
     if count > N * N:
-        raise ValueError("%d eigenvalues asked of a grid of %d sites: ask for "
-                         "fewer levels (%s) or a finer grid (--grid)"
-                         % (count, N * N, _LEVEL_FLAGS))
+        raise ConfigError("%d eigenvalues asked of a grid of %d sites: ask for "
+                          "fewer levels (%s) or a finer grid (--grid)"
+                          % (count, N * N, _LEVEL_FLAGS))
     hop = -1.0 / (2 * bundle.h ** 2)
     rings = list(_harper_rings(bundle))
     g = len(rings)

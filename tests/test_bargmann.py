@@ -19,13 +19,11 @@ from landau_lab.bargmann import (
     op_compose_law,
     op_of,
     op_trace_antiholo,
-    p_ab,
     star_product,
-    tilde_rho,
 )
 from landau_lab.fock import (FULL, FockOperator, GradedBasis, PolyZZbar, ladder_matrices,
-                             mi_sub, mi_unit, multi_indices)
-from landau_lab.radicals import CRad
+                             mi_factorial, mi_sub, mi_unit, multi_indices)
+from landau_lab.radicals import CRad, Rad
 
 
 def _random_full_poly(n, degree, rng, nterms=4):
@@ -37,6 +35,22 @@ def _random_full_poly(n, degree, rng, nterms=4):
             continue
         p = p + PolyZZbar.monomial(n, a, b, rng.randrange(-3, 4))
     return p
+
+
+def _normalization(alpha, beta):
+    return Rad.sqrt(Fraction(1, mi_factorial(alpha) * mi_factorial(beta)))
+
+
+def _normalized_shift(basis, alpha, beta):
+    """The paper's normalized shift (alpha! beta!)^(-1/2) (a*)^alpha P_vac
+    a^beta: the integer shift matrix, scaled."""
+    return bargmann._shift(basis, alpha, beta).scale(_normalization(alpha, beta))
+
+
+def _normalized_symbol(n, alpha, beta):
+    """The symbol of the normalized shift: (alpha! beta!)^(-1/2) times the
+    integer shift symbol."""
+    return bargmann._shift_symbol(n, alpha, beta) * _normalization(alpha, beta)
 
 
 def _project(f):
@@ -221,7 +235,7 @@ def test_projection_drops_low_z_powers():
 def test_projection_operator_is_vacuum_shift():
     basis = GradedBasis(1, 5, FULL)
     assert bargmann_project_operator(basis).agrees_with(
-        tilde_rho(basis, (0,), (0,)), 5)
+        _normalized_shift(basis, (0,), (0,)), 5)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +244,7 @@ def test_projection_operator_is_vacuum_shift():
 
 def test_p11_is_first_laguerre():
     # the diagonal symbol at level one is 1 - z zbar
-    got = p_ab(1, (1,), (1,))
+    got = _normalized_symbol(1, (1,), (1,))
     want = PolyZZbar.constant(1) - PolyZZbar.monomial(1, (1,), (1,))
     assert got == want
 
@@ -264,8 +278,36 @@ def test_shift_coefficients_invert_the_shift_symbols():
 def test_symbol_operator_is_normalized_shift():
     basis = GradedBasis(1, 6, FULL)
     for alpha, beta in [((0,), (0,)), ((2,), (1,)), ((1,), (3,))]:
-        sym = p_ab(1, alpha, beta)
-        assert op_of(basis, sym).agrees_with(tilde_rho(basis, alpha, beta))
+        sym = _normalized_symbol(1, alpha, beta)
+        assert op_of(basis, sym).agrees_with(_normalized_shift(basis, alpha, beta))
+
+
+@pytest.mark.parametrize("n,D", [(1, 6), (2, 4)])
+def test_normalized_frames_are_orthonormal_and_the_normalized_shifts_map_them(n, D):
+    """The paper's normalized statements, which the ledger checks only in
+    their integer forms: the frames (-1)^|h| S(alpha, h) / sqrt(alpha! h!)
+    are orthonormal, and the normalized (alpha, beta) shift takes the
+    (beta, h) frame to the (alpha, h) frame and kills the (beta', 0) frames
+    of the other beta'.  Every pair of frames and every shift with
+    |alpha|, |beta| <= D / 2 is checked."""
+    basis = GradedBasis(n, D, FULL)
+    frames = {(a, h): _normalized_symbol(n, a, h) * (-1) ** sum(h)
+              for a, h in basis.labels}
+    for x, fx in frames.items():
+        for y, fy in frames.items():
+            assert gram_inner(fx, fy) == (1 if x == y else 0), (x, y)
+    half = multi_indices(n, D // 2)
+    images = 0
+    for alpha in half:
+        for beta in half:
+            op = _normalized_shift(basis, alpha, beta)
+            for h in multi_indices(n, D - max(sum(alpha), sum(beta))):
+                assert op.apply_poly(frames[beta, h]) == frames[alpha, h], (alpha, beta, h)
+                images += 1
+            for other in half:
+                if other != beta:
+                    assert op.apply_poly(frames[other, (0,) * n]).is_zero()
+    assert images == {(1, 6): 78, (2, 4): 257}[n, D]
 
 
 def test_rational_operators_hold_no_radicals():
@@ -375,17 +417,18 @@ def test_star_product_is_the_operator_of_the_left_factor(uv, unit):
 
 
 def test_shift_cache_survives_arithmetic_on_its_scaled_copies():
-    """tilde_rho shares the cached integer shift's entries; no operation on
-    its results may write into them."""
+    """A normalized shift shares the cached integer shift's entries; no
+    operation on its results may write into them."""
     basis = GradedBasis(2, 4, FULL)
     pairs = [((1, 0), (0, 1)), ((0, 1), (0, 1)), ((1, 1), (0, 0))]
     shifts = [bargmann._shift(basis, a, b) for a, b in pairs]
     before = [(S.scalar, dict(S.unscaled), S.as_array()) for S in shifts]
-    x, y, z = [tilde_rho(basis, a, b) for a, b in pairs]
+    x, y, z = [_normalized_shift(basis, a, b) for a, b in pairs]
     assert all(op.unscaled is S.unscaled for op, S in zip((x, y, z), shifts))
     results = [x + y, x - y, x + x, x - x, (x + y) - z, x @ y, y @ x, x.scale(3),
                x.scale(CRad(0, 1)) + y, x.restrict_columns(2), *x.parity_split(),
-               op_of(basis, p_ab(2, (1, 0), (0, 1))) + x, y + FockOperator.zero(basis)]
+               op_of(basis, _normalized_symbol(2, (1, 0), (0, 1))) + x,
+               y + FockOperator.zero(basis)]
     for r in results:
         r.entries
         r.apply_poly(PolyZZbar(2, {basis.labels[0]: 1, basis.labels[1]: CRad(0, 2)}))
@@ -455,8 +498,9 @@ def test_symbol_map_equals_the_sum_of_its_scaled_shifts(n, D):
 
 
 def test_symbol_map_scales_each_shift_once(monkeypatch):
-    """op_of of a p-symbol and tilde_rho carry the normalization as one
-    scalar: far fewer radical products than the shift has entries."""
+    """op_of of a normalized symbol and the normalized shift carry the
+    normalization as one scalar: far fewer radical products than the shift
+    has entries."""
     basis = GradedBasis(2, 8, FULL)
     calls = []
     mul = CRad.__mul__
@@ -467,12 +511,12 @@ def test_symbol_map_scales_each_shift_once(monkeypatch):
 
     for alpha, beta in [((1, 1), (2, 0)), ((0, 3), (1, 2)), ((2, 1), (1, 0))]:
         shift = bargmann._shift(basis, alpha, beta)
-        sym = p_ab(2, alpha, beta)
+        sym = _normalized_symbol(2, alpha, beta)
         with monkeypatch.context() as m:
             m.setattr(CRad, "__mul__", counted)
             m.setattr(CRad, "__rmul__", counted)
             calls.clear()
-            op, rho = op_of(basis, sym), tilde_rho(basis, alpha, beta)
+            op, rho = op_of(basis, sym), _normalized_shift(basis, alpha, beta)
             assert op.agrees_with(rho)
             used = len(calls)
         assert len(shift.unscaled) >= 100

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from landau_lab import cli, dimensions, errors, surfaces, torus
+from landau_lab import cli, dimensions, errors, identities, surfaces, torus
 from landau_lab.cli import main
 
 
@@ -187,6 +187,25 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("internal error:")
     assert "Traceback" in err and "KeyError: 'no such record'" in err
+
+
+@pytest.mark.parametrize("argv,work", [
+    (["fock", "--check-identities", "--n", "1", "--degree", "2"],
+     (identities, "run_identity_checks")),
+    (["dim", "--torus", "d=1", "--k", "2"], (dimensions, "dim_torus")),
+    (["surface", "--genus", "0", "--degree", "2"], (surfaces, "landau_spectrum")),
+], ids=["fock", "dim", "surface"])
+def test_value_error_inside_the_work_exits_three(capsys, monkeypatch, argv, work):
+    """A ValueError raised by the computation, after the flags were checked,
+    is a bug and not a configuration error."""
+    def broken(*args, **kwargs):
+        raise ValueError("an operator scalar is a single term")
+
+    monkeypatch.setattr(*work, broken)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:") and "config error" not in err
+    assert "ValueError: an operator scalar is a single term" in err
 
 
 def test_csv_unavailable_for_fock(capsys):

@@ -181,15 +181,15 @@ def test_symbol_checks_fail_on_a_wrong_shift_symbol(monkeypatch, n):
 @pytest.mark.parametrize("n,degree", [(1, 8), (2, 4)])
 def test_each_p_symbol_is_built_once_per_run(monkeypatch, n, degree):
     """The frames, symbol_map and diagonal_symbols read one table of
-    p-symbols, filled afresh by every run."""
+    integer shift symbols (the unnormalized p-symbols), filled afresh by
+    every run."""
     built = Counter()
-    p_ab = bargmann.p_ab
 
     def counting(nvar, alpha, beta):
         built[(tuple(alpha), tuple(beta))] += 1
-        return p_ab(nvar, alpha, beta)
+        return _TRUE_SHIFT_SYMBOL(nvar, alpha, beta)
 
-    monkeypatch.setattr(bargmann, "p_ab", counting)
+    monkeypatch.setattr(bargmann, "_shift_symbol", counting)
     runs = []
     for _ in range(2):
         built.clear()
@@ -197,6 +197,21 @@ def test_each_p_symbol_is_built_once_per_run(monkeypatch, n, degree):
         assert set(built.values()) == {1}
         runs.append(set(built))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_wrong_stated_factor_fails_each_check_that_states_one(monkeypatch, n):
+    """The full-kind checks compare integer forms against stated factorial
+    factors: squared norms a! and alpha! h!, the image factor beta!, the
+    diagonal symbol's alpha!.  A factorial that is one too large at every
+    multi-index of degree 1, where the true value is 1, fails exactly the
+    checks that state a factor."""
+    true_factorial = identities.mi_factorial
+    monkeypatch.setattr(identities, "mi_factorial",
+                        lambda a: true_factorial(a) + (mi_degree(a) == 1))
+    failed = {r["name"] for r in run_identity_checks(n, 4) if not r["passed"]}
+    assert failed == {"gram_structure", "tilde_unitary", "tilde_restriction",
+                      "diagonal_symbols"}
 
 
 @pytest.mark.parametrize("n", [1, 2])

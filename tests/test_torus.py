@@ -13,6 +13,7 @@ from scipy.stats import random_correlation
 from landau_lab import torus
 from landau_lab.bargmann import laguerre_q
 from landau_lab.cli import build_parser
+from landau_lab.errors import ConfigError
 from landau_lab.torus import (
     DiscreteBundle,
     GuardError,
@@ -392,14 +393,14 @@ def test_reflection_sectors_match_the_ring_band():
     assert seen == {"odd L", "site-centred", "bond-centred"}
 
 
-def test_ring_share_beyond_eigsh_is_a_value_error():
+def test_ring_share_beyond_eigsh_is_a_config_error():
     # k*d = 4 splits the 16 x 16 grid into 4 rings of 64 sites with one
     # spectrum: 250 eigenvalues give each ring at most 63, 253 give one 64
     bundle = DiscreteBundle(TorusGeometry(d=1), 4, 16)
     assert len(torus.lowest_spectrum(bundle, 250).eigenvalues) == 250
-    with pytest.raises(ValueError, match="ring of 64 sites.*--levels, --m or --ladder m=M.*--grid"):
+    with pytest.raises(ConfigError, match="ring of 64 sites.*--levels, --m or --ladder m=M.*--grid"):
         torus.lowest_spectrum(bundle, 253)
-    with pytest.raises(ValueError, match="grid of 256 sites"):
+    with pytest.raises(ConfigError, match="grid of 256 sites"):
         torus.lowest_spectrum(bundle, 257)
 
 
