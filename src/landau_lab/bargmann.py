@@ -204,20 +204,15 @@ def _shift_coefficients(n: int, q: PolyZZbar) -> dict[tuple, Scalar]:
 
 def op_of(basis: GradedBasis, q: PolyZZbar) -> FockOperator:
     """Matrix of the operator attached to the symbol q: q is expanded on the
-    integer shift symbols.  A single coefficient, as a shift symbol's is,
-    scales its integer shift matrix and shares its entries; several are
-    summed entry by entry into one matrix."""
+    integer shift symbols, and each coefficient times its integer shift
+    matrix is summed entry by entry into one matrix."""
     if basis.kind != FULL:
         raise ValueError("op_of acts on the full kind")
     if q.n != basis.n:
         raise ValueError("variable count mismatch")
-    coeffs = _shift_coefficients(basis.n, q)
-    if len(coeffs) == 1:
-        ((alpha, beta), c), = coeffs.items()
-        return _shift(basis, alpha, beta).scale(c)
     out: dict = {}
     ed = basis.D
-    for (alpha, beta), c in coeffs.items():
+    for (alpha, beta), c in _shift_coefficients(basis.n, q).items():
         shift = _shift(basis, alpha, beta)
         ed = min(ed, shift.exactness_degree)
         for key, v in shift.entries.items():
@@ -234,10 +229,10 @@ def op_trace_antiholo(basis_full: GradedBasis, op: FockOperator) -> Scalar:
     acc = 0
     for i, (a, b) in enumerate(basis_full.labels):
         if a == zero:
-            val = op.unscaled.get((i, i))
+            val = op.entries.get((i, i))
             if val:
                 acc = acc + val
-    return exact(acc * op.scalar)
+    return exact(acc)
 
 
 def op_compose_law(basis: GradedBasis, q1: PolyZZbar, q2: PolyZZbar) -> bool:

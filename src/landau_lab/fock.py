@@ -9,19 +9,13 @@ mixed monomials are not orthogonal.
 
 Operators are sparse exact matrices, tagged with the largest input degree on
 which they agree with their untruncated counterparts; their parity is read
-off the entries.  Each is stored as one exact scalar times a dict of
-unscaled entries.  The scalar is an ``int``, a ``Fraction`` or a single-term
-radical (a rational times sqrt(s), or i times one), and each entry is kept
-in its cheapest exact form (:func:`.radicals.exact`): a real rational is an
-``int`` or a ``Fraction``, and an entry is in the exact radical ring only
-where it is complex or irrational.  Scaling by a single-term value
-multiplies the scalar and shares the entries, composition multiplies the
-two scalars once and runs its entry loop on the unscaled entries, and a
-sum keeps the scalar when both terms carry the same one.  So a scaled
-integer matrix keeps its integer entries.  Full-kind ladders, the vacuum
-projection, the unnormalized shifts and the operators of rational symbols
-are rational throughout, so their algebra runs on Python integers; radicals
-enter only through the normalized antiholomorphic frame.
+off the entries.  Each holds one dict of its entries, each in its cheapest
+exact form (:func:`.radicals.exact`): a real rational is an ``int`` or a
+``Fraction``, and an entry is in the exact radical ring only where it is
+complex or irrational.  Full-kind ladders, the vacuum projection, the
+unnormalized shifts and the operators of rational symbols are rational
+throughout, so their algebra runs on Python integers; radicals enter only
+through the normalized antiholomorphic frame.
 Polynomial coefficients are kept in the same cheapest exact form.  On the
 full kind they are a polynomial's coordinates, so `FockOperator.apply_poly`
 walks the matrix columns of the polynomial's terms.
@@ -234,20 +228,10 @@ class PolyZZbar:
         return "PolyZZbar(%s)" % " + ".join(parts)
 
 
-def _is_one(c) -> bool:
-    # exact() keeps a real rational out of CRad, so only an int can be 1
-    return type(c) is int and c == 1
-
-
 class FockOperator:
-    """Sparse exact matrix on a GradedBasis: one exact scalar times a dict
-    of unscaled entries.
-
-    The scalar is an int, a Fraction or a single-term CRad (a rational times
-    sqrt(s), or i times one), so products of scalars stay single terms.
-    The unscaled entries are in their cheapest exact form, and an entry dict
-    is never mutated once an operator holds it: scaling shares it, and so
-    does every operation that only retags or keeps it whole.
+    """Sparse exact matrix on a GradedBasis: a dict of its entries, each in
+    its cheapest exact form, which is never mutated once an operator holds
+    it, so every operation that only retags or keeps it whole shares it.
 
     An operator holds only what its entries cannot tell, so its parity is
     read off them.  exactness_degree is the largest input degree on which
@@ -255,46 +239,34 @@ class FockOperator:
     should only be asserted on columns up to that degree.
     """
 
-    __slots__ = ("basis", "scalar", "unscaled", "exactness_degree", "_columns")
+    __slots__ = ("basis", "entries", "exactness_degree", "_columns")
 
     def __init__(self, basis: GradedBasis, entries, exactness_degree=None):
         self.basis = basis
-        self.scalar: Scalar = 1
-        self.unscaled: dict[tuple[int, int], Scalar] = \
+        self.entries: dict[tuple[int, int], Scalar] = \
             _exact_entries(entries) if entries else {}
         self.exactness_degree = basis.D if exactness_degree is None else exactness_degree
         self._columns = None
 
     @classmethod
-    def _scaled(cls, basis: GradedBasis, unscaled: dict, scalar,
-                exactness_degree) -> "FockOperator":
-        """The operator scalar * unscaled, holding the given dict (already in
-        exact form) without copying it."""
+    def _holding(cls, basis: GradedBasis, entries: dict,
+                 exactness_degree) -> "FockOperator":
+        """The operator with the given entry dict (already in exact form),
+        held without copying."""
         op = cls.__new__(cls)
         op.basis = basis
-        op.scalar = scalar
-        op.unscaled = unscaled
+        op.entries = entries
         op.exactness_degree = exactness_degree
         op._columns = None
         return op
 
-    @property
-    def entries(self) -> dict[tuple[int, int], Scalar]:
-        """The true entries, in their cheapest exact form.  With scalar 1 this
-        is the stored dict itself, which must not be mutated; otherwise it is
-        built on each call and kept by nobody."""
-        s = self.scalar
-        if _is_one(s):
-            return self.unscaled
-        return {k: exact(c * s) for k, c in self.unscaled.items()}
-
     def columns(self) -> dict[int, list]:
-        """The unscaled entries grouped by column, j -> [(i, entry)], built on
-        first use and kept with the operator: compose walks the left factor's
+        """The entries grouped by column, j -> [(i, entry)], built on first
+        use and kept with the operator: compose walks the left factor's
         columns, and apply_poly the columns of the polynomial's terms."""
         if self._columns is None:
             cols: dict[int, list] = {}
-            for (i, j), c in self.unscaled.items():
+            for (i, j), c in self.entries.items():
                 cols.setdefault(j, []).append((i, c))
             self._columns = cols
         return self._columns
@@ -304,7 +276,7 @@ class FockOperator:
         """0 when every entry preserves degree mod 2 (and for the zero
         operator), 1 when every entry flips it, None when the entries mix."""
         degs = self.basis.degrees
-        seen = {(degs[i] - degs[j]) % 2 for i, j in self.unscaled}
+        seen = {(degs[i] - degs[j]) % 2 for i, j in self.entries}
         if len(seen) == 1:
             return seen.pop()
         return None if seen else 0
@@ -318,31 +290,30 @@ class FockOperator:
         return cls(basis, {(i, i): 1 for i in range(basis.size)})
 
     def is_zero(self) -> bool:
-        return not self.unscaled
+        return not self.entries
 
     def raise_amount(self) -> int:
         """Largest degree increase across nonzero entries (negative if the
         operator only lowers degree; zero for the empty matrix)."""
         degs = self.basis.degrees
-        if not self.unscaled:
+        if not self.entries:
             return 0
-        return max(degs[i] - degs[j] for i, j in self.unscaled)
+        return max(degs[i] - degs[j] for i, j in self.entries)
 
     def fall_amount(self) -> int:
         degs = self.basis.degrees
-        if not self.unscaled:
+        if not self.entries:
             return 0
-        return max(degs[j] - degs[i] for i, j in self.unscaled)
+        return max(degs[j] - degs[i] for i, j in self.entries)
 
     def compose(self, other: "FockOperator") -> "FockOperator":
         """self o other, with the exactness bookkeeping
-        ed = min(ed(other), ed(self) - raise(other)).  The scalars multiply
-        once; the entry loop runs on the unscaled entries."""
+        ed = min(ed(other), ed(self) - raise(other))."""
         if other.basis is not self.basis:
             raise ValueError("operators live on different bases")
         by_col = self.columns()
         out: dict[tuple[int, int], Scalar] = {}
-        for (j, k), b in other.unscaled.items():
+        for (j, k), b in other.entries.items():
             for i, a in by_col.get(j, ()):
                 key = (i, k)
                 prod = a * b
@@ -350,34 +321,23 @@ class FockOperator:
                 out[key] = prod if cur is None else cur + prod
         ed = min(other.exactness_degree, self.exactness_degree - other.raise_amount())
         ed = min(ed, self.basis.D)
-        return FockOperator._scaled(self.basis, _exact_entries(out),
-                                    exact(self.scalar * other.scalar), ed)
+        return FockOperator._holding(self.basis, _exact_entries(out), ed)
 
     def __matmul__(self, other):
         return self.compose(other)
 
     def _plus(self, other: "FockOperator", sign: int) -> "FockOperator":
-        """self + sign * other.  Equal scalars add the unscaled entries and
-        keep the scalar; unequal ones fall back to the true entries."""
+        """self + sign * other."""
         if other.basis is not self.basis:
             raise ValueError("operators live on different bases")
-        ed = min(self.exactness_degree, other.exactness_degree)
-        if not other.unscaled:
-            return FockOperator._scaled(self.basis, self.unscaled, self.scalar, ed)
-        if not self.unscaled:
-            scalar = other.scalar if sign > 0 else -other.scalar
-            return FockOperator._scaled(self.basis, other.unscaled, scalar, ed)
-        if self.scalar == other.scalar:
-            scalar, mine, theirs = self.scalar, self.unscaled, other.unscaled
-        else:
-            scalar, mine, theirs = 1, self.entries, other.entries
-        out = dict(mine)
-        for k, c in theirs.items():
+        out = dict(self.entries)
+        for k, c in other.entries.items():
             if sign < 0:
                 c = -c
             cur = out.get(k)
             out[k] = c if cur is None else cur + c
-        return FockOperator._scaled(self.basis, _exact_entries(out), scalar, ed)
+        return FockOperator._holding(self.basis, _exact_entries(out),
+                                     min(self.exactness_degree, other.exactness_degree))
 
     def __add__(self, other):
         if not isinstance(other, FockOperator):
@@ -390,15 +350,14 @@ class FockOperator:
         return self._plus(other, -1)
 
     def scale(self, c) -> "FockOperator":
-        """c times the operator, for a single-term c (a rational times sqrt(s),
-        or i times one), which multiplies the scalar and shares the entries."""
+        """c times the operator, for any exact c; by 1 it is the operator
+        itself."""
         c = exact(c)
-        if not c:
-            return FockOperator.zero(self.basis)
-        if type(c) is CRad and len(c.re.terms) + len(c.im.terms) > 1:
-            raise ValueError("an operator scalar is a single term, not %r" % c)
-        return FockOperator._scaled(self.basis, self.unscaled, exact(self.scalar * c),
-                                    self.exactness_degree)
+        if type(c) is int and c == 1:
+            return self
+        return FockOperator._holding(
+            self.basis, _exact_entries({k: v * c for k, v in self.entries.items()}),
+            self.exactness_degree)
 
     def adjoint(self) -> "FockOperator":
         """Conjugate transpose, valid as the adjoint only on the
@@ -412,17 +371,16 @@ class FockOperator:
                              "the antiholomorphic kind; full-kind adjoints need "
                              "the pairing in the bargmann module")
         ed = min(self.exactness_degree, self.basis.D - max(0, self.fall_amount()))
-        return FockOperator._scaled(
-            self.basis, {(j, i): c.conjugate() for (i, j), c in self.unscaled.items()},
-            self.scalar.conjugate(), ed)
+        return FockOperator._holding(
+            self.basis, {(j, i): c.conjugate() for (i, j), c in self.entries.items()}, ed)
 
     def parity_split(self) -> tuple["FockOperator", "FockOperator"]:
         degs = self.basis.degrees
         even, odd = {}, {}
-        for (i, j), c in self.unscaled.items():
+        for (i, j), c in self.entries.items():
             ((even, odd)[(degs[i] - degs[j]) % 2])[(i, j)] = c
-        return (FockOperator._scaled(self.basis, even, self.scalar, self.exactness_degree),
-                FockOperator._scaled(self.basis, odd, self.scalar, self.exactness_degree))
+        return (FockOperator._holding(self.basis, even, self.exactness_degree),
+                FockOperator._holding(self.basis, odd, self.exactness_degree))
 
     def agrees_with(self, other: "FockOperator", max_degree=None) -> bool:
         """Exact entry equality on all columns of degree <= max_degree
@@ -430,35 +388,30 @@ class FockOperator:
         if max_degree is None:
             max_degree = min(self.exactness_degree, other.exactness_degree)
         degs = self.basis.degrees
-        mine, theirs = self.unscaled, other.unscaled
-        s, t = self.scalar, other.scalar
-        same = s == t
+        mine, theirs = self.entries, other.entries
         for key in mine.keys() | theirs.keys():
-            if degs[key[1]] > max_degree:
-                continue
-            a, b = mine.get(key, 0), theirs.get(key, 0)
-            if (a != b) if same else (a * s != b * t):
+            if degs[key[1]] <= max_degree and mine.get(key, 0) != theirs.get(key, 0):
                 return False
         return True
 
     def restrict_columns(self, max_degree: int) -> "FockOperator":
         degs = self.basis.degrees
-        kept = {k: c for k, c in self.unscaled.items() if degs[k[1]] <= max_degree}
-        return FockOperator._scaled(self.basis, kept, self.scalar,
-                                    min(self.exactness_degree, max_degree))
+        kept = {k: c for k, c in self.entries.items() if degs[k[1]] <= max_degree}
+        return FockOperator._holding(self.basis, kept,
+                                     min(self.exactness_degree, max_degree))
 
     def as_array(self) -> np.ndarray:
         import numpy as np
         out = np.zeros((self.basis.size, self.basis.size), dtype=complex)
-        for (i, j), c in self.unscaled.items():
+        for (i, j), c in self.entries.items():
             out[i, j] = complex(c)
-        return out * complex(self.scalar)
+        return out
 
     def apply_poly(self, p: PolyZZbar) -> PolyZZbar:
         """The operator applied to a polynomial on the full kind, whose
         coordinates are its coefficients against the plain monomials
         z^a zbar^b: the entry loop walks the columns of the polynomial's
-        terms, and the scalar multiplies each output coefficient once."""
+        terms."""
         basis = self.basis
         if basis.kind != FULL:
             raise ValueError("polynomial coordinates are taken on the full kind")
@@ -473,13 +426,11 @@ class FockOperator:
                 cur = out.get(i)
                 term = c * x
                 out[i] = term if cur is None else cur + term
-        s = self.scalar
-        return PolyZZbar(basis.n, {basis.labels[i]: c if _is_one(s) else c * s
-                                   for i, c in out.items()})
+        return PolyZZbar(basis.n, {basis.labels[i]: c for i, c in out.items()})
 
     def __repr__(self) -> str:
         return "FockOperator(%r, nnz=%d, parity=%r, exactness_degree=%d)" % (
-            self.basis, len(self.unscaled), self.parity, self.exactness_degree)
+            self.basis, len(self.entries), self.parity, self.exactness_degree)
 
 
 def ladder_matrices(basis: GradedBasis) -> tuple[tuple[FockOperator, ...],
@@ -560,5 +511,5 @@ def rho_tangent(basis: GradedBasis, u, v) -> FockOperator:
         if v[i]:
             out = out + lowers[i].scale(v[i])
     ed = basis.D if all(not x for x in u) else basis.D - 1
-    return FockOperator._scaled(basis, out.unscaled, out.scalar, ed)
+    return FockOperator._holding(basis, out.entries, ed)
 

@@ -13,6 +13,10 @@ rational factor: the plain monomials and the frames are orthogonal with
 squared norms alpha! and alpha! h!, T(alpha, beta) takes the (beta, h)
 frame to beta! times the (alpha, h) frame, and S(alpha, alpha) is alpha!
 times a product of Laguerre polynomials.  No square root enters them.
+symbol_map checks that bargmann._shift_coefficients expands each
+S(alpha, beta) to the single coefficient 1 on (alpha, beta); Op(q) sums
+q's coefficients times their shifts, so that is Op(S(alpha, beta)) =
+T(alpha, beta), and it builds no matrix.
 
 An object that several checks, or several cases of one check, read is built
 once per run: the shift symbols and the ladder frames made from them, one
@@ -267,7 +271,8 @@ def run_identity_checks(n: int, degree: int, seed: int = 0) -> list[dict]:
     record("tilde_restriction", ok, detail="%d shifts, %d unit images"
            % (len(shifts), images))
 
-    # --- symbol map: Op of the (alpha, beta) shift symbol is T(alpha, beta)
+    # --- symbol map: the shift symbol S(alpha, beta) expands to the single
+    # coefficient 1 on itself, so Op(S(alpha, beta)) = T(alpha, beta)
     ok = True
     if n == 1:
         sym_pairs = [((a,), (b,)) for a in range(D + 1) for b in range(D + 1)
@@ -278,8 +283,7 @@ def run_identity_checks(n: int, degree: int, seed: int = 0) -> list[dict]:
                  if sum(a) + sum(b) <= D]
         sym_pairs += rng.sample(extra, min(len(extra), 25))
     for alpha, beta in sym_pairs:
-        p = shift_symbol(alpha, beta)
-        if not bg.op_of(full, p).agrees_with(bg._shift(full, alpha, beta)):
+        if bg._shift_coefficients(n, shift_symbol(alpha, beta)) != {(alpha, beta): 1}:
             ok = False
     record("symbol_map", ok, detail="%d (alpha, beta) shifts" % len(sym_pairs))
 

@@ -373,6 +373,12 @@ _rationals = st.one_of(
     st.fractions(min_value=-3, max_value=3, max_denominator=4),
 )
 _coefficients = st.one_of(_rationals, st.builds(CRad, st.integers(-2, 2), st.integers(-2, 2)))
+# Every exact form, multi-term and complex irrational radicals included.
+_exact_coefficients = st.one_of(
+    _coefficients,
+    st.builds(lambda s, c, d: CRad(Rad.sqrt(s) * c + d, Rad.sqrt(s) * d),
+              st.sampled_from([2, 3]), st.integers(-2, 2), st.integers(-2, 2)),
+)
 
 
 def _symbol(n, coefficients=_coefficients):
@@ -403,38 +409,42 @@ def test_star_product_is_associative(uvw):
 
 
 @settings(deadline=None)
-@given(st.sampled_from([1, 2]).flatmap(lambda n: st.tuples(_symbol(n, _rationals), _symbol(n))),
-       st.sampled_from([1, CRad(0, 1)]))
-def test_star_product_is_the_operator_of_the_left_factor(uv, unit):
-    """u star v = Op(u) v on a full basis whose cutoff is deg u + deg v.  Op
-    scales each shift matrix by a single term, so u is a rational symbol
-    times 1 or i, and v is any symbol."""
+@given(st.sampled_from([1, 2]).flatmap(
+    lambda n: st.tuples(_symbol(n, _exact_coefficients), _symbol(n))))
+def test_star_product_is_the_operator_of_the_left_factor(uv):
+    """u star v = Op(u) v on a full basis whose cutoff is deg u + deg v, for
+    any exact symbols u and v."""
     u, v = uv
-    u = u * unit
     basis = _full_basis(u.n, _degree(u) + _degree(v))
     assert star_product(u, v) == op_of(basis, u).apply_poly(v)
 
 
 
 def test_shift_cache_survives_arithmetic_on_its_scaled_copies():
-    """A normalized shift shares the cached integer shift's entries; no
-    operation on its results may write into them."""
+    """The cached shifts and vacuum projection are shared: scale(1) gives
+    the shift itself, and arithmetic on it, on its normalized copies and on
+    op_of's results may not write into any cached entry."""
     basis = GradedBasis(2, 4, FULL)
     pairs = [((1, 0), (0, 1)), ((0, 1), (0, 1)), ((1, 1), (0, 0))]
     shifts = [bargmann._shift(basis, a, b) for a, b in pairs]
-    before = [(S.scalar, dict(S.unscaled), S.as_array()) for S in shifts]
+    vac = bargmann_project_operator(basis)
+    cached = [*shifts, vac]
+    before = [(dict(S.entries), S.as_array()) for S in cached]
     x, y, z = [_normalized_shift(basis, a, b) for a, b in pairs]
-    assert all(op.unscaled is S.unscaled for op, S in zip((x, y, z), shifts))
+    one = shifts[0].scale(1)
+    assert one is shifts[0]
+    sym = op_of(basis, _normalized_symbol(2, (1, 0), (0, 1)))
     results = [x + y, x - y, x + x, x - x, (x + y) - z, x @ y, y @ x, x.scale(3),
                x.scale(CRad(0, 1)) + y, x.restrict_columns(2), *x.parity_split(),
-               op_of(basis, _normalized_symbol(2, (1, 0), (0, 1))) + x,
-               y + FockOperator.zero(basis)]
+               sym + x, sym @ vac, y + FockOperator.zero(basis),
+               one + shifts[1], one - one, one @ vac, vac @ one, one.scale(-2),
+               FockOperator.zero(basis) - one, one.restrict_columns(2),
+               *one.parity_split(), vac.scale(1) + vac]
     for r in results:
-        r.entries
         r.apply_poly(PolyZZbar(2, {basis.labels[0]: 1, basis.labels[1]: CRad(0, 2)}))
-    after = [(S.scalar, dict(S.unscaled), S.as_array()) for S in shifts]
-    for (s0, e0, a0), (s1, e1, a1) in zip(before, after):
-        assert s0 == s1 and e0 == e1 and np.array_equal(a0, a1)
+    after = [(dict(S.entries), S.as_array()) for S in cached]
+    for (e0, a0), (e1, a1) in zip(before, after):
+        assert e0 == e1 and np.array_equal(a0, a1)
 
 
 def _ladder_powers(basis, ladders):
@@ -462,16 +472,16 @@ def _shift_by_powers(basis):
 def test_shift_is_the_product_of_whole_ladder_powers(n, D, count):
     """Each shift, built from a smaller one by one ladder product, equals
     the product of whole ladder powers in every entry (op_trace_antiholo
-    reads entries above the exactness degree), in its scalar and in its
-    exactness degree.  The oracle runs on a basis of its own, so it shares
-    no cached matrix with the shifts."""
+    reads entries above the exactness degree) and in its exactness degree.
+    The oracle runs on a basis of its own, so it shares no cached matrix
+    with the shifts."""
     want = _shift_by_powers(GradedBasis(n, D, FULL))
     basis = GradedBasis(n, D, FULL)
     assert len(want) == count
     for (alpha, beta), op in want.items():
         got = bargmann._shift(basis, alpha, beta)
-        assert got.unscaled == op.unscaled, (alpha, beta)
-        assert (got.scalar, got.exactness_degree) == (op.scalar, op.exactness_degree)
+        assert got.entries == op.entries, (alpha, beta)
+        assert got.exactness_degree == op.exactness_degree
 
 
 def _op_by_sums(basis, q):
@@ -497,30 +507,18 @@ def test_symbol_map_equals_the_sum_of_its_scaled_shifts(n, D):
         assert got.exactness_degree == want.exactness_degree
 
 
-def test_symbol_map_scales_each_shift_once(monkeypatch):
-    """op_of of a normalized symbol and the normalized shift carry the
-    normalization as one scalar: far fewer radical products than the shift
-    has entries."""
-    basis = GradedBasis(2, 8, FULL)
-    calls = []
-    mul = CRad.__mul__
-
-    def counted(self, other):
-        calls.append(1)
-        return mul(self, other)
-
-    for alpha, beta in [((1, 1), (2, 0)), ((0, 3), (1, 2)), ((2, 1), (1, 0))]:
-        shift = bargmann._shift(basis, alpha, beta)
-        sym = _normalized_symbol(2, alpha, beta)
-        with monkeypatch.context() as m:
-            m.setattr(CRad, "__mul__", counted)
-            m.setattr(CRad, "__rmul__", counted)
-            calls.clear()
-            op, rho = op_of(basis, sym), _normalized_shift(basis, alpha, beta)
-            assert op.agrees_with(rho)
-            used = len(calls)
-        assert len(shift.unscaled) >= 100
-        assert 10 * used < len(shift.unscaled), (alpha, beta, used)
+@pytest.mark.parametrize("n,D", [(1, 6), (2, 4)])
+def test_symbol_map_of_each_shift_symbol_is_its_shift(n, D):
+    """Op(S(alpha, beta)) = T(alpha, beta) for every pair under the cutoff,
+    entry by entry: op_of sums into a dict of its own, so each comparison
+    walks two matrices, not one."""
+    basis = GradedBasis(n, D, FULL)
+    for alpha, beta in basis.labels:
+        got = op_of(basis, bargmann._shift_symbol(n, alpha, beta))
+        want = bargmann._shift(basis, alpha, beta)
+        assert got.entries is not want.entries
+        assert got.entries == want.entries, (alpha, beta)
+        assert got.exactness_degree == want.exactness_degree
 
 
 def test_gram_inner_returns_crad():

@@ -199,13 +199,13 @@ def test_value_error_inside_the_work_exits_three(capsys, monkeypatch, argv, work
     """A ValueError raised by the computation, after the flags were checked,
     is a bug and not a configuration error."""
     def broken(*args, **kwargs):
-        raise ValueError("an operator scalar is a single term")
+        raise ValueError("operators live on different bases")
 
     monkeypatch.setattr(*work, broken)
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error:") and "config error" not in err
-    assert "ValueError: an operator scalar is a single term" in err
+    assert "ValueError: operators live on different bases" in err
 
 
 def test_csv_unavailable_for_fock(capsys):

@@ -213,14 +213,16 @@ _entries = st.dictionaries(
     st.tuples(st.integers(0, _MIXED_BASIS.size - 1),
               st.integers(0, _MIXED_BASIS.size - 1)),
     _scalars, max_size=12)
-# The values an operator scales by: a rational times sqrt(s), or i times one.
-_nonzero = st.integers(-3, 3).filter(bool)
-_single_terms = st.one_of(
-    _nonzero,
-    st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool),
-    st.builds(lambda s, c: CRad(Rad.sqrt(s) * c, 0), st.sampled_from([2, 3, 6]), _nonzero),
-    st.builds(lambda s, c: CRad(0, Rad.sqrt(s) * c), st.sampled_from([1, 2, 3]), _nonzero),
+# The values an operator scales by: every entry form, multi-term radicals
+# such as sqrt(2) + 1, and complex irrationals.
+_roots = st.sampled_from([2, 3, 6])
+_factors = st.one_of(
+    _scalars,
+    st.builds(lambda s, c, d: CRad(Rad.sqrt(s) * c + d), _roots, _small, _small),
+    st.builds(lambda s, c, d: CRad(d, Rad.sqrt(s) * c), _roots, _small, _small),
 )
+_FULL_TWIN = GradedBasis(1, 2, FULL)
+_vectors = st.dictionaries(st.integers(0, _MIXED_BASIS.size - 1), _scalars, max_size=4)
 
 
 def _dense(entries):
@@ -234,9 +236,13 @@ def _close(x, y):
     return np.max(np.abs(x - y), initial=0.0) <= 1e-12
 
 
+def _value(c):
+    return CRad.of(c).value()
+
+
 @settings(deadline=None)
-@given(_entries, _entries, _single_terms)
-def test_mixed_entry_algebra_matches_numpy(ea, eb, c):
+@given(_entries, _entries, _factors, _vectors)
+def test_mixed_entry_algebra_matches_numpy(ea, eb, c, vec):
     A = FockOperator(_MIXED_BASIS, ea)
     B = FockOperator(_MIXED_BASIS, eb)
     a, b = _dense(ea), _dense(eb)
@@ -244,21 +250,54 @@ def test_mixed_entry_algebra_matches_numpy(ea, eb, c):
     assert _close((A @ B).as_array(), a @ b)
     assert _close((A + B).as_array(), a + b)
     assert _close((A - B).as_array(), a - b)
-    assert _close(A.scale(c).as_array(), CRad.of(c).value() * a)
     assert _close(A.adjoint().as_array(), a.conj().T)
+    C, ca = A.scale(c), _value(c) * a
+    assert _close(C.as_array(), ca)
+    low = np.array([d <= 1 for d in _MIXED_BASIS.degrees])
+    assert _close(C.restrict_columns(1).as_array(), ca * low[None, :])
+    v = np.zeros(_MIXED_BASIS.size, dtype=complex)
+    for i, x in vec.items():
+        v[i] = _value(x)
+    # the same matrix on the full-kind basis of one variable, also of size
+    # 6, applied to the polynomial with coordinates vec
+    F = FockOperator(_FULL_TWIN, ea).scale(c)
+    got = np.zeros_like(v)
+    for i, x in _coords(_FULL_TWIN, F.apply_poly(
+            PolyZZbar(1, {_FULL_TWIN.labels[i]: x for i, x in vec.items()}))).items():
+        got[i] = _value(x)
+    assert _close(got, ca @ v)
+
+
+def test_scale_takes_multi_term_values():
+    """Scaling multiplies every entry, so a multi-term value scales like any
+    other and exactly: (sqrt(2) + 1)(sqrt(2) - 1) = 1.  Scaling by 0 is the
+    zero operator, and by 1 the operator itself."""
+    entries = {(0, 0): 1, (1, 2): Rad.sqrt(2), (3, 1): CRad(Fraction(1, 2), -1)}
+    A = FockOperator(_MIXED_BASIS, entries)
+    for c in (CRad(1, 1), CRad(Rad.sqrt(2) + 1), CRad(Rad.sqrt(2), 1)):
+        assert _close(A.scale(c).as_array(), _value(c) * _dense(entries))
+    back = A.scale(CRad(Rad.sqrt(2) + 1)).scale(CRad(Rad.sqrt(2) - 1))
+    assert back.entries == A.entries
+    assert A.scale(0).is_zero() and A.scale(Fraction(0)).is_zero()
+    assert A.scale(1) is A
 
 
 @settings(deadline=None)
-@given(_entries)
-def test_entry_forms_compare_equal(entries):
+@given(_entries, _factors)
+def test_entry_forms_compare_equal(entries, c):
     """An operator does not depend on the form its entries are given in, and
-    it stores every real rational entry as an int or a Fraction."""
+    it stores every real rational entry as an int or a Fraction, scaled or
+    not."""
     A = FockOperator(_MIXED_BASIS, entries)
-    as_crad = FockOperator(_MIXED_BASIS, {k: CRad.of(c) for k, c in entries.items()})
+    as_crad = FockOperator(_MIXED_BASIS, {k: CRad.of(v) for k, v in entries.items()})
     assert A.agrees_with(as_crad) and as_crad.agrees_with(A)
-    for c in A.entries.values():
-        if isinstance(c, CRad):
-            assert not c.im.is_zero() or not c.re.is_rational()
+    scaled = A.scale(c)
+    assert scaled.entries == FockOperator(
+        _MIXED_BASIS, {k: CRad.of(v) * CRad.of(c) for k, v in entries.items()}).entries
+    for X in (A, scaled):
+        for v in X.entries.values():
+            if isinstance(v, CRad):
+                assert not v.im.is_zero() or not v.re.is_rational()
 
 
 @settings(deadline=None)
@@ -292,77 +331,3 @@ def test_radical_and_rational_entries_agree():
     assert (root2 @ root2).agrees_with(FockOperator(basis, {(0, 0): 2}))
     with pytest.raises(TypeError):
         FockOperator(basis, {(0, 0): 0.5})
-
-
-# ---------------------------------------------------------------------------
-# Operators that carry a scalar: one exact scalar times unscaled entries
-
-_FULL_TWIN = GradedBasis(1, 2, FULL)
-_vectors = st.dictionaries(st.integers(0, _MIXED_BASIS.size - 1), _scalars, max_size=4)
-
-
-def _value(c):
-    return CRad.of(c).value()
-
-
-def _with_scalar(entries, s):
-    op = FockOperator(_MIXED_BASIS, entries).scale(s)
-    assert op.scalar == s
-    return op
-
-
-@settings(deadline=None)
-@given(_entries, _entries, _single_terms, _single_terms, _single_terms, _vectors)
-def test_scaled_operator_algebra_matches_numpy(ea, eb, s, t, c, vec):
-    A, B, Bs = _with_scalar(ea, s), _with_scalar(eb, t), _with_scalar(eb, s)
-    a, b, bs = _dense(ea) * _value(s), _dense(eb) * _value(t), _dense(eb) * _value(s)
-    assert _close(A.as_array(), a)
-    assert _close((A @ B).as_array(), a @ b)
-    assert _close((A + Bs).as_array(), a + bs)
-    assert _close((A - Bs).as_array(), a - bs)
-    assert _close((A + B).as_array(), a + b)
-    assert _close((A - B).as_array(), a - b)
-    assert _close(A.scale(c).as_array(), _value(c) * a)
-    assert _close(A.adjoint().as_array(), a.conj().T)
-    low = np.array([d <= 1 for d in _MIXED_BASIS.degrees])
-    assert _close(A.restrict_columns(1).as_array(), a * low[None, :])
-    v = np.zeros(_MIXED_BASIS.size, dtype=complex)
-    for i, x in vec.items():
-        v[i] = _value(x)
-    # the same matrix on the full-kind basis of one variable, also of size
-    # 6, applied to the polynomial with coordinates vec
-    F = FockOperator(_FULL_TWIN, ea).scale(s)
-    got = np.zeros_like(v)
-    for i, x in _coords(_FULL_TWIN, F.apply_poly(
-            PolyZZbar(1, {_FULL_TWIN.labels[i]: x for i, x in vec.items()}))).items():
-        got[i] = _value(x)
-    assert _close(got, a @ v)
-    if not (A.is_zero() or B.is_zero()):
-        # equal scalars stay factored out of a sum
-        assert (A + Bs).scalar == s and (A @ B).scalar == CRad.of(s) * CRad.of(t)
-
-
-def test_scale_takes_single_terms_only():
-    # a multi-term value would have to enter every entry
-    A = FockOperator(_MIXED_BASIS, {(0, 0): 1, (1, 2): Rad.sqrt(2)})
-    for c in (CRad(1, 1), CRad(Rad.sqrt(2), 1)):
-        with pytest.raises(ValueError, match="single term"):
-            A.scale(c)
-    assert A.scale(0).is_zero() and A.scale(CRad(0, 3)).scalar == CRad(0, 3)
-
-
-@settings(deadline=None)
-@given(_entries, _single_terms)
-def test_scalar_form_equals_entry_form(entries, s):
-    scaled = _with_scalar(entries, s)
-    plain = FockOperator(_MIXED_BASIS, {k: CRad.of(c) * CRad.of(s)
-                                        for k, c in entries.items()})
-    assert plain.scalar == 1
-    assert scaled.agrees_with(plain) and plain.agrees_with(scaled)
-    assert scaled.entries == plain.entries
-    for c in scaled.entries.values():
-        if isinstance(c, CRad):
-            assert not c.im.is_zero() or not c.re.is_rational()
-    if not plain.is_zero():
-        other = plain.scale(2)
-        assert not scaled.agrees_with(other)

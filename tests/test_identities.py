@@ -103,7 +103,7 @@ def test_parity_table_reads_the_entries(monkeypatch, n):
         op = shift(basis, alpha, beta)
         up = (alpha[0] + 1,) + tuple(alpha[1:])
         if mi_degree(up) <= basis.D:
-            op.unscaled = {(basis.index(up), basis.index(beta)): 1}
+            op.entries = {(basis.index(up), basis.index(beta)): 1}
         return op
 
     monkeypatch.setattr(identities, "rho_ab", misplaced)
@@ -176,6 +176,23 @@ def test_symbol_checks_fail_on_a_wrong_shift_symbol(monkeypatch, n):
     recs = {r["name"]: r["passed"] for r in run_identity_checks(n, 4)}
     assert not recs["symbol_map"]
     assert not recs["diagonal_symbols"]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_symbol_map_fails_on_an_extra_coefficient(monkeypatch, n):
+    """An expansion that gives S(e_1, 0) = zbar_1 a second coefficient, on
+    the vacuum shift, makes Op(zbar_1) differ from T(e_1, 0); symbol_map
+    sees it, and so does the star order probe that reads Op(zbar_1)."""
+    true = bargmann._shift_coefficients
+    unit, zero = (1,) + (0,) * (n - 1), (0,) * n
+
+    def extra(nvar, q):
+        out = true(nvar, q)
+        return {**out, (zero, zero): 1} if out == {(unit, zero): 1} else out
+
+    monkeypatch.setattr(bargmann, "_shift_coefficients", extra)
+    failed = {r["name"] for r in run_identity_checks(n, 4) if not r["passed"]}
+    assert failed == {"symbol_map", "star_order_report"}
 
 
 @pytest.mark.parametrize("n,degree", [(1, 8), (2, 4)])
