@@ -241,8 +241,8 @@ def _value(c):
 
 
 @settings(deadline=None)
-@given(_entries, _entries, _factors, _vectors)
-def test_mixed_entry_algebra_matches_numpy(ea, eb, c, vec):
+@given(_entries, _entries, _factors)
+def test_mixed_entry_algebra_matches_numpy(ea, eb, c):
     A = FockOperator(_MIXED_BASIS, ea)
     B = FockOperator(_MIXED_BASIS, eb)
     a, b = _dense(ea), _dense(eb)
@@ -251,21 +251,41 @@ def test_mixed_entry_algebra_matches_numpy(ea, eb, c, vec):
     assert _close((A + B).as_array(), a + b)
     assert _close((A - B).as_array(), a - b)
     assert _close(A.adjoint().as_array(), a.conj().T)
-    C, ca = A.scale(c), _value(c) * a
-    assert _close(C.as_array(), ca)
+    assert _close(A.scale(c).as_array(), _value(c) * a)
+
+
+@settings(deadline=None)
+@given(_entries, _entries, _factors, _factors, _factors, _vectors)
+def test_scaled_operator_algebra_matches_numpy(ea, eb, s, t, c, vec):
+    """Scaled operators compose, add, restrict and act on polynomials like
+    their dense matrices, and a common factor comes out of a sum or a
+    product exactly."""
+    A0, B0 = FockOperator(_MIXED_BASIS, ea), FockOperator(_MIXED_BASIS, eb)
+    A, B, Bs = A0.scale(s), B0.scale(t), B0.scale(s)
+    a, b, bs = _dense(ea) * _value(s), _dense(eb) * _value(t), _dense(eb) * _value(s)
+    assert _close(A.as_array(), a)
+    assert _close((A @ B).as_array(), a @ b)
+    assert _close((A + Bs).as_array(), a + bs)
+    assert _close((A - Bs).as_array(), a - bs)
+    assert _close((A + B).as_array(), a + b)
+    assert _close((A - B).as_array(), a - b)
+    assert _close(A.scale(c).as_array(), _value(c) * a)
+    assert _close(A.adjoint().as_array(), a.conj().T)
     low = np.array([d <= 1 for d in _MIXED_BASIS.degrees])
-    assert _close(C.restrict_columns(1).as_array(), ca * low[None, :])
+    assert _close(A.restrict_columns(1).as_array(), a * low[None, :])
     v = np.zeros(_MIXED_BASIS.size, dtype=complex)
     for i, x in vec.items():
         v[i] = _value(x)
     # the same matrix on the full-kind basis of one variable, also of size
     # 6, applied to the polynomial with coordinates vec
-    F = FockOperator(_FULL_TWIN, ea).scale(c)
+    F = FockOperator(_FULL_TWIN, ea).scale(s)
     got = np.zeros_like(v)
     for i, x in _coords(_FULL_TWIN, F.apply_poly(
             PolyZZbar(1, {_FULL_TWIN.labels[i]: x for i, x in vec.items()}))).items():
         got[i] = _value(x)
-    assert _close(got, ca @ v)
+    assert _close(got, a @ v)
+    assert (A + Bs).entries == (A0 + B0).scale(s).entries
+    assert (A @ B).entries == (A0 @ B0).scale(CRad.of(s) * CRad.of(t)).entries
 
 
 def test_scale_takes_multi_term_values():
