@@ -1,17 +1,17 @@
 """Symbol calculus on the mixed polynomial space.
 
 Provides the Laguerre family used by kernel asymptotics, the exact Gaussian
-pairing on monomials, the vacuum projection, the symbol-to-operator map and
-its composition law, and the twisted product on symbols.  The Laguerre
-coefficients, the integer shift symbols, their inverse expansion and the
-twisted product are binomial closed forms; each shift matrix is one ladder
-product from a smaller one, down to the vacuum projection, and a shift
-applied to frames built from the symbols checks one construction against
-the other.  Shifts and symbols are kept unnormalized, with integer entries
-and coefficients: conjugation by diag(sqrt(alpha!)) carries them to the
-normalized ones (Bargmann, Comm. Pure Appl. Math. 14 (1961) 187), so each
-relation holds in one form exactly when it holds in the other, and no
-square root enters here.
+pairing on monomials (an int or a Fraction on rational polynomials), the
+vacuum projection, the symbol-to-operator map and its composition law, and
+the twisted product on symbols.  The Laguerre coefficients, the integer shift
+symbols, their inverse expansion and the twisted product are binomial closed
+forms; each shift matrix is one ladder product from a smaller one, down to
+the vacuum projection, and a shift applied to frames built from the symbols
+checks one construction against the other.  Shifts and symbols are kept
+unnormalized, with integer entries and coefficients: conjugation by
+diag(sqrt(alpha!)) carries them to the normalized ones (Bargmann, Comm. Pure
+Appl. Math. 14 (1961) 187), so each relation holds in one form exactly when
+it holds in the other, and no square root enters here.
 
 Conventions.  The pairing is <z^a zbar^b, z^c zbar^d> =
 prod_i [a_i + d_i == b_i + c_i] * (a_i + d_i)!, which makes 1 a unit vector
@@ -100,10 +100,11 @@ def laguerre_sum_identity(m: int, n: int) -> bool:
 # Exact Gaussian pairing
 
 
-def gram_inner(f: PolyZZbar, g: PolyZZbar) -> CRad:
-    """Exact pairing, antilinear in the second argument.  The sums run in the
-    coefficients' cheapest exact form, and each term of f multiplies its
-    integer-weighted sum over g once; the value is returned as a CRad."""
+def pairing(f: PolyZZbar, g: PolyZZbar) -> Scalar:
+    """Exact pairing, antilinear in the second argument, in its cheapest
+    exact form: an int or a Fraction when the coefficients are rational.
+    The sums run in the coefficients' own form, and each term of f
+    multiplies its integer-weighted sum over g once."""
     if f.n != g.n:
         raise ValueError("variable count mismatch")
     acc = 0
@@ -120,7 +121,14 @@ def gram_inner(f: PolyZZbar, g: PolyZZbar) -> CRad:
                 inner = inner + cg * weight
         if inner:
             acc = acc + cf * inner.conjugate()
-    return CRad.of(acc)
+    return exact(acc)
+
+
+def gram_inner(f: PolyZZbar, g: PolyZZbar) -> CRad:
+    """The pairing as a CRad.  The ledger compares pairing's ints and
+    Fractions; this form stays because the benchmark's sympy cross-check
+    reads the value's .re and .im, and it goes with the radicals module."""
+    return CRad.of(pairing(f, g))
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,9 @@ full kind they are a polynomial's coordinates, so `FockOperator.apply_poly`
 walks the matrix columns of the polynomial's terms.
 
 Each basis carries one cache dict for the operators built on it: the ladder
-set from :func:`ladder_matrices` and, on the full kind, the vacuum
-projection and shift matrices of the bargmann module.  Every
+set from :func:`ladder_matrices`, the rank-one shifts of :func:`rho_ab` on
+the antiholomorphic kind and, on the full kind, the vacuum projection and
+shift matrices of the bargmann module.  Every
 caller on the same basis shares one copy, which lives as long as the basis.
 """
 
@@ -234,12 +235,14 @@ class FockOperator:
     it, so every operation that only retags or keeps it whole shares it.
 
     An operator holds only what its entries cannot tell, so its parity is
-    read off them.  exactness_degree is the largest input degree on which
-    the matrix agrees with the untruncated operator it models; identities
-    should only be asserted on columns up to that degree.
+    read off them; its raise amount, which every composition with it on the
+    right reads, is computed from them once.  exactness_degree is the
+    largest input degree on which the matrix agrees with the untruncated
+    operator it models; identities should only be asserted on columns up to
+    that degree.
     """
 
-    __slots__ = ("basis", "entries", "exactness_degree", "_columns")
+    __slots__ = ("basis", "entries", "exactness_degree", "_columns", "_raise")
 
     def __init__(self, basis: GradedBasis, entries, exactness_degree=None):
         self.basis = basis
@@ -247,6 +250,7 @@ class FockOperator:
             _exact_entries(entries) if entries else {}
         self.exactness_degree = basis.D if exactness_degree is None else exactness_degree
         self._columns = None
+        self._raise = None
 
     @classmethod
     def _holding(cls, basis: GradedBasis, entries: dict,
@@ -258,6 +262,7 @@ class FockOperator:
         op.entries = entries
         op.exactness_degree = exactness_degree
         op._columns = None
+        op._raise = None
         return op
 
     def columns(self) -> dict[int, list]:
@@ -294,11 +299,12 @@ class FockOperator:
 
     def raise_amount(self) -> int:
         """Largest degree increase across nonzero entries (negative if the
-        operator only lowers degree; zero for the empty matrix)."""
-        degs = self.basis.degrees
-        if not self.entries:
-            return 0
-        return max(degs[i] - degs[j] for i, j in self.entries)
+        operator only lowers degree; zero for the empty matrix), computed on
+        first use and kept with the operator."""
+        if self._raise is None:
+            degs = self.basis.degrees
+            self._raise = max((degs[i] - degs[j] for i, j in self.entries), default=0)
+        return self._raise
 
     def fall_amount(self) -> int:
         degs = self.basis.degrees
@@ -351,13 +357,15 @@ class FockOperator:
 
     def scale(self, c) -> "FockOperator":
         """c times the operator, for any exact c; by 1 it is the operator
-        itself."""
+        itself, and by -1 each entry is negated, which keeps its form."""
         c = exact(c)
         if type(c) is int and c == 1:
             return self
-        return FockOperator._holding(
-            self.basis, _exact_entries({k: v * c for k, v in self.entries.items()}),
-            self.exactness_degree)
+        if type(c) is int and c == -1:
+            entries = {k: -v for k, v in self.entries.items()}
+        else:
+            entries = _exact_entries({k: v * c for k, v in self.entries.items()})
+        return FockOperator._holding(self.basis, entries, self.exactness_degree)
 
     def adjoint(self) -> "FockOperator":
         """Conjugate transpose, valid as the adjoint only on the
@@ -472,14 +480,19 @@ def ladder_matrices(basis: GradedBasis) -> tuple[tuple[FockOperator, ...],
 
 def rho_ab(basis: GradedBasis, alpha: MultiIndex, beta: MultiIndex) -> FockOperator:
     """Rank-one map sending the normalized zbar^beta to the normalized
-    zbar^alpha and killing the other normalized monomials."""
+    zbar^alpha and killing the other normalized monomials, built once per
+    basis and shared through its cache."""
     if basis.kind != ANTIHOLOMORPHIC:
         raise ValueError("rho_ab acts on the antiholomorphic kind; the full "
                          "kind's shifts are the integer shift matrices of the "
                          "bargmann module")
     alpha, beta = tuple(alpha), tuple(beta)
-    return FockOperator(basis, {(basis.index(alpha), basis.index(beta)): 1},
-                        exactness_degree=basis.D)
+    cache = basis.cache
+    key = ("rho", alpha, beta)
+    if key not in cache:
+        cache[key] = FockOperator(basis, {(basis.index(alpha), basis.index(beta)): 1},
+                                  exactness_degree=basis.D)
+    return cache[key]
 
 
 def pi_m(basis: GradedBasis, m: int) -> FockOperator:
@@ -504,12 +517,13 @@ def rho_tangent(basis: GradedBasis, u, v) -> FockOperator:
     if len(u) != n or len(v) != n:
         raise ValueError("need %d coefficients for each of u and v" % n)
     lowers, raises_ = ladder_matrices(basis)
-    out = FockOperator.zero(basis)
+    terms = []
     for i in range(n):
         if u[i]:
-            out = out + raises_[i].scale(-u[i])
+            terms.append(raises_[i].scale(-u[i]))
         if v[i]:
-            out = out + lowers[i].scale(v[i])
+            terms.append(lowers[i].scale(v[i]))
+    out = sum(terms[1:], terms[0]) if terms else FockOperator.zero(basis)
     ed = basis.D if all(not x for x in u) else basis.D - 1
     return FockOperator._holding(basis, out.entries, ed)
 

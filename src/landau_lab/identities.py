@@ -12,16 +12,18 @@ normalized statement is checked in its integer form with its stated
 rational factor: the plain monomials and the frames are orthogonal with
 squared norms alpha! and alpha! h!, T(alpha, beta) takes the (beta, h)
 frame to beta! times the (alpha, h) frame, and S(alpha, alpha) is alpha!
-times a product of Laguerre polynomials.  No square root enters them.
+times a product of Laguerre polynomials.  No square root enters them:
+gram_structure compares bargmann.pairing's ints with the stated norms.
 symbol_map checks that bargmann._shift_coefficients expands each
 S(alpha, beta) to the single coefficient 1 on (alpha, beta); Op(q) sums
 q's coefficients times their shifts, so that is Op(S(alpha, beta)) =
 T(alpha, beta), and it builds no matrix.
 
 An object that several checks, or several cases of one check, read is built
-once per run: the shift symbols and the ladder frames made from them, one
-left shift per pair in shift_compose.  These tables are locals of
-run_identity_checks, so a run reads nothing that an earlier run built.
+once per run: the shift symbols and the ladder frames made from them, in
+tables local to run_identity_checks, and the rank-one shifts, in the cache
+of the run's antiholomorphic basis.  A run reads nothing that an earlier
+run built.
 Each ladder commutator relation is composed once: [a_i, a_j] and
 [a*_i, a*_j] for i < j only.  Every record says how many cases it checked.
 """
@@ -35,10 +37,9 @@ from math import prod
 
 from . import bargmann as bg
 from .fock import (ANTIHOLOMORPHIC, FULL, FockOperator, GradedBasis, PolyZZbar,
-                   ladder_matrices, mi_degree, mi_factorial, mi_unit,
+                   ladder_matrices, mi_add, mi_degree, mi_factorial, mi_unit,
                    multi_indices, multi_indices_of_degree, pi_m, rho_ab,
                    rho_tangent)
-from .radicals import CRad
 
 
 def _pair_sample(labels, rng, exhaustive_degree: int, sample: int):
@@ -204,28 +205,25 @@ def run_identity_checks(n: int, degree: int, seed: int = 0) -> list[dict]:
                 continue
             diagonal += 1
             mono = PolyZZbar.monomial(n, a, b)
-            diag = bg.gram_inner(mono, mono)
-            want = CRad.of(mi_factorial(tuple(ai + bi for ai, bi in zip(a, b))))
-            if diag != want:
+            if bg.pairing(mono, mono) != mi_factorial(mi_add(a, b)):
                 ok = False
     antis = {a: PolyZZbar.monomial(n, zero, a) for a in mis}
     holos = {a: PolyZZbar.monomial(n, a, zero) for a in mis}
-    norms = {a: CRad.of(mi_factorial(a)) for a in mis}
-    nought = CRad.of(0)
     for a in mis:
         for b in mis:
-            want = norms[a] if a == b else nought
-            if bg.gram_inner(antis[a], antis[b]) != want:
+            want = mi_factorial(a) if a == b else 0
+            if bg.pairing(antis[a], antis[b]) != want:
                 ok = False
-            if bg.gram_inner(holos[a], holos[b]) != want:
+            if bg.pairing(holos[a], holos[b]) != want:
                 ok = False
-    keys = [(alpha, hdeg) for alpha in multi_indices(n, 3)
-            for hdeg in multi_indices(n, 3) if sum(alpha) + sum(hdeg) <= D]
+    mis3 = multi_indices(n, 3)
+    keys = [(alpha, hdeg) for alpha in mis3 for hdeg in mis3
+            if sum(alpha) + sum(hdeg) <= D]
     partners = min(len(keys), 10)
     for x in keys:
         for y in rng.sample(keys, partners):
-            want = CRad.of(mi_factorial(x[0]) * mi_factorial(x[1])) if x == y else nought
-            if bg.gram_inner(frame(*x), frame(*y)) != want:
+            want = mi_factorial(x[0]) * mi_factorial(x[1]) if x == y else 0
+            if bg.pairing(frame(*x), frame(*y)) != want:
                 ok = False
     record("gram_structure", ok, detail="%d diagonal, %d pure-block and %d "
            "frame pairings" % (diagonal, 2 * len(mis) ** 2, len(keys) * partners))
@@ -233,7 +231,8 @@ def run_identity_checks(n: int, degree: int, seed: int = 0) -> list[dict]:
     # --- shifts on the full space: T(alpha, beta) takes each (beta, hdeg)
     # frame to beta! times the (alpha, hdeg) frame
     ok = True
-    shift_pairs = [(a, b) for a in multi_indices(n, 2) for b in multi_indices(n, 2)]
+    mis2 = multi_indices(n, 2)
+    shift_pairs = [(a, b) for a in mis2 for b in mis2]
     shifts = rng.sample(shift_pairs, min(len(shift_pairs), 10))
     images = 0
     for alpha, beta in shifts:
@@ -244,7 +243,7 @@ def run_identity_checks(n: int, degree: int, seed: int = 0) -> list[dict]:
                 ok = False
             images += 1
         # and it kills the other level blocks
-        for beta2 in multi_indices(n, 2):
+        for beta2 in mis2:
             if beta2 == beta or sum(beta2) + 1 > D:
                 continue
             if not op.apply_poly(frame(beta2, zero)).is_zero():
@@ -278,9 +277,9 @@ def run_identity_checks(n: int, degree: int, seed: int = 0) -> list[dict]:
         sym_pairs = [((a,), (b,)) for a in range(D + 1) for b in range(D + 1)
                      if a + b <= D]
     else:
-        sym_pairs = [(a, b) for a in multi_indices(n, 2) for b in multi_indices(n, 2)]
-        extra = [(a, b) for a in multi_indices(n, D) for b in multi_indices(n, D)
-                 if sum(a) + sum(b) <= D]
+        sym_pairs = list(shift_pairs)
+        mis_D = multi_indices(n, D)
+        extra = [(a, b) for a in mis_D for b in mis_D if sum(a) + sum(b) <= D]
         sym_pairs += rng.sample(extra, min(len(extra), 25))
     for alpha, beta in sym_pairs:
         if bg._shift_coefficients(n, shift_symbol(alpha, beta)) != {(alpha, beta): 1}:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import genlaguerre
 
@@ -19,6 +19,7 @@ from landau_lab.bargmann import (
     op_compose_law,
     op_of,
     op_trace_antiholo,
+    pairing,
     star_product,
 )
 from landau_lab.fock import (FULL, FockOperator, GradedBasis, PolyZZbar, ladder_matrices,
@@ -519,6 +520,30 @@ def test_symbol_map_of_each_shift_symbol_is_its_shift(n, D):
         assert got.entries is not want.entries
         assert got.entries == want.entries, (alpha, beta)
         assert got.exactness_degree == want.exactness_degree
+
+
+@settings(deadline=None)
+@given(st.sampled_from([1, 2]).flatmap(
+    lambda n: st.tuples(_symbol(n, _rationals), _symbol(n, _rationals))))
+@example((PolyZZbar.constant(1, Fraction(1, 2)), PolyZZbar.constant(1, 2)))
+def test_pairing_of_rational_polynomials_is_rational(fg):
+    """On rational coefficients the pairing is an int or a Fraction in its
+    cheapest form, the value gram_inner gives as a CRad, and Hermitian."""
+    f, g = fg
+    v = pairing(f, g)
+    assert type(v) is int or (type(v) is Fraction and v.denominator != 1)
+    assert gram_inner(f, g) == v
+    assert pairing(g, f) == v.conjugate()
+
+
+@settings(deadline=None)
+@given(st.sampled_from([1, 2]).flatmap(
+    lambda n: st.tuples(_symbol(n, _exact_coefficients), _symbol(n, _exact_coefficients))))
+def test_pairing_is_hermitian_on_exact_coefficients(fg):
+    f, g = fg
+    v = pairing(f, g)
+    assert gram_inner(f, g) == v
+    assert pairing(g, f) == CRad.of(v).conjugate()
 
 
 def test_gram_inner_returns_crad():

@@ -139,6 +139,36 @@ def test_one_ladder_set_per_basis():
         rho_tangent(GradedBasis(1, 3, FULL), [1], [0])
 
 
+def test_one_rank_one_shift_per_basis_and_pair():
+    # the ledger's shift checks read each rho_ab many times; a new basis
+    # builds its own
+    basis = GradedBasis(2, 3)
+    r = rho_ab(basis, (1, 0), (0, 2))
+    assert rho_ab(basis, [1, 0], [0, 2]) is r
+    assert rho_ab(basis, (0, 2), (1, 0)) is not r
+    other = GradedBasis(2, 3)
+    fresh = rho_ab(other, (1, 0), (0, 2))
+    assert fresh is not r and fresh.basis is other and fresh.entries == r.entries
+
+
+def test_negation_multiplies_no_entry(monkeypatch):
+    """scale(-1) and rho_tangent's unit coefficients negate the radical
+    ladder entries without a product."""
+    basis = GradedBasis(2, 4)
+    lowers, raises_ = ladder_matrices(basis)
+    negated = {k: -v for k, v in raises_[0].entries.items()}
+    skew = {**negated, **lowers[1].entries}
+
+    def refuse(self, other):
+        raise AssertionError("an entry was multiplied")
+
+    monkeypatch.setattr(CRad, "__mul__", refuse)
+    monkeypatch.setattr(CRad, "__rmul__", refuse)
+    assert raises_[0].scale(-1).entries == negated
+    assert rho_tangent(basis, [1, 0], [0, 1]).entries == skew
+    assert rho_tangent(basis, [0, 0], [0, 1]).entries is lowers[1].entries
+
+
 def test_exactness_degree_drops_under_composition():
     basis = GradedBasis(1, 5)
     _, raisers = ladder_matrices(basis)
@@ -240,18 +270,32 @@ def _value(c):
     return CRad.of(c).value()
 
 
+def _raise_of_entries(op):
+    degs = op.basis.degrees
+    return max((degs[i] - degs[j] for i, j in op.entries), default=0)
+
+
 @settings(deadline=None)
 @given(_entries, _entries, _factors)
 def test_mixed_entry_algebra_matches_numpy(ea, eb, c):
+    """The algebra matches the dense matrices, and each result keeps the
+    raise amount its entries give, also when its operands' are kept."""
     A = FockOperator(_MIXED_BASIS, ea)
     B = FockOperator(_MIXED_BASIS, eb)
+    assert A.raise_amount() == _raise_of_entries(A)
+    assert B.raise_amount() == _raise_of_entries(B)
     a, b = _dense(ea), _dense(eb)
+    AB, S, M = A @ B, A + B, A - B
     assert _close(A.as_array(), a)
-    assert _close((A @ B).as_array(), a @ b)
-    assert _close((A + B).as_array(), a + b)
-    assert _close((A - B).as_array(), a - b)
+    assert _close(AB.as_array(), a @ b)
+    assert _close(S.as_array(), a + b)
+    assert _close(M.as_array(), a - b)
     assert _close(A.adjoint().as_array(), a.conj().T)
     assert _close(A.scale(c).as_array(), _value(c) * a)
+    for X in (AB, S, M, A.adjoint(), A.scale(c), A.scale(-1), A.restrict_columns(1)):
+        assert X.raise_amount() == _raise_of_entries(X)
+    assert AB.exactness_degree == min(_MIXED_BASIS.D, B.exactness_degree,
+                                      A.exactness_degree - _raise_of_entries(B))
 
 
 @settings(deadline=None)
