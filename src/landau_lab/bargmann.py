@@ -165,7 +165,7 @@ def bargmann_project_operator(basis: GradedBasis) -> FockOperator:
                 for ai, bi in zip(a, b):
                     weight *= factorial(ai) // factorial(ai - bi)
                 ent[(basis.index((mi_sub(a, b), zero)), col)] = weight
-        cache["P00"] = FockOperator(basis, ent, exactness_degree=basis.D)
+        cache["P00"] = FockOperator(basis, ent)
     return cache["P00"]
 
 
@@ -219,15 +219,12 @@ def op_of(basis: GradedBasis, q: PolyZZbar) -> FockOperator:
     if q.n != basis.n:
         raise ValueError("variable count mismatch")
     out: dict = {}
-    ed = basis.D
     for (alpha, beta), c in _shift_coefficients(basis.n, q).items():
-        shift = _shift(basis, alpha, beta)
-        ed = min(ed, shift.exactness_degree)
-        for key, v in shift.entries.items():
+        for key, v in _shift(basis, alpha, beta).entries.items():
             term = v * c
             cur = out.get(key)
             out[key] = term if cur is None else cur + term
-    return FockOperator(basis, out, exactness_degree=ed)
+    return FockOperator(basis, out)
 
 
 def op_trace_antiholo(basis_full: GradedBasis, op: FockOperator) -> Scalar:
@@ -243,16 +240,32 @@ def op_trace_antiholo(basis_full: GradedBasis, op: FockOperator) -> Scalar:
     return exact(acc)
 
 
+def _raise(q: PolyZZbar) -> int:
+    """r(q): the largest |b| - |a| over the terms z^a zbar^b of q, or 0 for
+    q = 0."""
+    return max((mi_degree(b) - mi_degree(a) for a, b in q.coeffs), default=0)
+
+
 def op_compose_law(basis: GradedBasis, q1: PolyZZbar, q2: PolyZZbar) -> bool:
     """Whether Op(q1) o Op(q2) = Op(Op(q1) q2) holds exactly on the columns
-    where both sides are exact."""
+    where both sides are exact.
+
+    Those columns are worked out from the symbols.  The expansion on the
+    shift symbols keeps |b| - |a| term by term, so each shift
+    (a*)^(b-j) P_vac a^(a-j) in Op(q) raises the total degree by at most
+    r(q), and the truncated Op(q) is exact on the columns of degree
+    <= D - max(0, r(q)).  On a column of degree d, Op(q2) is exact when
+    d <= D - max(0, r2) and lands in degree <= d + r2, where Op(q1) is exact
+    when d + r2 <= D - max(0, r1).  So the two sides are compared on the
+    columns of degree <= min(D - max(0, r2), D - max(0, r1) - r2,
+    D - max(0, r(Op(q1) q2)))."""
     A = op_of(basis, q1)
-    B = op_of(basis, q2)
-    lhs = A @ B
-    r = A.apply_poly(q2)
-    rhs = op_of(basis, r)
-    safe = min(lhs.exactness_degree, rhs.exactness_degree)
-    return (lhs.restrict_columns(safe) - rhs.restrict_columns(safe)).is_zero()
+    lhs = A @ op_of(basis, q2)
+    q12 = A.apply_poly(q2)
+    rhs = op_of(basis, q12)
+    D, r1, r2 = basis.D, _raise(q1), _raise(q2)
+    safe = min(D - max(0, r2), D - max(0, r1) - r2, D - max(0, _raise(q12)))
+    return lhs.agrees_with(rhs, safe)
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,16 @@ in that frame.  The "full" kind is the span of the mixed monomials
 z^a zbar^b with |a| + |b| <= D, kept in plain monomial coordinates because the
 mixed monomials are not orthogonal.
 
-Operators are sparse exact matrices, tagged with the largest input degree on
-which they agree with their untruncated counterparts; their parity is read
-off the entries.  Each holds one dict of its entries, each in its cheapest
-exact form (:func:`.radicals.exact`): a real rational is an ``int`` or a
-``Fraction``, and an entry is in the exact radical ring only where it is
-complex or irrational.  Full-kind ladders, the vacuum projection, the
-unnormalized shifts and the operators of rational symbols are rational
-throughout, so their algebra runs on Python integers; radicals enter only
-through the normalized antiholomorphic frame.
+Operators are sparse exact matrices; their parity is read off the entries.
+A truncated matrix agrees with the operator it models only on the columns of
+low enough degree, so each comparison states the degree it compares up to.
+Each holds one dict of its entries, each in its cheapest exact form
+(:func:`.radicals.exact`): a real rational is an ``int`` or a ``Fraction``,
+and an entry is in the exact radical ring only where it is complex or
+irrational.  Full-kind ladders, the vacuum projection, the unnormalized
+shifts and the operators of rational symbols are rational throughout, so
+their algebra runs on Python integers; radicals enter only through the
+normalized antiholomorphic frame.
 Polynomial coefficients are kept in the same cheapest exact form.  On the
 full kind they are a polynomial's coordinates, so `FockOperator.apply_poly`
 walks the matrix columns of the polynomial's terms.
@@ -29,7 +30,6 @@ caller on the same basis shares one copy, which lives as long as the basis.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import factorial
 from typing import TYPE_CHECKING
@@ -76,10 +76,7 @@ def mi_unit(n: int, i: int) -> MultiIndex:
 def multi_indices(n: int, max_degree: int) -> list[MultiIndex]:
     """All multi-indices of length n with total degree <= max_degree,
     ordered by total degree then lexicographically."""
-    mis = [c for c in itertools.product(range(max_degree + 1), repeat=n)
-           if sum(c) <= max_degree]
-    mis.sort(key=lambda a: (sum(a), a))
-    return mis
+    return [a for d in range(max_degree + 1) for a in multi_indices_of_degree(n, d)]
 
 
 def multi_indices_of_degree(n: int, degree: int) -> list[MultiIndex]:
@@ -232,37 +229,31 @@ class PolyZZbar:
 class FockOperator:
     """Sparse exact matrix on a GradedBasis: a dict of its entries, each in
     its cheapest exact form, which is never mutated once an operator holds
-    it, so every operation that only retags or keeps it whole shares it.
+    it, so every operation that keeps it whole shares it.
 
     An operator holds only what its entries cannot tell, so its parity is
-    read off them; its raise amount, which every composition with it on the
-    right reads, is computed from them once.  exactness_degree is the
-    largest input degree on which the matrix agrees with the untruncated
-    operator it models; identities should only be asserted on columns up to
-    that degree.
+    read off them.  Truncation makes the matrix differ from the operator it
+    models on the columns whose image leaves the cutoff; which columns those
+    are depends on that operator, so each caller of agrees_with states the
+    degree it compares up to.
     """
 
-    __slots__ = ("basis", "entries", "exactness_degree", "_columns", "_raise")
+    __slots__ = ("basis", "entries", "_columns")
 
-    def __init__(self, basis: GradedBasis, entries, exactness_degree=None):
+    def __init__(self, basis: GradedBasis, entries):
         self.basis = basis
         self.entries: dict[tuple[int, int], Scalar] = \
             _exact_entries(entries) if entries else {}
-        self.exactness_degree = basis.D if exactness_degree is None else exactness_degree
         self._columns = None
-        self._raise = None
 
     @classmethod
-    def _holding(cls, basis: GradedBasis, entries: dict,
-                 exactness_degree) -> "FockOperator":
+    def _holding(cls, basis: GradedBasis, entries: dict) -> "FockOperator":
         """The operator with the given entry dict (already in exact form),
         held without copying."""
         op = cls.__new__(cls)
         op.basis = basis
         op.entries = entries
-        op.exactness_degree = exactness_degree
         op._columns = None
-        op._raise = None
         return op
 
     def columns(self) -> dict[int, list]:
@@ -297,24 +288,8 @@ class FockOperator:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def raise_amount(self) -> int:
-        """Largest degree increase across nonzero entries (negative if the
-        operator only lowers degree; zero for the empty matrix), computed on
-        first use and kept with the operator."""
-        if self._raise is None:
-            degs = self.basis.degrees
-            self._raise = max((degs[i] - degs[j] for i, j in self.entries), default=0)
-        return self._raise
-
-    def fall_amount(self) -> int:
-        degs = self.basis.degrees
-        if not self.entries:
-            return 0
-        return max(degs[j] - degs[i] for i, j in self.entries)
-
     def compose(self, other: "FockOperator") -> "FockOperator":
-        """self o other, with the exactness bookkeeping
-        ed = min(ed(other), ed(self) - raise(other))."""
+        """self o other."""
         if other.basis is not self.basis:
             raise ValueError("operators live on different bases")
         by_col = self.columns()
@@ -325,9 +300,7 @@ class FockOperator:
                 prod = a * b
                 cur = out.get(key)
                 out[key] = prod if cur is None else cur + prod
-        ed = min(other.exactness_degree, self.exactness_degree - other.raise_amount())
-        ed = min(ed, self.basis.D)
-        return FockOperator._holding(self.basis, _exact_entries(out), ed)
+        return FockOperator._holding(self.basis, _exact_entries(out))
 
     def __matmul__(self, other):
         return self.compose(other)
@@ -342,8 +315,7 @@ class FockOperator:
                 c = -c
             cur = out.get(k)
             out[k] = c if cur is None else cur + c
-        return FockOperator._holding(self.basis, _exact_entries(out),
-                                     min(self.exactness_degree, other.exactness_degree))
+        return FockOperator._holding(self.basis, _exact_entries(out))
 
     def __add__(self, other):
         if not isinstance(other, FockOperator):
@@ -365,48 +337,34 @@ class FockOperator:
             entries = {k: -v for k, v in self.entries.items()}
         else:
             entries = _exact_entries({k: v * c for k, v in self.entries.items()})
-        return FockOperator._holding(self.basis, entries, self.exactness_degree)
+        return FockOperator._holding(self.basis, entries)
 
     def adjoint(self) -> "FockOperator":
         """Conjugate transpose, valid as the adjoint only on the
-        antiholomorphic kind (whose coordinate frame is orthonormal).
-
-        The exactness degree min(ed, D - fall) is exact when the matrix is a
-        plain truncation of its model and conservative otherwise.
-        """
+        antiholomorphic kind (whose coordinate frame is orthonormal)."""
         if self.basis.kind != ANTIHOLOMORPHIC:
             raise ValueError("matrix adjoint equals the operator adjoint only on "
                              "the antiholomorphic kind; full-kind adjoints need "
                              "the pairing in the bargmann module")
-        ed = min(self.exactness_degree, self.basis.D - max(0, self.fall_amount()))
         return FockOperator._holding(
-            self.basis, {(j, i): c.conjugate() for (i, j), c in self.entries.items()}, ed)
+            self.basis, {(j, i): c.conjugate() for (i, j), c in self.entries.items()})
 
     def parity_split(self) -> tuple["FockOperator", "FockOperator"]:
         degs = self.basis.degrees
         even, odd = {}, {}
         for (i, j), c in self.entries.items():
             ((even, odd)[(degs[i] - degs[j]) % 2])[(i, j)] = c
-        return (FockOperator._holding(self.basis, even, self.exactness_degree),
-                FockOperator._holding(self.basis, odd, self.exactness_degree))
+        return (FockOperator._holding(self.basis, even),
+                FockOperator._holding(self.basis, odd))
 
-    def agrees_with(self, other: "FockOperator", max_degree=None) -> bool:
-        """Exact entry equality on all columns of degree <= max_degree
-        (default: the smaller exactness degree of the two)."""
-        if max_degree is None:
-            max_degree = min(self.exactness_degree, other.exactness_degree)
+    def agrees_with(self, other: "FockOperator", max_degree: int) -> bool:
+        """Exact entry equality on all columns of degree <= max_degree."""
         degs = self.basis.degrees
         mine, theirs = self.entries, other.entries
         for key in mine.keys() | theirs.keys():
             if degs[key[1]] <= max_degree and mine.get(key, 0) != theirs.get(key, 0):
                 return False
         return True
-
-    def restrict_columns(self, max_degree: int) -> "FockOperator":
-        degs = self.basis.degrees
-        kept = {k: c for k, c in self.entries.items() if degs[k[1]] <= max_degree}
-        return FockOperator._holding(self.basis, kept,
-                                     min(self.exactness_degree, max_degree))
 
     def as_array(self) -> np.ndarray:
         import numpy as np
@@ -437,8 +395,8 @@ class FockOperator:
         return PolyZZbar(basis.n, {basis.labels[i]: c for i, c in out.items()})
 
     def __repr__(self) -> str:
-        return "FockOperator(%r, nnz=%d, parity=%r, exactness_degree=%d)" % (
-            self.basis, len(self.entries), self.parity, self.exactness_degree)
+        return "FockOperator(%r, nnz=%d, parity=%r)" % (
+            self.basis, len(self.entries), self.parity)
 
 
 def ladder_matrices(basis: GradedBasis) -> tuple[tuple[FockOperator, ...],
@@ -472,8 +430,8 @@ def ladder_matrices(basis: GradedBasis) -> tuple[tuple[FockOperator, ...],
                 if a[i] >= 1:
                     key = (basis.index((mi_sub(a, mi_unit(n, i)), b)), col)
                     high[key] = high.get(key, 0) - a[i]
-        lowers.append(FockOperator(basis, low, exactness_degree=D))
-        raises_.append(FockOperator(basis, high, exactness_degree=D - 1))
+        lowers.append(FockOperator(basis, low))
+        raises_.append(FockOperator(basis, high))
     basis.cache["ladders"] = (tuple(lowers), tuple(raises_))
     return basis.cache["ladders"]
 
@@ -490,8 +448,7 @@ def rho_ab(basis: GradedBasis, alpha: MultiIndex, beta: MultiIndex) -> FockOpera
     cache = basis.cache
     key = ("rho", alpha, beta)
     if key not in cache:
-        cache[key] = FockOperator(basis, {(basis.index(alpha), basis.index(beta)): 1},
-                                  exactness_degree=basis.D)
+        cache[key] = FockOperator(basis, {(basis.index(alpha), basis.index(beta)): 1})
     return cache[key]
 
 
@@ -500,7 +457,7 @@ def pi_m(basis: GradedBasis, m: int) -> FockOperator:
     if basis.kind != ANTIHOLOMORPHIC:
         raise ValueError("pi_m acts on the antiholomorphic kind")
     ent = {(i, i): 1 for i, lab in enumerate(basis.labels) if mi_degree(lab) == m}
-    return FockOperator(basis, ent, exactness_degree=basis.D)
+    return FockOperator(basis, ent)
 
 
 def rho_tangent(basis: GradedBasis, u, v) -> FockOperator:
@@ -523,7 +480,5 @@ def rho_tangent(basis: GradedBasis, u, v) -> FockOperator:
             terms.append(raises_[i].scale(-u[i]))
         if v[i]:
             terms.append(lowers[i].scale(v[i]))
-    out = sum(terms[1:], terms[0]) if terms else FockOperator.zero(basis)
-    ed = basis.D if all(not x for x in u) else basis.D - 1
-    return FockOperator._holding(basis, out.entries, ed)
+    return sum(terms[1:], terms[0]) if terms else FockOperator.zero(basis)
 

@@ -181,12 +181,9 @@ def run_identity_checks(n: int, degree: int, seed: int = 0) -> list[dict]:
     # --- the tangent representation is skew in the expected sense
     ok = True
     for i in range(n):
-        u = [Fraction(0)] * n
-        v = [Fraction(0)] * n
-        u[i] = Fraction(1)
-        v[i] = Fraction(1)
-        left = rho_tangent(anti, u, [0] * n).adjoint()
-        right = rho_tangent(anti, [0] * n, v).scale(-1)
+        unit = mi_unit(n, i)
+        left = rho_tangent(anti, unit, [0] * n).adjoint()
+        right = rho_tangent(anti, [0] * n, unit).scale(-1)
         if not left.agrees_with(right, D - 1):
             ok = False
     record("tangent_adjoint", ok, detail="%d %s" % (

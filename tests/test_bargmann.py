@@ -280,7 +280,7 @@ def test_symbol_operator_is_normalized_shift():
     basis = GradedBasis(1, 6, FULL)
     for alpha, beta in [((0,), (0,)), ((2,), (1,)), ((1,), (3,))]:
         sym = _normalized_symbol(1, alpha, beta)
-        assert op_of(basis, sym).agrees_with(_normalized_shift(basis, alpha, beta))
+        assert op_of(basis, sym).agrees_with(_normalized_shift(basis, alpha, beta), basis.D)
 
 
 @pytest.mark.parametrize("n,D", [(1, 6), (2, 4)])
@@ -341,6 +341,88 @@ def test_op_compose_law_exact():
         q1 = _random_full_poly(1, 2, rng, nterms=3)
         q2 = _random_full_poly(1, 2, rng, nterms=3)
         assert op_compose_law(basis, q1, q2)
+
+
+def _ledger_symbols(n):
+    """The compose-law symbols of the identity ledger: z_1 zbar_1,
+    zbar_1 + 1/2 and 2 z_1."""
+    zero, e = (0,) * n, mi_unit(n, 0)
+    return [PolyZZbar(n, {(e, e): 1}),
+            PolyZZbar(n, {(zero, e): 1, (zero, zero): Fraction(1, 2)}),
+            PolyZZbar(n, {(e, zero): 2})]
+
+
+def _compose_degree(basis, q1, q2):
+    """The column degree op_compose_law compares up to, from the raise r(q)
+    of each symbol."""
+    D, r1, r2 = basis.D, bargmann._raise(q1), bargmann._raise(q2)
+    q12 = op_of(basis, q1).apply_poly(q2)
+    return min(D - max(0, r2), D - max(0, r1) - r2, D - max(0, bargmann._raise(q12)))
+
+
+def _by_label(basis, op, max_degree):
+    """An operator's entries on the columns of degree <= max_degree, keyed
+    by (row label, column label)."""
+    labels, degs = basis.labels, basis.degrees
+    return {(labels[i], labels[j]): c for (i, j), c in op.entries.items()
+            if degs[j] <= max_degree}
+
+
+@pytest.mark.parametrize("n,D", [(1, 2), (1, 3), (1, 6), (2, 2), (2, 4), (3, 3)])
+def test_compose_law_degree_agrees_with_a_larger_cutoff(n, D):
+    """On the columns op_compose_law compares, both of its sides on cutoff D
+    equal, label by label, the same operators built on cutoff D + 2, for the
+    ledger's symbols and random ones of degree <= 2.  On some pair a column
+    one degree higher differs, so the degree is not lower than it need be
+    everywhere."""
+    basis, big = GradedBasis(n, D, FULL), GradedBasis(n, D + 2, FULL)
+    rng = random.Random(10 * n + D)
+    symbols = _ledger_symbols(n) + [_random_full_poly(n, 2, rng, nterms=3)
+                                    for _ in range(3)]
+    tight = 0
+    for q1 in symbols:
+        for q2 in symbols:
+            safe = _compose_degree(basis, q1, q2)
+            A = op_of(basis, q1)
+            lhs, want = A @ op_of(basis, q2), op_of(big, q1) @ op_of(big, q2)
+            assert _by_label(basis, lhs, safe) == _by_label(big, want, safe)
+            q12 = A.apply_poly(q2)
+            assert _by_label(basis, op_of(basis, q12), safe) == \
+                _by_label(big, op_of(big, q12), safe)
+            if safe < D and _by_label(basis, lhs, safe + 1) != _by_label(big, want, safe + 1):
+                tight += 1
+    assert tight
+
+
+@pytest.mark.parametrize("n,D", [(1, 4), (2, 3)])
+def test_compose_law_compares_exactly_up_to_its_degree(n, D, monkeypatch):
+    """For each pair of the ledger's symbols, a wrong entry planted in
+    Op(Op(q1) q2) on a column of the compared degree makes the law fail,
+    and one on the next degree up, where there is one, does not."""
+    basis = GradedBasis(n, D, FULL)
+    op_of_unpatched = bargmann.op_of
+    symbols = _ledger_symbols(n)
+    for q1 in symbols:
+        for q2 in symbols:
+            safe = _compose_degree(basis, q1, q2)
+            assert op_compose_law(basis, q1, q2)
+            for degree, holds in ((safe, False), (safe + 1, True)):
+                if degree > D:
+                    continue
+                calls = []
+
+                def planted(b, sym):
+                    calls.append(sym)
+                    op = op_of_unpatched(b, sym)
+                    if len(calls) < 3:
+                        return op
+                    col = b.degrees.index(degree)
+                    return op + FockOperator(b, {(col, col): 1})
+
+                monkeypatch.setattr(bargmann, "op_of", planted)
+                assert op_compose_law(basis, q1, q2) is holds, (q1, q2, degree)
+                assert len(calls) == 3
+                monkeypatch.undo()
 
 
 def test_trace_law_value_at_origin():
@@ -436,10 +518,10 @@ def test_shift_cache_survives_arithmetic_on_its_scaled_copies():
     assert one is shifts[0]
     sym = op_of(basis, _normalized_symbol(2, (1, 0), (0, 1)))
     results = [x + y, x - y, x + x, x - x, (x + y) - z, x @ y, y @ x, x.scale(3),
-               x.scale(CRad(0, 1)) + y, x.restrict_columns(2), *x.parity_split(),
+               x.scale(CRad(0, 1)) + y, *x.parity_split(),
                sym + x, sym @ vac, y + FockOperator.zero(basis),
                one + shifts[1], one - one, one @ vac, vac @ one, one.scale(-2),
-               FockOperator.zero(basis) - one, one.restrict_columns(2),
+               FockOperator.zero(basis) - one,
                *one.parity_split(), vac.scale(1) + vac]
     for r in results:
         r.apply_poly(PolyZZbar(2, {basis.labels[0]: 1, basis.labels[1]: CRad(0, 2)}))
@@ -472,17 +554,16 @@ def _shift_by_powers(basis):
 @pytest.mark.parametrize("n,D,count", [(1, 8, 45), (2, 6, 210), (3, 4, 210)])
 def test_shift_is_the_product_of_whole_ladder_powers(n, D, count):
     """Each shift, built from a smaller one by one ladder product, equals
-    the product of whole ladder powers in every entry (op_trace_antiholo
-    reads entries above the exactness degree) and in its exactness degree.
-    The oracle runs on a basis of its own, so it shares no cached matrix
-    with the shifts."""
+    the product of whole ladder powers in every entry, also on the columns
+    where truncation makes both differ from the untruncated shift
+    (op_trace_antiholo reads those).  The oracle runs on a basis of its
+    own, so it shares no cached matrix with the shifts."""
     want = _shift_by_powers(GradedBasis(n, D, FULL))
     basis = GradedBasis(n, D, FULL)
     assert len(want) == count
     for (alpha, beta), op in want.items():
         got = bargmann._shift(basis, alpha, beta)
         assert got.entries == op.entries, (alpha, beta)
-        assert got.exactness_degree == op.exactness_degree
 
 
 def _op_by_sums(basis, q):
@@ -496,7 +577,7 @@ def _op_by_sums(basis, q):
 @pytest.mark.parametrize("n,D", [(1, 6), (2, 4)])
 def test_symbol_map_equals_the_sum_of_its_scaled_shifts(n, D):
     """A multi-term symbol's matrix, summed into one entry dict, has the
-    entries and the exactness degree of the chain of operator sums."""
+    entries of the chain of operator sums."""
     basis = GradedBasis(n, D, FULL)
     rng = random.Random(n + D)
     for unit in (1, 1, CRad(0, 1)):  # two rational symbols, then one times i
@@ -505,7 +586,6 @@ def test_symbol_map_equals_the_sum_of_its_scaled_shifts(n, D):
         assert len(bargmann._shift_coefficients(n, q)) > 1
         got, want = op_of(basis, q), _op_by_sums(basis, q)
         assert got.entries == want.entries
-        assert got.exactness_degree == want.exactness_degree
 
 
 @pytest.mark.parametrize("n,D", [(1, 6), (2, 4)])
@@ -519,7 +599,6 @@ def test_symbol_map_of_each_shift_symbol_is_its_shift(n, D):
         want = bargmann._shift(basis, alpha, beta)
         assert got.entries is not want.entries
         assert got.entries == want.entries, (alpha, beta)
-        assert got.exactness_degree == want.exactness_degree
 
 
 @settings(deadline=None)
