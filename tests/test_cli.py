@@ -10,6 +10,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from landau_lab import cli, dimensions, errors, identities, surfaces, torus
@@ -80,7 +81,168 @@ TORUS_REFERENCES = {
     "torus_d1_k4-10_n64": "--d 1 --k 4,6,8,10 --grid 64 --levels 2",
     "torus_d2_k8_n72": "--d 2 --k 8 --grid 72 --levels 3",  # two classes
     "torus_d1_k9_n24": "--d 1 --k 9 --grid 24 --levels 2",  # rings without a reflection
+    # The benchmark's observables run, the README's defect example and a
+    # ladder from level 2 on the two-class grid.
+    "torus_d1_k4-10_n64_obs": "--d 1 --k 4,6,8,10 --grid 64 --levels 2 --defects cosx siny "
+                              "--kernel-compare --ladder m=1",
+    "torus_d1_k4-10_n64_defects": "--d 1 --k 4,6,8,10 --grid 64 --defects f=cosx g=siny",
+    "torus_d2_k8_n72_ladder2": "--d 2 --k 8 --grid 72 --levels 3 --kernel-compare "
+                               "--ladder m=2",
 }
+
+EPS = sys.float_info.epsilon
+
+
+def _frame_errors(doc, rows, k):
+    """eta[m]: how far cluster m's frame of this run can lie from an
+    orthonormal basis of the exact eigenspace, in the 2-norm, after the
+    best unitary rotation.  The frame's residual matrix has 2-norm at most
+    sqrt(n) r (r the report's largest residual at k), and its values lie
+    within sqrt(n) r of the exact ones (Kahan), so the exact spectrum
+    outside the cluster keeps a gap of at least delta - 2 sqrt(n) r from
+    them, delta being the computed one (every value below the top one is
+    computed, and the top one lies outside the cluster).  The sin-theta
+    theorem (Davis and Kahan, SIAM J. Numer. Anal. 7 (1970) 1) bounds the
+    largest angle by the residual over that gap, and a rotation then brings
+    the frame within sqrt(2) sin theta.  The transform of each column
+    (`torus._to_grid`: a length N/g FFT, a phase and a scale) adds at most
+    4 log2(N) eps per column (Higham, Accuracy and Stability of Numerical
+    Algorithms, 24.1), sqrt(n) times that over the frame."""
+    N, r = doc["config"]["params"]["N"], doc["residuals"][k]
+    vals = np.array([float(row[2]) for row in rows if row[0] == k])
+    scaled = vals / int(k)
+    eta = {}
+    for cl in doc["clusters"][k]:
+        m, n = cl["m"], cl["count"]
+        inside = (scaled >= m) & (scaled < m + 1)
+        delta = float(np.min(np.abs(vals[~inside][:, None] - vals[inside])))
+        slack = delta - 2 * math.sqrt(n) * r
+        assert slack > 0, (k, m)
+        eta[m] = math.sqrt(n) * (math.sqrt(2) * math.sqrt(n) * r / slack
+                                 + 4 * math.log2(N) * EPS)
+    return eta
+
+
+def _slope_bounds(ks, ys, dly):
+    """How far fit_slope's slope, intercept and r_squared can move when
+    each log y moves by at most dly: the least-squares slope is linear in
+    log y with weights (lx - mean)/sum (lx - mean)^2, the intercept is
+    mean(log y) - slope mean(lx), and the fit's residual and total sums of
+    squares move by at most 2 sqrt(ss) ||d log y|| + ||d log y||^2."""
+    lx, ly = np.log(ks), np.log(ys)
+    cx = lx - lx.mean()
+    dslope = dly * np.sum(np.abs(cx)) / np.sum(cx ** 2)
+    slope, intercept = np.polyfit(lx, ly, 1)
+    norm = math.sqrt(len(ks)) * dly
+    ss_res = float(np.sum((ly - slope * lx - intercept) ** 2))
+    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
+    d_res = 2 * math.sqrt(ss_res) * norm + norm ** 2
+    d_tot = 2 * math.sqrt(ss_tot) * norm + norm ** 2
+    # 1 - res/tot moves by at most (d_res + (res/tot) d_tot)/(tot - d_tot)
+    dr2 = (d_res + ss_res / ss_tot * d_tot) / (ss_tot - d_tot)
+    # polyfit itself rounds at the level of its inputs
+    fit = 16 * EPS * max(1.0, np.max(np.abs(ly)))
+    return {"slope": dslope + fit, "intercept": dly + dslope * abs(lx.mean()) + fit,
+            "r_squared": dr2 + fit}
+
+
+def _check_observables(new, ref, new_rows, ref_rows):
+    """Every observable of the run within its bound of the reference.
+
+    All of them are functions of the cluster projectors, so they change
+    with a frame only through its distance eta from the exact eigenspace
+    (`_frame_errors`, one for each run) and through the rounding of their
+    own arithmetic, sums over at most N^2 sites.
+
+    - A defect's compressions V* s V move by at most 2 |s| eta and products
+      of them by the sum of their factors' moves, so a defect moves by at
+      most 2 S eta; S is `torus.asymptotic_defects`' weight (3|f||g| + |fg|
+      + |X_f||X_g|/(k h^2) for D2, 6k|f||g| + |{f, g}| for D1, 3|f||g| +
+      |fg| + |B_1|/k for DB), and its rounding is n N^2 eps S.
+    - A kernel entry is an entry of P/h^2 with P = V V*, which moves by at
+      most 2 eta, in units of k/2pi: N^2/(kd) 2 eta; its n-term sums round
+      at the level (n + 2) eps.
+    - The ladder's compressed map moves by at most c (eta_0 + eta_m), with
+      c = (2/(k h^2))^(m/2)/sqrt(m!) the scaled norm of D^m, ||D|| <= sqrt(2)/h,
+      and rounds by n N^2 eps c; vtv and vvt move by twice that times
+      ||Vop|| <= 1 + vtv.  The raised frame's span moves by c eta_0 over its
+      smallest scaled singular value, sqrt(1 - vtv), cluster m's by eta_m,
+      and the angle by those, by the rounding of S = U U* V - V and by the
+      Cholesky-QR frame's gram defect, at most torus._ORTHO_TOL.
+    - The slopes move as `_slope_bounds` says for log D moving by at most
+      the defect's bound over D.
+    """
+    params = new["config"]["params"]
+    d, N = params["d"], params["N"]
+    side = torus.TorusGeometry(d).side
+    h2 = side ** 2 / N ** 2
+    for key in ("defects", "kernel_compare", "ladder"):
+        assert (key in new) == (key in ref), key
+    if not {"defects", "kernel_compare", "ladder"} & set(ref):
+        return
+    # eta_new + eta_ref per k and level
+    eta = {k: {m: e + _frame_errors(ref, ref_rows, k)[m]
+               for m, e in _frame_errors(new, new_rows, k).items()}
+           for k in ref["residuals"]}
+    if "defects" in ref:
+        f, g = (cli._trig_by_name(ref["defects"][name], side) for name in ("f", "g"))
+        m = ref["defects"]["m"]
+        assert new["defects"]["m"] == m
+        assert (new["defects"]["f"], new["defects"]["g"]) == (ref["defects"]["f"],
+                                                                ref["defects"]["g"])
+
+        def size(*parts):
+            return sum(abs(c) for s in parts for c in s.coeffs.values())
+
+        fg, Xf, Xg = size(f) * size(g), torus.hamiltonian_vf(f), torus.hamiltonian_vf(g)
+        ks = [int(k) for k in ref["residuals"]]
+        logs = {}
+        for name in ("D2", "D1", "DB"):
+            assert len(new["defects"][name]) == len(ks)
+            dly = 0.0
+            for i, k in enumerate(ks):
+                S = {"D2": 3 * fg + size(f * g) + size(*Xf) * size(*Xg) / (k * h2),
+                     "D1": 6 * k * fg + size(torus.poisson_bracket(f, g)),
+                     "DB": 3 * fg + size(f * g) + size(torus.b1_correction(f, g, m)) / k}[name]
+                n = d * k
+                bound = S * (2 * n * N ** 2 * EPS + 2 * eta[str(k)][m])
+                a, b = new["defects"][name][i], ref["defects"][name][i]
+                assert abs(a - b) <= bound, (name, k, a, b, bound)
+                dly = max(dly, bound / (b - bound))
+            logs[name] = dly
+        assert (new["defects"].get("slopes") is None) == (ref["defects"].get("slopes") is None)
+        for name, fit in (ref["defects"].get("slopes") or {}).items():
+            got = new["defects"]["slopes"][name]
+            if fit is None:
+                assert got is None, name
+                continue
+            assert got["points"] == fit["points"]
+            bounds = _slope_bounds(np.array(ks, dtype=float),
+                                   np.array(ref["defects"][name]), logs[name])
+            for field, bound in bounds.items():
+                assert abs(got[field] - fit[field]) <= bound, (name, field)
+    for a, b in zip(new.get("kernel_compare", []), ref.get("kernel_compare", [])):
+        assert (a["k"], a["m"]) == (b["k"], b["m"])
+        n = d * b["k"]
+        bound = N ** 2 / n * 2 * eta[str(b["k"])][b["m"]] + 2 * (n + 2) * EPS
+        for field in ("diag_err", "offdiag_err"):
+            assert abs(a[field] - b[field]) <= bound, (b["k"], b["m"], field)
+    assert len(new.get("kernel_compare", [])) == len(ref.get("kernel_compare", []))
+    for a, b in zip(new.get("ladder", []), ref.get("ladder", [])):
+        assert (a["k"], a["m"]) == (b["k"], b["m"])
+        k, m = b["k"], b["m"]
+        n = d * k
+        c = (2 / (k * h2)) ** (m / 2) / math.sqrt(math.factorial(m))
+        e0, em = eta[str(k)][0], eta[str(k)][m]
+        dvop = c * (e0 + em) + 2 * n * N ** 2 * EPS * c
+        for field in ("vtv_defect", "vvt_defect"):
+            bound = 2 * (1 + b[field]) * dvop + dvop ** 2
+            assert abs(a[field] - b[field]) <= bound, (k, field)
+        sigma = math.sqrt(1 - b["vtv_defect"])
+        bound = (c * e0 / sigma + em + 2 * n * N ** 2 * EPS
+                 + 2 * torus._ORTHO_TOL)
+        assert abs(a["max_angle"] - b["max_angle"]) <= bound, k
+    assert len(new.get("ladder", [])) == len(ref.get("ladder", []))
 
 
 @pytest.mark.parametrize("name", sorted(TORUS_REFERENCES))
@@ -92,7 +254,8 @@ def test_torus_report_matches_its_reference(tmp_path, capsys, name):
     set with residuals r_i has its Ritz values within ||R||_2 <= sqrt(count)
     max r_i of as many eigenvalues of H, and both runs are certified to hold
     the lowest ones.  A cluster's mean of lambda/k moves by at most the
-    bound over k."""
+    bound over k.  Each observable lies within the bound that
+    `_check_observables` derives."""
     out = tmp_path / (name + ".json")
     assert main(["--out", str(out), "torus"] + TORUS_REFERENCES[name].split()) == 0
     new, ref = (json.loads(path.read_text(encoding="utf-8"))
@@ -118,6 +281,7 @@ def test_torus_report_matches_its_reference(tmp_path, capsys, name):
             assert (a["m"], a["count"], a["center"]) == (b["m"], b["count"], b["center"])
             assert abs(a["mean_scaled"] - b["mean_scaled"]) <= bound / int(k)
         assert len(new["clusters"][k]) == len(ref["clusters"][k])
+    _check_observables(new, ref, new_rows[1:], ref_rows[1:])
 
 
 def test_fock_without_action_is_config_error(capsys):
