@@ -247,8 +247,9 @@ def _raise(q: PolyZZbar) -> int:
 
 
 def op_compose_law(basis: GradedBasis, q1: PolyZZbar, q2: PolyZZbar) -> bool:
-    """Whether Op(q1) o Op(q2) = Op(Op(q1) q2) holds exactly on the columns
-    where both sides are exact.
+    """Whether Op(q1) o Op(q2) = Op(q1 * q2), with q1 * q2 the twisted
+    product (`star_product`), holds exactly on the columns where both sides
+    are exact.
 
     Those columns are worked out from the symbols.  The expansion on the
     shift symbols keeps |b| - |a| term by term, so each shift
@@ -256,16 +257,15 @@ def op_compose_law(basis: GradedBasis, q1: PolyZZbar, q2: PolyZZbar) -> bool:
     r(q), and the truncated Op(q) is exact on the columns of degree
     <= D - max(0, r(q)).  On a column of degree d, Op(q2) is exact when
     d <= D - max(0, r2) and lands in degree <= d + r2, where Op(q1) is exact
-    when d + r2 <= D - max(0, r1).  So the two sides are compared on the
-    columns of degree <= min(D - max(0, r2), D - max(0, r1) - r2,
-    D - max(0, r(Op(q1) q2)))."""
-    A = op_of(basis, q1)
-    lhs = A @ op_of(basis, q2)
-    q12 = A.apply_poly(q2)
-    rhs = op_of(basis, q12)
+    when d + r2 <= D - max(0, r1).  Each term of q1 * q2 raises by the sum
+    of the raises of the two terms it comes from, so r(q1 * q2) <= r1 + r2,
+    and Op(q1 * q2) is exact wherever the composition is.  So the two sides
+    are compared on the columns of degree <= min(D - max(0, r2),
+    D - max(0, r1) - r2)."""
+    lhs = op_of(basis, q1) @ op_of(basis, q2)
+    rhs = op_of(basis, star_product(q1, q2))
     D, r1, r2 = basis.D, _raise(q1), _raise(q2)
-    safe = min(D - max(0, r2), D - max(0, r1) - r2, D - max(0, _raise(q12)))
-    return lhs.agrees_with(rhs, safe)
+    return lhs.agrees_with(rhs, min(D - max(0, r2), D - max(0, r1) - r2))
 
 
 # ---------------------------------------------------------------------------

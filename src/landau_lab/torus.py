@@ -32,7 +32,9 @@ below the cut is solved again for twice as many.  A skipped eigenvalue
 trips a GuardError.  Ring q0's y-modes are the coset q0 + g*Z_N, so each
 pair maps back to the grid by one length-N/g inverse FFT in y, tiled g
 times under a phase, and every column is checked against the real-space H
-as it is written, which also checks the shift.  The Lanczos start vectors
+as it is written, which also checks the shift.  The spectrum keeps the
+grid columns and, beside them, each class representative's real ring
+vectors and each ring's roll and columns.  The Lanczos start vectors
 come from one fixed random stream, so a spectrum depends on (d, k, N,
 count) alone.
 `resolve_levels` is the one spectral entry point: from (d, k, N, top level)
@@ -44,8 +46,14 @@ lambda/k whose count must equal the Riemann-Roch number k*d of its level; a
 mismatch trips a GuardError instead of mislabelling the levels above it.  A
 spectrum owns its cluster projectors: `SpectralDecomposition.projector`
 builds each level's once, with its guards, as a read-only view of the
-spectrum's vectors.  The observables take the spectrum they measure, and
-their projectors and the power k from it.  The kernel comparison takes
+spectrum's vectors, and on first use its frame in ring coordinates, where
+functions of x are diagonal, y-exponentials move a ring's vectors to
+another ring, and the covariant derivatives and the ladder are real and
+stay inside each ring.  The Toeplitz compressions, the derivative chains
+and the ladder run on these L-site real ring vectors; the guards, the
+kernel and the peaked sections read the grid columns.  The observables
+take the spectrum they measure, and their projectors and the power k from
+it.  The kernel comparison takes
 every level of one power k in one call: the compared pairs and the
 level-free factors of the flat model are built once per k, and only the
 Laguerre factor and the kernel columns once per level.
@@ -119,14 +127,25 @@ class TrigPoly:
     def sin_y(cls, side: float) -> "TrigPoly":
         return cls(side, {(0, 1): -0.5j, (0, -1): 0.5j})
 
+    def x_weights(self, xs) -> dict[int, np.ndarray]:
+        """The symbol as sum_q w_q(x) exp(2*pi*i*q*y/Lambda): each y-frequency
+        q's weight w_q, the sum of its terms' exponentials in x, at xs."""
+        xs = np.asarray(xs, dtype=float)
+        w = 2 * pi / self.side
+        out: dict = {}
+        for (p, q), c in self.coeffs.items():
+            out[q] = out.get(q, 0) + c * np.exp(1j * w * p * xs)
+        return out
+
     def evaluate(self, xs, ys) -> np.ndarray:
         """Values on the tensor grid xs x ys, out[i, j] = f(xs[i], ys[j]):
-        per term, the outer product of its exponentials in x and in y."""
-        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        per y-frequency, the outer product of its x-weight and its
+        exponential in y."""
+        ys = np.asarray(ys, dtype=float)
         out = np.zeros((len(xs), len(ys)), dtype=complex)
         w = 2 * pi / self.side
-        for (p, q), c in self.coeffs.items():
-            out += np.outer(c * np.exp(1j * w * p * xs), np.exp(1j * w * q * ys))
+        for q, wx in self.x_weights(xs).items():
+            out += np.outer(wx, np.exp(1j * w * q * ys))
         return out
 
     def d_dx(self) -> "TrigPoly":
@@ -228,9 +247,22 @@ class DiscreteBundle:
                                     (np.concatenate([p, q]), np.concatenate([q, p]))),
                                    shape=(n, n)) for q, v in self._links)
 
-    def site_values(self, f: TrigPoly) -> np.ndarray:
-        """f at every site, in the site order p = i + N*j."""
-        return f.evaluate(self.xs, self.xs).ravel(order="F")
+
+@dataclass(frozen=True)
+class RingVectors:
+    """A spectrum's columns in Landau-gauge ring coordinates: `rings[q]` is
+    ring q's (r, t, columns), its class representative r, the roll t with
+    ring q's vectors at s equal to r's at s + t (mod L), and the grid
+    columns its vectors became, in the ring's ascending order; `vectors[r]`
+    holds the representative's lowest pairs as (count, L) real rows."""
+
+    vectors: dict
+    rings: list
+
+    @property
+    def nbytes(self) -> int:
+        return (sum(v.nbytes for v in self.vectors.values())
+                + sum(cols.nbytes for _, _, cols in self.rings))
 
 
 @dataclass
@@ -239,6 +271,7 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     vectors: np.ndarray
     residual_max: float
+    rings: RingVectors
     solver: dict = field(default_factory=dict)
     # Cluster projectors by level; a replaced spectrum starts without any.
     _projectors: dict = field(default_factory=dict, init=False, repr=False,
@@ -345,9 +378,10 @@ def _reflection_sectors(diag: np.ndarray, hop: float, centre: int):
 _SHARE_MARGIN = 2
 
 
-def _to_grid(found, H, N: int) -> tuple[np.ndarray, np.ndarray, float]:
+def _to_grid(found, H, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Ring eigenpairs, as (modes, values, ring vectors) per ring, as grid
-    eigenpairs sorted by value, and their largest residual against H.
+    eigenpairs sorted by value, the grid column of each ring pair in the
+    order given, and their largest residual against H.
 
     Ring q0's y-modes are the coset q0 + g*Z_N, M = N/g of them, so the
     inverse FFT in y of a vector's (y-mode, x-site) amplitudes is
@@ -386,7 +420,7 @@ def _to_grid(found, H, N: int) -> tuple[np.ndarray, np.ndarray, float]:
     grid = out.T
     # Cluster frames are views of these columns.
     grid.flags.writeable = False
-    return vals[order], grid, float(np.sqrt(worst))
+    return vals[order], grid, column, float(np.sqrt(worst))
 
 
 def _count_below(chains, tau: float) -> int:
@@ -515,15 +549,24 @@ def lowest_spectrum(bundle: DiscreteBundle, count: int) -> SpectralDecomposition
             want[r] = min(2 * want[r], L - 1)
     owner = np.repeat(np.arange(g), [want[r] for r, _ in classes])
     shares = np.bincount(owner[lowest], minlength=g)
-    found = [(rings[q][0], solved[r][0][:n], np.roll(solved[r][1][:, :n], -t, axis=0))
+    # Each representative's pairs up to the largest share in its class, as
+    # rows; a ring's vectors are rolled from them only for the transform.
+    top = dict.fromkeys(reps, 0)
+    for (r, _), n in zip(classes, shares):
+        top[r] = max(top[r], int(n))
+    rows = {r: np.ascontiguousarray(solved[r][1][:, :n].T) for r, n in top.items()}
+    found = [(rings[q][0], solved[r][0][:n], np.roll(rows[r][:n], -t, axis=1).T)
              for q, ((r, t), n) in enumerate(zip(classes, shares)) if n]
-    vals, vecs, resid = _to_grid(found, H, N)
+    vals, vecs, column, resid = _to_grid(found, H, N)
     if resid > tol:
         raise GuardError("eigen-residual %g exceeds %g" % (resid, tol))
+    starts = np.cumsum(np.r_[0, shares])
+    ring_form = RingVectors(rows, [(r, t, column[starts[q]:starts[q + 1]])
+                                   for q, (r, t) in enumerate(classes)])
     solver = {"rings": g, "ring_sites": L, "classes": len(reps),
               "sectors": sum(centres[r] is not None for r in reps),
               "shares": [int(n) for n in shares], "residual_bound": tol}
-    return SpectralDecomposition(bundle, vals, vecs, resid, solver)
+    return SpectralDecomposition(bundle, vals, vecs, resid, ring_form, solver)
 
 
 # Byte cap of the spectrum cache, which serves repeated requests for one
@@ -536,7 +579,7 @@ _SPECTRUM_CACHE: dict[tuple, SpectralDecomposition] = {}
 
 
 def _spectrum_bytes(dec: SpectralDecomposition) -> int:
-    return dec.vectors.nbytes + dec.eigenvalues.nbytes
+    return dec.vectors.nbytes + dec.eigenvalues.nbytes + dec.rings.nbytes
 
 
 def compute_spectrum(d: int, k: int, N: int, count: int) -> SpectralDecomposition:
@@ -596,10 +639,133 @@ def resolve_levels(d: int, k: int, N: int, top: int) -> SpectralDecomposition:
     return compute_spectrum(d, k, N, count=(top + 2) * k * d + 4)
 
 
+class RingFrame:
+    """A cluster's frame in the Landau-gauge rings' coordinates.
+
+    V[q, :, a] is the a-th of ring q's k*d/g vectors in the cluster, real,
+    on the ring's L = N^2/g sites s = v*N + i, i being the x-site, and
+    at[q, a] is its column in the cluster's grid frame.  A grid column is
+    the unitary y-DFT of its ring vector (`_to_grid`), so in these
+    coordinates (Zak, Phys. Rev. 134 (1964) A1602):
+      - a function of x alone is diagonal, the same on every ring;
+      - exp(2 pi i q y/Lambda) moves y-mode mu to mu + q, which takes ring
+        r's site s to ring (r + q) mod g's site s - delta*N (mod L), with
+        k*d*delta = r + q - (r + q) mod g (mod N);
+      - cov_x is the ring's nearest-neighbour difference (S - S^T)/2h, the
+        wrap link from L - 1 to 0 included: the wrap column's phase steps
+        the y-mode from mu to mu - k*d, which is the ring's next site;
+      - cov_y is i sin(theta_s)/h, theta_s the angle of the ring's diagonal
+        in `_harper_rings`.
+    An image of the frame is a dict {Q: A}: A[q0] is the image of ring q0's
+    vectors, in the coordinates of ring (q0 + Q) mod g, as a (g, L, k*d/g)
+    array.
+    """
+
+    def __init__(self, bundle: DiscreteBundle, V: np.ndarray, at: np.ndarray):
+        N, kd = bundle.N, bundle.k * bundle.geometry.d
+        g, L, per = V.shape
+        self.bundle, self.V, self.at = bundle, V, at
+        # sin(theta_s) beside every column, so that products with the frame
+        # run over whole rows
+        self.sin_theta = np.repeat(np.sin(2 * pi * np.arange(g)[:, None] / N
+                                          - 2 * pi * kd * np.arange(L) / N ** 2),
+                                   per, axis=1).reshape(V.shape)
+        # delta for a y-shift that crosses once from ring g - 1 to ring 0,
+        # k*d*delta = g (mod N); crossing w times steps w*delta (mod N/g).
+        self._step = _congruence(kd, g, N)
+        # overlaps by y-shift mod N, at most N of them (`overlaps`)
+        self._overlaps: dict = {}
+
+    def _rings_of(self, Q: int) -> np.ndarray:
+        """The ring whose coordinates each image A[q0] of key Q is in."""
+        return (np.arange(len(self.V)) + Q) % len(self.V)
+
+    def _shift(self, B: np.ndarray, Q: int, q: int) -> np.ndarray:
+        """Images of key Q, as (g, N/g, N * k*d/g) rows of v, carried in
+        place by the y-shift q to the key Q + q: an image whose ring
+        crosses from g - 1 to 0 rolls by its step in v."""
+        g, M = B.shape[:2]
+        steps = (self._rings_of(Q) + q) // g * self._step % M
+        for q0 in np.flatnonzero(steps):
+            B[q0] = np.roll(B[q0], -steps[q0], axis=0)
+        return B
+
+    def multiply(self, images: dict, f: TrigPoly, out: dict) -> dict:
+        """Add the images times f into out, one y-shift q of f's terms at a
+        time: their sum in x is one weight per x-site, the same at every
+        site v*N + i of a ring, and the y-shift carries each image to its
+        new ring."""
+        b = self.bundle
+        g, L, per = self.V.shape
+        for q, weight in f.x_weights(b.xs).items():
+            weight = np.repeat(weight, per)
+            for Q, A in images.items():
+                B = self._shift(A.reshape(g, L // b.N, -1) * weight, Q, q)
+                B = B.reshape(g, L, per)
+                out[Q + q] = out[Q + q] + B if Q + q in out else B
+        return out
+
+    def overlaps(self, q: int) -> np.ndarray:
+        """The frame against its own image under exp(2 pi i q y/Lambda),
+        resolved by x-site: O[q0, a', a, i] sums over the sites v*N + i of
+        ring (q0 + q) mod g its vector a' times the image of ring q0's
+        vector a.  The compression of any symbol's y-shift q is then its
+        x-weight against O, so each shift's O is built once per frame."""
+        b = self.bundle
+        O = self._overlaps.get(q % b.N)
+        if O is None:
+            g, L, per = self.V.shape
+            shape = (g, L // b.N, b.N, per)
+            image = self._shift(self.V.reshape(g, L // b.N, -1).copy(), 0, q)
+            O = self._overlaps[q % b.N] = np.einsum(
+                "gvia,gvib->gabi", self.V[self._rings_of(q)].reshape(shape),
+                image.reshape(shape))
+        return O
+
+    def cov_x(self, images: dict) -> dict:
+        h = self.bundle.h
+        return {Q: (np.roll(A, -1, axis=1) - np.roll(A, 1, axis=1)) / (2 * h)
+                for Q, A in images.items()}
+
+    def cov_y(self, images: dict) -> dict:
+        h = self.bundle.h
+        return {Q: A * self.sin_theta[self._rings_of(Q)] * (1j / h)
+                for Q, A in images.items()}
+
+    def ladder(self, m: int, sign: int) -> np.ndarray:
+        """(cov_x + sign * i cov_y)/sqrt(2) applied m times to the frame, the
+        lowering derivative for sign 1 and the raising one for -1: in ring
+        coordinates ((S - S^T)/2h - sign sin(theta_s)/h)/sqrt(2), which is
+        real and stays inside each ring."""
+        h, W = self.bundle.h, self.V
+        for _ in range(m):
+            W = ((np.roll(W, -1, axis=1) - np.roll(W, 1, axis=1)) / (2 * h)
+                 - sign / h * self.sin_theta * W) / sqrt(2)
+        return W
+
+    def assemble(self, blocks: dict) -> np.ndarray:
+        """The n x n matrix, in the grid frame's column order, whose entries
+        between ring (q0 + Q) mod g's vectors and ring q0's are blocks[Q][q0]."""
+        n = self.at.size
+        out = np.zeros((n, n), dtype=complex)
+        for Q, X in blocks.items():
+            out[self.at[self._rings_of(Q)][:, :, None], self.at[:, None, :]] += X
+        return out
+
+    def compress(self, images: dict) -> np.ndarray:
+        """V* times the images: for each key Q, the vectors of ring
+        (q0 + Q) mod g against the image of ring q0's, one L-site product
+        per pair of rings, in real arithmetic on the images' real and
+        imaginary parts side by side."""
+        return self.assemble({Q: (_adjoint(self.V[self._rings_of(Q)]) @ A.view(float)
+                                  ).view(complex) for Q, A in images.items()})
+
+
 class LandauProjector:
     """Orthogonal projector onto one resolved cluster, stored as its
     orthonormal column frame: a view of the spectrum's columns, which are
-    sorted by eigenvalue, so that a cluster is one range of them."""
+    sorted by eigenvalue, so that a cluster is one range of them.  Its
+    frame in ring coordinates, `rings`, is built on first use."""
 
     def __init__(self, dec: SpectralDecomposition, m: int):
         cl = detect_clusters(dec, m + 1)[m]
@@ -625,32 +791,56 @@ class LandauProjector:
         self.gram_defect = float(gram_defect)
         self.V = V
         self.bundle = dec.bundle
+        self._ring_vectors, self._first = dec.rings, int(first)
 
     @property
     def dim(self) -> int:
         return self.V.shape[1]
 
+    @cached_property
+    def rings(self) -> RingFrame:
+        """The frame in ring coordinates, k*d/g real L-site vectors for each
+        of the g rings, rolled from the class representatives' vectors:
+        each ring holds k*d/g of every level's values, and a ring that holds
+        another number of the cluster's columns trips a GuardError."""
+        b, spec, n = self.bundle, self._ring_vectors, self.dim
+        g = len(spec.rings)
+        per = b.k * b.geometry.d // g
+        V = np.empty((g, b.N ** 2 // g, per))
+        at = np.empty((g, per), dtype=int)
+        for q, (r, t, columns) in enumerate(spec.rings):
+            mine = np.nonzero((columns >= self._first) & (columns < self._first + n))[0]
+            if len(mine) != per:
+                raise GuardError("ring %d holds %d of the cluster's %d columns, "
+                                 "not k*d/g = %d" % (q, len(mine), n, per))
+            V[q] = np.roll(spec.vectors[r][mine], -t, axis=1).T
+            at[q] = columns[mine] - self._first
+        return RingFrame(b, V, at)
+
 
 def toeplitz_fn(proj: LandauProjector, f: TrigPoly) -> np.ndarray:
-    """Compression of multiplication by f."""
-    return proj.V.conj().T @ (proj.bundle.site_values(f)[:, None] * proj.V)
+    """Compression of multiplication by f, on the cluster's ring frame: per
+    y-shift of f's terms, their x-weight against the frame's overlaps."""
+    frame = proj.rings
+    return frame.assemble({q: frame.overlaps(q) @ w
+                           for q, w in f.x_weights(proj.bundle.xs).items()})
 
 
 def toeplitz_der(proj: LandauProjector, fields: list[tuple[TrigPoly, TrigPoly]]) -> np.ndarray:
     """Compression of the derivative chain along the listed vector fields,
-    scaled by k^(-p) for 2p fields.  Each field acts on the frame per
-    component with terms: derivative matvec, then per-site weight."""
+    scaled by k^(-p) for 2p fields, on the cluster's ring frame.  Each
+    field acts per component: covariant derivative, then its coefficient."""
     if len(fields) % 2:
         raise ValueError("derivative compressions take an even number of fields")
-    b, W = proj.bundle, proj.V
+    frame = proj.rings
+    images = {0: frame.V}
     for vf in reversed(fields):
-        parts = []
-        for c, D in zip(vf, b.derivatives):
+        out: dict = {}
+        for c, D in zip(vf, (frame.cov_x, frame.cov_y)):
             if c.coeffs:
-                parts.append(D @ W)
-                parts[-1] *= b.site_values(c)[:, None]  # in place: frames are large
-        W = sum(parts[1:], parts[0]) if parts else np.zeros_like(W)
-    return (proj.V.conj().T @ W) / b.k ** (len(fields) // 2)
+                frame.multiply(D(images), c, out)
+        images = out
+    return frame.compress(images) / proj.bundle.k ** (len(fields) // 2)
 
 
 def hamiltonian_vf(f: TrigPoly) -> tuple[TrigPoly, TrigPoly]:
@@ -680,16 +870,20 @@ def asymptotic_defects(dec: SpectralDecomposition, m: int, f: TrigPoly,
       D1: i k [T(f), T(g)] - T({f, g})
       DB: T(f)T(g) - T(fg) - k^(-1) T(B_1(f, g))
     the cluster's dimension n, and under "rounding" each defect's bound
-    n N^2 eps S, within which rounding alone can move it.  A compression V*W
-    of the unit-column frame is sums over the N^2 sites, so rounding moves it
-    by at most N^2 eps/2 sqrt(n) ||W||_F: n N^2 eps/2 |s| for W = s V, |s|
-    being the sum of the moduli of s's Fourier coefficients, and
-    n N^2 eps/2 |X_f||X_g| / h^2 (|X| = |X^x| + |X^y|) for the derivative
-    chain, whose central differences have norm at most 1/h.  T(f)T(g) carries
-    both factors' errors and adds its own sums over n <= N^2 columns:
-    3 n N^2 eps/2 |f||g|.  So S is 3|f||g| + |fg| + |X_f||X_g| / (k h^2) for
-    D2, 6k|f||g| + |{f, g}| for D1 and 3|f||g| + |fg| + |B_1(f, g)| / k for
-    DB; doubling eps/2 covers the few other operations per entry.
+    n L eps S, within which rounding alone can move it, L = N^2/g being a
+    ring's sites.  The compressions run on the ring frame (`RingFrame`),
+    whose unit rows are the solver's vectors themselves, and an entry of
+    V*W is one sum over the L sites of a ring per y-shift of the symbol,
+    so rounding moves it by at most L eps/2 ||W_a||: n L eps/2 |s| in the
+    2-norm for W = s V, |s| being the sum of the moduli of s's Fourier
+    coefficients and bounding the weights of all its y-shifts together, and
+    n L eps/2 |X_f||X_g| / h^2 (|X| = |X^x| + |X^y|) for the derivative
+    chain, whose ring differences and sines have norm at most 1/h.
+    T(f)T(g) carries both factors' errors and adds its own sums over
+    n <= L columns: 3 n L eps/2 |f||g|.  So S is 3|f||g| + |fg| +
+    |X_f||X_g| / (k h^2) for D2, 6k|f||g| + |{f, g}| for D1 and 3|f||g| +
+    |fg| + |B_1(f, g)| / k for DB; doubling eps/2 covers the few other
+    operations per entry: the weights, the shifts' sums and the scaling.
     """
     proj, k = dec.projector(m), dec.bundle.k
     pb, b1 = poisson_bracket(f, g), b1_correction(f, g, m)
@@ -701,7 +895,7 @@ def asymptotic_defects(dec: SpectralDecomposition, m: int, f: TrigPoly,
     def size(*parts: TrigPoly) -> float:
         return sum(abs(c) for s in parts for c in s.coeffs.values())
 
-    unit = proj.dim * dec.bundle.N ** 2 * float(np.finfo(float).eps)
+    unit = proj.dim * proj.rings.V.shape[1] * float(np.finfo(float).eps)
     fg = size(f) * size(g)
     return {"D2": float(np.linalg.norm(prod - Tfg - TXY / k, 2)),
             "D1": float(np.linalg.norm(1j * k * (prod - Tg @ Tf) - Tpb, 2)),
@@ -758,44 +952,44 @@ def kernel_error(dec: SpectralDecomposition, levels: int) -> list[dict]:
     return rows
 
 
-def _ladder(proj: LandauProjector, W: np.ndarray, m: int, sign: int) -> np.ndarray:
-    """(cov_x + sign * i cov_y)/sqrt(2) applied m times to the columns of W:
-    the lowering derivative for sign 1, the raising one for -1."""
-    dx, dy = proj.bundle.derivatives
-    if m:
-        W = np.ascontiguousarray(W)  # once, not in scipy at every product
-    for _ in range(m):
-        W = (dx @ W + sign * 1j * (dy @ W)) / sqrt(2)
-    return W
+def _adjoint(A: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of each matrix in a stack."""
+    A = np.swapaxes(A, -1, -2)
+    return A.conj() if np.iscomplexobj(A) else A
 
 
 def _max_principal_angle(U: np.ndarray, V: np.ndarray) -> float:
     """Largest principal angle between span(U) and span(V), V orthonormal:
     Cholesky-QR of U (U L^(-*), L L* = U* U), once more if not orthonormal
-    yet, then the largest eigenvalue of S* S, S = U (U* V) - V."""
-    G = U.conj().T @ U
+    yet, then the largest eigenvalue of S* S, S = U (U* V) - V.  U and V
+    may be stacks (..., L, n) of frames on mutually orthogonal coordinate
+    blocks, as ring frames are: the spans are then the blocks' direct sums,
+    the gram matrices block diagonal, and every step runs block by block."""
+    G = _adjoint(U) @ U
     # Cholesky of G runs to completion in floating point when H, G scaled to
     # unit diagonal, has 20 k^(3/2) eps cond(H) < 1 (Demmel; Higham, Accuracy
     # and Stability of Numerical Algorithms, ch. 10).  A frame outside that
     # bound, one with a zero column among them, is rank deficient to working
-    # precision.
-    s = np.sqrt(G.diagonal().real)
+    # precision.  k counts the columns of all the blocks.
+    s = np.sqrt(np.diagonal(G, axis1=-2, axis2=-1).real)
     s[s == 0] = 1  # a zero column stays zero in H
-    w = np.linalg.eigvalsh(G / np.outer(s, s))
-    if w[0] <= 20 * len(G) ** 1.5 * np.finfo(float).eps * w[-1]:
+    w = np.linalg.eigvalsh(G / (s[..., :, None] * s[..., None, :]))
+    n = G.shape[-1] * int(np.prod(G.shape[:-2]))
+    if w.min() <= 20 * n ** 1.5 * np.finfo(float).eps * w.max():
         raise GuardError("raised frame is rank deficient: the eigenvalues of "
                          "its unit-diagonal gram matrix span [%.3g, %.3g]"
-                         % (w[0], w[-1]))
+                         % (w.min(), w.max()))
     # Inside that bound two passes reach _ORTHO_TOL (CholeskyQR2; Yamamoto
     # et al., ETNA 44, 2015).
+    eye = np.eye(G.shape[-1])
     for _ in range(2):
-        U = U @ np.linalg.inv(np.linalg.cholesky(G)).conj().T
-        G = U.conj().T @ U
-        if np.linalg.norm(G - np.eye(len(G)), 2) <= _ORTHO_TOL:
+        U = U @ _adjoint(np.linalg.inv(np.linalg.cholesky(G)))
+        G = _adjoint(U) @ U
+        if np.max(np.linalg.norm(G - eye, 2, axis=(-2, -1))) <= _ORTHO_TOL:
             break
-    S = U @ (U.conj().T @ V)
+    S = U @ (_adjoint(U) @ V)
     S -= V
-    sin2 = np.linalg.eigvalsh(S.conj().T @ S)[-1]
+    sin2 = np.max(np.linalg.eigvalsh(_adjoint(S) @ S)[..., -1])
     return float(np.arcsin(np.sqrt(min(max(sin2, 0.0), 1.0))))
 
 
@@ -803,17 +997,21 @@ def ladder_map(dec: SpectralDecomposition, m: int) -> dict:
     """Down-ladder from cluster m to cluster 0 and its isometry defects.
 
     The map is (m!)^(-1/2) k^(-m/2) P_0 D^m with D = (cov_x + i cov_y)/sqrt(2)
-    the unit-frame lowering derivative, applied as matvecs (`_ladder`).  Also
-    reports the largest principal angle between cluster m and cluster 0
-    raised m times.
+    the unit-frame lowering derivative (`RingFrame.ladder`).  D keeps every
+    ring, so the map is block diagonal in ring order, one real block per
+    ring, and its defects are the largest of the blocks'.  Also reports the
+    largest principal angle between cluster m and cluster 0 raised m times,
+    ring by ring.
     """
     k = dec.bundle.k
     p0, pm = dec.projector(0), dec.projector(m)
-    Vop = (p0.V.conj().T @ _ladder(p0, pm.V, m, 1)) / (sqrt(factorial(m)) * k ** (m / 2))
-    vtv = float(np.linalg.norm(Vop.conj().T @ Vop - np.eye(Vop.shape[1]), 2))
-    vvt = float(np.linalg.norm(Vop @ Vop.conj().T - np.eye(Vop.shape[0]), 2))
+    r0, rm = p0.rings, pm.rings
+    blocks = _adjoint(r0.V) @ rm.ladder(m, 1) / (sqrt(factorial(m)) * k ** (m / 2))
+    eye = np.eye(blocks.shape[-1])
+    vtv = float(np.max(np.linalg.norm(_adjoint(blocks) @ blocks - eye, 2, axis=(-2, -1))))
+    vvt = float(np.max(np.linalg.norm(blocks @ _adjoint(blocks) - eye, 2, axis=(-2, -1))))
     return {"k": k, "vtv_defect": vtv, "vvt_defect": vvt,
-            "max_angle": _max_principal_angle(_ladder(p0, p0.V, m, -1), pm.V),
+            "max_angle": _max_principal_angle(r0.ladder(m, -1), rm.V),
             "dim0": p0.dim, "dimm": pm.dim}
 
 

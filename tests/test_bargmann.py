@@ -356,8 +356,7 @@ def _compose_degree(basis, q1, q2):
     """The column degree op_compose_law compares up to, from the raise r(q)
     of each symbol."""
     D, r1, r2 = basis.D, bargmann._raise(q1), bargmann._raise(q2)
-    q12 = op_of(basis, q1).apply_poly(q2)
-    return min(D - max(0, r2), D - max(0, r1) - r2, D - max(0, bargmann._raise(q12)))
+    return min(D - max(0, r2), D - max(0, r1) - r2)
 
 
 def _by_label(basis, op, max_degree):
@@ -372,9 +371,10 @@ def _by_label(basis, op, max_degree):
 def test_compose_law_degree_agrees_with_a_larger_cutoff(n, D):
     """On the columns op_compose_law compares, both of its sides on cutoff D
     equal, label by label, the same operators built on cutoff D + 2, for the
-    ledger's symbols and random ones of degree <= 2.  On some pair a column
-    one degree higher differs, so the degree is not lower than it need be
-    everywhere."""
+    ledger's symbols and random ones of degree <= 2: Op(q1) Op(q2), and
+    Op(q1 * q2) of the twisted product, which has no cutoff.  On some pair a
+    column one degree higher differs, so the degree is not lower than it
+    need be everywhere."""
     basis, big = GradedBasis(n, D, FULL), GradedBasis(n, D + 2, FULL)
     rng = random.Random(10 * n + D)
     symbols = _ledger_symbols(n) + [_random_full_poly(n, 2, rng, nterms=3)
@@ -383,12 +383,12 @@ def test_compose_law_degree_agrees_with_a_larger_cutoff(n, D):
     for q1 in symbols:
         for q2 in symbols:
             safe = _compose_degree(basis, q1, q2)
-            A = op_of(basis, q1)
-            lhs, want = A @ op_of(basis, q2), op_of(big, q1) @ op_of(big, q2)
+            lhs, want = op_of(basis, q1) @ op_of(basis, q2), op_of(big, q1) @ op_of(big, q2)
             assert _by_label(basis, lhs, safe) == _by_label(big, want, safe)
-            q12 = A.apply_poly(q2)
+            q12 = star_product(q1, q2)
             assert _by_label(basis, op_of(basis, q12), safe) == \
                 _by_label(big, op_of(big, q12), safe)
+            assert _by_label(big, want, safe) == _by_label(big, op_of(big, q12), safe)
             if safe < D and _by_label(basis, lhs, safe + 1) != _by_label(big, want, safe + 1):
                 tight += 1
     assert tight
@@ -397,8 +397,8 @@ def test_compose_law_degree_agrees_with_a_larger_cutoff(n, D):
 @pytest.mark.parametrize("n,D", [(1, 4), (2, 3)])
 def test_compose_law_compares_exactly_up_to_its_degree(n, D, monkeypatch):
     """For each pair of the ledger's symbols, a wrong entry planted in
-    Op(Op(q1) q2) on a column of the compared degree makes the law fail,
-    and one on the next degree up, where there is one, does not."""
+    Op(q1 * q2) on a column of the compared degree makes the law fail, and
+    one on the next degree up, where there is one, does not."""
     basis = GradedBasis(n, D, FULL)
     op_of_unpatched = bargmann.op_of
     symbols = _ledger_symbols(n)
@@ -423,6 +423,31 @@ def test_compose_law_compares_exactly_up_to_its_degree(n, D, monkeypatch):
                 assert op_compose_law(basis, q1, q2) is holds, (q1, q2, degree)
                 assert len(calls) == 3
                 monkeypatch.undo()
+
+
+def test_compose_law_holds_where_the_truncated_product_loses_its_top_terms():
+    """At n = 1, D = 2, q1 = 3 zbar^2 - z^2 and q2 = 2z, the truncated Op(q1)
+    applied to q2 gives -12 zbar, while the twisted product is
+    -12 zbar + 6 z zbar^2: the law compares Op(q1) Op(q2) with the operator
+    of the twisted product, and it holds."""
+    basis = GradedBasis(1, 2, FULL)
+    q1 = PolyZZbar(1, {((0,), (2,)): 3, ((2,), (0,)): -1})
+    q2 = PolyZZbar(1, {((1,), (0,)): 2})
+    assert op_of(basis, q1).apply_poly(q2) == PolyZZbar(1, {((0,), (1,)): -12})
+    assert star_product(q1, q2) == PolyZZbar(1, {((0,), (1,)): -12, ((1,), (2,)): 6})
+    assert op_compose_law(basis, q1, q2)
+
+
+@pytest.mark.parametrize("n,D", [(1, 2), (1, 3), (1, 5), (2, 2), (2, 3)])
+def test_compose_law_holds_on_random_symbols(n, D):
+    # symbols of degree up to D + 1, so that their products reach past the
+    # cutoff
+    basis = GradedBasis(n, D, FULL)
+    rng = random.Random(100 * n + D)
+    symbols = [_random_full_poly(n, D + 1, rng, nterms=4) for _ in range(6)]
+    for q1 in symbols:
+        for q2 in symbols:
+            assert op_compose_law(basis, q1, q2), (q1, q2)
 
 
 def test_trace_law_value_at_origin():

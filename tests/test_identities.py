@@ -195,6 +195,26 @@ def test_symbol_map_fails_on_an_extra_coefficient(monkeypatch, n):
     assert failed == {"symbol_map", "star_order_report"}
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("plant", ["constant", "dropped term"])
+def test_a_wrong_twisted_product_fails_the_compose_law(monkeypatch, n, plant):
+    """The composition law compares Op(q1) Op(q2) with the operator of the
+    twisted product, so a twisted product with a unit constant added, or
+    with its last term dropped, fails it, and the star order probes too."""
+    true = bargmann.star_product
+
+    def wrong(u, v):
+        w = true(u, v)
+        if plant == "constant":
+            return w + PolyZZbar.constant(u.n)
+        *keep, _ = w.terms()
+        return PolyZZbar(u.n, dict(keep))
+
+    monkeypatch.setattr(bargmann, "star_product", wrong)
+    failed = {r["name"] for r in run_identity_checks(n, 4) if not r["passed"]}
+    assert failed == {"compose_law", "star_order_report"}
+
+
 @pytest.mark.parametrize("n,degree", [(1, 8), (2, 4)])
 def test_each_p_symbol_is_built_once_per_run(monkeypatch, n, degree):
     """The frames, symbol_map and diagonal_symbols read one table of

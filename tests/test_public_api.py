@@ -21,6 +21,12 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "landau_lab"
 ALLOWED = {
     "torus.DiscreteBundle.plaquette_phases":
         "gauge oracle: the bundle's plaquette holonomy is tested with it",
+    "torus.DiscreteBundle.derivatives":
+        "grid oracle: the sparse covariant derivatives that the ring-form "
+        "derivative chain and ladder are tested against",
+    "torus.TrigPoly.evaluate":
+        "grid oracle: a symbol on the tensor grid, for the grid-form "
+        "compressions that the ring forms are tested against",
     "fock.FockOperator.as_array":
         "dense view through which the exact algebra is tested against numpy",
     "surfaces.sphere_crosscheck":

@@ -146,6 +146,118 @@ def _sites_pointwise(b, f):
                for (p, q), c in f.coeffs.items()) + np.zeros(b.N ** 2)
 
 
+def _site_values(b, f):
+    """f at every site, in the site order p = i + N*j."""
+    return f.evaluate(b.xs, b.xs).ravel(order="F")
+
+
+def _grid_toeplitz_fn(proj, f):
+    """toeplitz_fn on the grid frame: V* (f V), sums over the N^2 sites."""
+    return proj.V.conj().T @ (_site_values(proj.bundle, f)[:, None] * proj.V)
+
+
+def _grid_toeplitz_der(proj, fields):
+    """toeplitz_der on the grid frame, through the bundle's sparse covariant
+    derivatives: per field, derivative matvec, then per-site weight."""
+    b, W = proj.bundle, proj.V
+    for vf in reversed(fields):
+        parts = [(D @ W) * _site_values(b, c)[:, None]
+                 for c, D in zip(vf, b.derivatives) if c.coeffs]
+        W = sum(parts[1:], parts[0]) if parts else np.zeros_like(W)
+    return proj.V.conj().T @ W / b.k ** (len(fields) // 2)
+
+
+def _grid_ladder(proj, W, m, sign):
+    """(cov_x + sign i cov_y)/sqrt(2) applied m times to the grid columns
+    of W, through the bundle's sparse covariant derivatives."""
+    dx, dy = proj.bundle.derivatives
+    for _ in range(m):
+        W = (dx @ W + sign * 1j * (dy @ W)) / math.sqrt(2)
+    return W
+
+
+# One translation class; four, and rings 1 and 3 without a reflection;
+# three, and rings 1 and 2 without one.
+RING_GRIDS = [(1, 4, 32), (1, 16, 20), (1, 9, 24)]
+
+
+def _relative(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("d,k,N", RING_GRIDS)
+def test_ring_compressions_match_the_grid_forms(d, k, N):
+    dec = resolve_levels(d, k, N, 2)
+    side = dec.bundle.geometry.side
+    f = TrigPoly.cos_x(side) + TrigPoly.sin_y(side).scale(0.3)
+    g = TrigPoly.sin_y(side) * TrigPoly.cos_x(side) + TrigPoly.cos_y(side)
+    # y-frequencies that cross the ring boundary more than once, both ways
+    far = TrigPoly(side, {(2, 5): 0.4, (-1, -3): 0.25j, (0, 7): 0.1, (1, -9): 0.2})
+    for m in range(3):
+        proj = dec.projector(m)
+        frame = proj.rings
+        # each ring vector is its grid column's y-mode amplitudes
+        for q in range(len(frame.V)):
+            modes = (q - k * d * np.arange(N // len(frame.V))) % N
+            for a, column in enumerate(frame.at[q]):
+                phi = np.zeros((N, N), dtype=complex)
+                phi[modes] = frame.V[q, :, a].reshape(len(modes), N)
+                psi = np.fft.ifft(phi, axis=0, norm="ortho").ravel()
+                assert np.max(np.abs(psi - proj.V[:, column])) < 1e-14
+        for s in (f, g, f * g, poisson_bracket(f, g), torus.b1_correction(f, g, m), far):
+            assert _relative(toeplitz_fn(proj, s), _grid_toeplitz_fn(proj, s)) < 1e-13
+        for fields in ([hamiltonian_vf(f), hamiltonian_vf(g)],
+                       [hamiltonian_vf(far), hamiltonian_vf(f * g)],
+                       [hamiltonian_vf(g), hamiltonian_vf(far), hamiltonian_vf(f),
+                        hamiltonian_vf(g)]):
+            got = torus.toeplitz_der(proj, fields)
+            assert _relative(got, _grid_toeplitz_der(proj, fields)) < 1e-13
+
+
+@pytest.mark.parametrize("d,k,N", RING_GRIDS)
+def test_ring_ladder_matches_the_grid_form(d, k, N):
+    # The map has norm near 1, and its defects and the angle are departures
+    # from that scale: each agrees with the grid form to 1e-13 of it.
+    dec = resolve_levels(d, k, N, 2)
+    for m in (1, 2):
+        p0, pm = dec.projector(0), dec.projector(m)
+        lowered = _grid_ladder(p0, pm.V, m, 1)
+        Vop = p0.V.conj().T @ lowered / (math.sqrt(math.factorial(m)) * k ** (m / 2))
+        eye = np.eye(len(Vop))
+        want = {"vtv_defect": np.linalg.norm(Vop.conj().T @ Vop - eye, 2),
+                "vvt_defect": np.linalg.norm(Vop @ Vop.conj().T - eye, 2),
+                "max_angle": torus._max_principal_angle(_grid_ladder(p0, p0.V, m, -1), pm.V)}
+        got = ladder_map(dec, m)
+        for key, value in want.items():
+            assert abs(got[key] - value) < 1e-13, (m, key)
+        assert np.linalg.norm(Vop, 2) < 1.5
+
+
+def test_spectrum_keeps_one_vector_array_per_class():
+    # (1, 16, 20): four rings in four classes; (1, 4, 32): four rings in one
+    # class, whose other rings get its vectors rolled when a frame is built
+    for d, k, N, classes in ((1, 16, 20, 4), (1, 4, 32, 1)):
+        dec = resolve_levels(d, k, N, 1)
+        assert sorted(dec.rings.vectors) == list(range(classes))
+        assert len(dec.rings.rings) == 4
+        assert torus._spectrum_bytes(dec) == (dec.vectors.nbytes + dec.eigenvalues.nbytes
+                                              + dec.rings.nbytes)
+        columns = np.concatenate([cols for _, _, cols in dec.rings.rings])
+        assert sorted(columns) == list(range(len(dec.eigenvalues)))
+
+
+def test_ring_frame_rejects_a_ring_with_the_wrong_share_of_a_cluster():
+    # ring 0 given ring 1's columns as well: it then holds two of level 1's
+    # four columns, where each of the four rings holds k*d/g = 1
+    dec = compute_spectrum(1, 4, 32, count=18)
+    (r, t, cols), other = dec.rings.rings[0], dec.rings.rings[1][2]
+    doubled = torus.RingVectors(dec.rings.vectors,
+                                [(r, t, np.r_[cols, other])] + dec.rings.rings[1:])
+    bad = dataclasses.replace(dec, rings=doubled)
+    with pytest.raises(GuardError, match="ring 0 holds 2 of the cluster's 4 columns"):
+        bad.projector(1).rings
+
+
 def test_toeplitz_der_matches_the_sparse_operator_chain():
     dec = compute_spectrum(1, 4, 32, count=18)
     proj = LandauProjector(dec, 1)
@@ -550,12 +662,15 @@ def test_lanczos_request_doubles_until_it_passes_the_cut(monkeypatch):
 
 def test_spectrum_cache_evicts_least_recently_used(monkeypatch):
     monkeypatch.setattr(torus, "_SPECTRUM_CACHE", {})
+    # 8 grid columns of 16^2 sites each, and the ring vectors of one ring
+    # of 256 sites at k = 5, larger than k = 4's and k = 6's
     small = compute_spectrum(1, 4, 16, count=8)
-    cap = 2 * torus._spectrum_bytes(small) + 1
+    middle = compute_spectrum(1, 5, 16, count=8)
+    cap = torus._spectrum_bytes(small) + torus._spectrum_bytes(middle)
     monkeypatch.setattr(torus, "SPECTRUM_CACHE_BYTES", cap)
-    compute_spectrum(1, 5, 16, count=8)  # same size: 8 columns of 16^2 sites
     assert compute_spectrum(1, 4, 16, count=8) is small  # now the most recent
-    compute_spectrum(1, 6, 16, count=8)  # evicts k = 5
+    last = compute_spectrum(1, 6, 16, count=8)  # evicts k = 5
+    assert torus._spectrum_bytes(last) <= torus._spectrum_bytes(middle)
     assert list(torus._SPECTRUM_CACHE) == [(1, 4, 16, 8), (1, 6, 16, 8)]
     assert sum(map(torus._spectrum_bytes, torus._SPECTRUM_CACHE.values())) <= cap
     monkeypatch.setattr(torus, "SPECTRUM_CACHE_BYTES", 1)
@@ -665,7 +780,7 @@ def test_trig_poly_evaluate_and_derivatives():
     # a bundle's site values follow its site order p = i + N*j
     b = DiscreteBundle(TorusGeometry(d=1), k=2, N=12)
     h = prod + f.scale(0.5j)
-    assert np.max(np.abs(b.site_values(h) - _sites_pointwise(b, h))) < 1e-12
+    assert np.max(np.abs(_site_values(b, h) - _sites_pointwise(b, h))) < 1e-12
 
 
 def test_poisson_bracket_formula():
