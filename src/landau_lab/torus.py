@@ -224,6 +224,16 @@ class DiscreteBundle:
             raise GuardError("laplacian lost hermiticity: %g" % herm)
         self._H = H
 
+    @cached_property
+    def ring_sines(self) -> np.ndarray:
+        """sin(theta_s) at the sites of each Landau-gauge ring
+        (`_ring_angles`), beside each of the k*d/g vectors that a ring holds
+        of every level, as (g, L, k*d/g): a ring frame's covariant
+        y-derivative is i/h times it.  Built on first use and kept as long
+        as the bundle, for all of its cluster frames."""
+        kd = self.k * self.geometry.d
+        return np.repeat(np.sin(_ring_angles(self))[:, :, None], kd // gcd(self.N, kd), axis=2)
+
     def site_index(self, i: int, j: int) -> int:
         return i % self.N + self.N * (j % self.N)
 
@@ -271,7 +281,7 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     vectors: np.ndarray
     residual_max: float
-    rings: RingVectors
+    ring_vectors: RingVectors
     solver: dict = field(default_factory=dict)
     # Cluster projectors by level; a replaced spectrum starts without any.
     _projectors: dict = field(default_factory=dict, init=False, repr=False,
@@ -286,21 +296,27 @@ class SpectralDecomposition:
         return proj
 
 
+def _ring_angles(bundle: DiscreteBundle) -> np.ndarray:
+    """theta_s = 2*pi*q0/N - 2*pi*k*d*s/N^2 at the sites s of each ring q0,
+    as (g, L): the y-link phase at s, whose cosine sets the ring's diagonal
+    and whose sine its covariant y-derivative."""
+    N, kd = bundle.N, bundle.k * bundle.geometry.d
+    g = gcd(N, kd)
+    return 2 * pi * np.arange(g)[:, None] / N - 2 * pi * kd * np.arange(N * N // g) / N ** 2
+
+
 def _harper_rings(bundle: DiscreteBundle):
     """The Landau-gauge rings of H, as (modes, diagonal) per ring.
 
     Ring q0 < g = gcd(N, k*d) visits the sites s = v*N + i <-> (i, modes[v])
     with modes[v] = (q0 - k*d*v) mod N.  Its diagonal is
-    c*(4 - 2*cos(2*pi*q0/N - 2*pi*k*d*s/N^2)) with c = 1/(2h^2), and its
+    c*(4 - 2*cos(theta_s)) (`_ring_angles`) with c = 1/(2h^2), and its
     hopping is -c, the link from s = L - 1 back to s = 0 included.
     """
     N, kd = bundle.N, bundle.k * bundle.geometry.d
     c = 1.0 / (2 * bundle.h ** 2)
-    g = gcd(N, kd)
-    s = np.arange(N * N // g)
-    for q0 in range(g):
-        yield ((q0 - kd * np.arange(N // g)) % N,
-               c * (4 - 2 * np.cos(2 * pi * q0 / N - 2 * pi * kd * s / N ** 2)))
+    for q0, theta in enumerate(_ring_angles(bundle)):
+        yield (q0 - kd * np.arange(len(theta) // N)) % N, c * (4 - 2 * np.cos(theta))
 
 
 def _ring_matrix(diag: np.ndarray, hop: float) -> sp.csc_matrix:
@@ -504,9 +520,11 @@ def lowest_spectrum(bundle: DiscreteBundle, count: int) -> SpectralDecomposition
     maps the vectors back to the grid, one length-N/g inverse FFT in y per
     ring, and checks every column against the real-space H as it writes
     it; that check does not use the symmetry, and its bound is
-    RESIDUAL_TOL times 4/h^2.  `solver` records the rings, the classes
-    solved, how many through a reflection, the shares and the residual
-    bound.
+    RESIDUAL_TOL times 4/h^2.  Beside the grid columns the spectrum keeps
+    its ring form (`RingVectors`): each representative's vectors up to the
+    largest share in its class, and each ring's roll and columns.  `solver`
+    records the rings, the classes solved, how many through a reflection,
+    the shares and the residual bound.
     """
     H = bundle.laplacian()
     N, kd = bundle.N, bundle.k * bundle.geometry.d
@@ -549,8 +567,8 @@ def lowest_spectrum(bundle: DiscreteBundle, count: int) -> SpectralDecomposition
             want[r] = min(2 * want[r], L - 1)
     owner = np.repeat(np.arange(g), [want[r] for r, _ in classes])
     shares = np.bincount(owner[lowest], minlength=g)
-    # Each representative's pairs up to the largest share in its class, as
-    # rows; a ring's vectors are rolled from them only for the transform.
+    # A ring's vectors are rolled from its representative's only for the
+    # transform.
     top = dict.fromkeys(reps, 0)
     for (r, _), n in zip(classes, shares):
         top[r] = max(top[r], int(n))
@@ -561,12 +579,12 @@ def lowest_spectrum(bundle: DiscreteBundle, count: int) -> SpectralDecomposition
     if resid > tol:
         raise GuardError("eigen-residual %g exceeds %g" % (resid, tol))
     starts = np.cumsum(np.r_[0, shares])
-    ring_form = RingVectors(rows, [(r, t, column[starts[q]:starts[q + 1]])
+    ring_vectors = RingVectors(rows, [(r, t, column[starts[q]:starts[q + 1]])
                                    for q, (r, t) in enumerate(classes)])
     solver = {"rings": g, "ring_sites": L, "classes": len(reps),
               "sectors": sum(centres[r] is not None for r in reps),
               "shares": [int(n) for n in shares], "residual_bound": tol}
-    return SpectralDecomposition(bundle, vals, vecs, resid, ring_form, solver)
+    return SpectralDecomposition(bundle, vals, vecs, resid, ring_vectors, solver)
 
 
 # Byte cap of the spectrum cache, which serves repeated requests for one
@@ -579,7 +597,7 @@ _SPECTRUM_CACHE: dict[tuple, SpectralDecomposition] = {}
 
 
 def _spectrum_bytes(dec: SpectralDecomposition) -> int:
-    return dec.vectors.nbytes + dec.eigenvalues.nbytes + dec.rings.nbytes
+    return dec.vectors.nbytes + dec.eigenvalues.nbytes + dec.ring_vectors.nbytes
 
 
 def compute_spectrum(d: int, k: int, N: int, count: int) -> SpectralDecomposition:
@@ -654,25 +672,17 @@ class RingFrame:
       - cov_x is the ring's nearest-neighbour difference (S - S^T)/2h, the
         wrap link from L - 1 to 0 included: the wrap column's phase steps
         the y-mode from mu to mu - k*d, which is the ring's next site;
-      - cov_y is i sin(theta_s)/h, theta_s the angle of the ring's diagonal
-        in `_harper_rings`.
+      - cov_y is i sin(theta_s)/h (`DiscreteBundle.ring_sines`).
     An image of the frame is a dict {Q: A}: A[q0] is the image of ring q0's
     vectors, in the coordinates of ring (q0 + Q) mod g, as a (g, L, k*d/g)
     array.
     """
 
     def __init__(self, bundle: DiscreteBundle, V: np.ndarray, at: np.ndarray):
-        N, kd = bundle.N, bundle.k * bundle.geometry.d
-        g, L, per = V.shape
         self.bundle, self.V, self.at = bundle, V, at
-        # sin(theta_s) beside every column, so that products with the frame
-        # run over whole rows
-        self.sin_theta = np.repeat(np.sin(2 * pi * np.arange(g)[:, None] / N
-                                          - 2 * pi * kd * np.arange(L) / N ** 2),
-                                   per, axis=1).reshape(V.shape)
         # delta for a y-shift that crosses once from ring g - 1 to ring 0,
         # k*d*delta = g (mod N); crossing w times steps w*delta (mod N/g).
-        self._step = _congruence(kd, g, N)
+        self._step = _congruence(bundle.k * bundle.geometry.d, len(V), bundle.N)
         # overlaps by y-shift mod N, at most N of them (`overlaps`)
         self._overlaps: dict = {}
 
@@ -729,7 +739,7 @@ class RingFrame:
 
     def cov_y(self, images: dict) -> dict:
         h = self.bundle.h
-        return {Q: A * self.sin_theta[self._rings_of(Q)] * (1j / h)
+        return {Q: A * self.bundle.ring_sines[self._rings_of(Q)] * (1j / h)
                 for Q, A in images.items()}
 
     def ladder(self, m: int, sign: int) -> np.ndarray:
@@ -740,7 +750,7 @@ class RingFrame:
         h, W = self.bundle.h, self.V
         for _ in range(m):
             W = ((np.roll(W, -1, axis=1) - np.roll(W, 1, axis=1)) / (2 * h)
-                 - sign / h * self.sin_theta * W) / sqrt(2)
+                 - sign / h * self.bundle.ring_sines * W) / sqrt(2)
         return W
 
     def assemble(self, blocks: dict) -> np.ndarray:
@@ -791,7 +801,7 @@ class LandauProjector:
         self.gram_defect = float(gram_defect)
         self.V = V
         self.bundle = dec.bundle
-        self._ring_vectors, self._first = dec.rings, int(first)
+        self._ring_vectors, self._first = dec.ring_vectors, int(first)
 
     @property
     def dim(self) -> int:

@@ -96,18 +96,20 @@ EPS = sys.float_info.epsilon
 def _frame_errors(doc, rows, k):
     """eta[m]: how far cluster m's frame of this run can lie from an
     orthonormal basis of the exact eigenspace, in the 2-norm, after the
-    best unitary rotation.  The frame's residual matrix has 2-norm at most
-    sqrt(n) r (r the report's largest residual at k), and its values lie
-    within sqrt(n) r of the exact ones (Kahan), so the exact spectrum
-    outside the cluster keeps a gap of at least delta - 2 sqrt(n) r from
-    them, delta being the computed one (every value below the top one is
-    computed, and the top one lies outside the cluster).  The sin-theta
-    theorem (Davis and Kahan, SIAM J. Numer. Anal. 7 (1970) 1) bounds the
-    largest angle by the residual over that gap, and a rotation then brings
-    the frame within sqrt(2) sin theta.  The transform of each column
-    (`torus._to_grid`: a length N/g FFT, a phase and a scale) adds at most
-    4 log2(N) eps per column (Higham, Accuracy and Stability of Numerical
-    Algorithms, 24.1), sqrt(n) times that over the frame."""
+    best unitary rotation.  The run's count orthonormal pairs at k have
+    residuals at most r (the report's largest), and they hold the count
+    lowest eigenvalues, so each exact one lies within sqrt(count) r of its
+    computed value (Kahan), and the exact spectrum outside cluster m keeps
+    a gap of at least delta - sqrt(count) r from the cluster's values,
+    delta being the computed gap (the top computed value lies outside every
+    reported cluster).  The cluster's residual matrix has 2-norm at most
+    sqrt(n) r, so the sin-theta theorem (Davis and Kahan, SIAM J. Numer.
+    Anal. 7 (1970) 1) bounds its largest angle by sqrt(n) r over that gap,
+    and a rotation then brings the frame within sqrt(2) sin theta.  The
+    transform of each column (`torus._to_grid`: a length-N/g FFT, a phase
+    and a scale) adds at most 4 log2(N) eps to it (Higham, Accuracy and
+    Stability of Numerical Algorithms, 24.1), sqrt(n) times that over the
+    frame."""
     N, r = doc["config"]["params"]["N"], doc["residuals"][k]
     vals = np.array([float(row[2]) for row in rows if row[0] == k])
     scaled = vals / int(k)
@@ -116,10 +118,9 @@ def _frame_errors(doc, rows, k):
         m, n = cl["m"], cl["count"]
         inside = (scaled >= m) & (scaled < m + 1)
         delta = float(np.min(np.abs(vals[~inside][:, None] - vals[inside])))
-        slack = delta - 2 * math.sqrt(n) * r
+        slack = delta - math.sqrt(len(vals)) * r
         assert slack > 0, (k, m)
-        eta[m] = math.sqrt(n) * (math.sqrt(2) * math.sqrt(n) * r / slack
-                                 + 4 * math.log2(N) * EPS)
+        eta[m] = math.sqrt(n) * (math.sqrt(2) * r / slack + 4 * math.log2(N) * EPS)
     return eta
 
 
@@ -165,10 +166,13 @@ def _check_observables(new, ref, new_rows, ref_rows):
     - The ladder's compressed map moves by at most c (eta_0 + eta_m), with
       c = (2/(k h^2))^(m/2)/sqrt(m!) the scaled norm of D^m, ||D|| <= sqrt(2)/h,
       and rounds by n N^2 eps c; vtv and vvt move by twice that times
-      ||Vop|| <= 1 + vtv.  The raised frame's span moves by c eta_0 over its
-      smallest scaled singular value, sqrt(1 - vtv), cluster m's by eta_m,
-      and the angle by those, by the rounding of S = U U* V - V and by the
-      Cholesky-QR frame's gram defect, at most torus._ORTHO_TOL.
+      ||Vop|| <= 1 + vtv.  The raised frame U = (D*)^m V_0 / sqrt(m! k^m)
+      (the raising derivative is -D*, the covariant derivatives being
+      anti-Hermitian) moves by c eta_0, and its span by that over its
+      smallest singular value, at least sqrt(1 - vtv) since V_m* U = Vop*;
+      cluster m's span moves by eta_m, and the angle by those, by the
+      rounding of S = U U* V - V and by the Cholesky-QR frame's gram
+      defect, at most torus._ORTHO_TOL.
     - The slopes move as `_slope_bounds` says for log D moving by at most
       the defect's bound over D.
     """

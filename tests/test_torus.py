@@ -238,11 +238,11 @@ def test_spectrum_keeps_one_vector_array_per_class():
     # class, whose other rings get its vectors rolled when a frame is built
     for d, k, N, classes in ((1, 16, 20, 4), (1, 4, 32, 1)):
         dec = resolve_levels(d, k, N, 1)
-        assert sorted(dec.rings.vectors) == list(range(classes))
-        assert len(dec.rings.rings) == 4
+        assert sorted(dec.ring_vectors.vectors) == list(range(classes))
+        assert len(dec.ring_vectors.rings) == 4
         assert torus._spectrum_bytes(dec) == (dec.vectors.nbytes + dec.eigenvalues.nbytes
-                                              + dec.rings.nbytes)
-        columns = np.concatenate([cols for _, _, cols in dec.rings.rings])
+                                              + dec.ring_vectors.nbytes)
+        columns = np.concatenate([cols for _, _, cols in dec.ring_vectors.rings])
         assert sorted(columns) == list(range(len(dec.eigenvalues)))
 
 
@@ -250,10 +250,10 @@ def test_ring_frame_rejects_a_ring_with_the_wrong_share_of_a_cluster():
     # ring 0 given ring 1's columns as well: it then holds two of level 1's
     # four columns, where each of the four rings holds k*d/g = 1
     dec = compute_spectrum(1, 4, 32, count=18)
-    (r, t, cols), other = dec.rings.rings[0], dec.rings.rings[1][2]
-    doubled = torus.RingVectors(dec.rings.vectors,
-                                [(r, t, np.r_[cols, other])] + dec.rings.rings[1:])
-    bad = dataclasses.replace(dec, rings=doubled)
+    (r, t, cols), other = dec.ring_vectors.rings[0], dec.ring_vectors.rings[1][2]
+    doubled = torus.RingVectors(dec.ring_vectors.vectors,
+                                [(r, t, np.r_[cols, other])] + dec.ring_vectors.rings[1:])
+    bad = dataclasses.replace(dec, ring_vectors=doubled)
     with pytest.raises(GuardError, match="ring 0 holds 2 of the cluster's 4 columns"):
         bad.projector(1).rings
 
