@@ -264,7 +264,8 @@ class RingVectors:
     ring q's (r, t, columns), its class representative r, the roll t with
     ring q's vectors at s equal to r's at s + t (mod L), and the grid
     columns its vectors became, in the ring's ascending order; `vectors[r]`
-    holds the representative's lowest pairs as (count, L) real rows."""
+    holds the representative's solved pairs, ascending, as (L, count) real
+    columns, at least as many as any ring of its class takes."""
 
     vectors: dict
     rings: list
@@ -420,10 +421,11 @@ def _to_grid(found, H, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, floa
     for modes, lam, vecs in found:
         q0, M, n_r = modes[0], len(modes), len(lam)
         # Complex before the transform: numpy's ifft of a real array is
-        # slower than the cast and the transform together.
+        # slower than the cast and the transform together.  The transform
+        # runs in place, so a ring holds one buffer, not two.
         b = np.empty((n_r, M, N), dtype=complex)
         b[:, (modes - q0) % N // (N // M)] = vecs.T.reshape(n_r, M, N)
-        b = np.fft.ifft(b, axis=1, norm="forward")
+        np.fft.ifft(b, axis=1, norm="forward", out=b)
         # (q0*j) % N keeps the phase's argument below 2 pi; phase[t, u] is
         # the phase at j = t*M + u.
         phase = np.exp(2j * pi * (q0 * np.arange(N) % N) / N).reshape(-1, M, 1) / sqrt(N)
@@ -521,8 +523,8 @@ def lowest_spectrum(bundle: DiscreteBundle, count: int) -> SpectralDecomposition
     ring, and checks every column against the real-space H as it writes
     it; that check does not use the symmetry, and its bound is
     RESIDUAL_TOL times 4/h^2.  Beside the grid columns the spectrum keeps
-    its ring form (`RingVectors`): each representative's vectors up to the
-    largest share in its class, and each ring's roll and columns.  `solver`
+    its ring form (`RingVectors`): each representative's solved vectors,
+    and each ring's roll and columns.  `solver`
     records the rings, the classes solved, how many through a reflection,
     the shares and the residual bound.
     """
@@ -569,18 +571,15 @@ def lowest_spectrum(bundle: DiscreteBundle, count: int) -> SpectralDecomposition
     shares = np.bincount(owner[lowest], minlength=g)
     # A ring's vectors are rolled from its representative's only for the
     # transform.
-    top = dict.fromkeys(reps, 0)
-    for (r, _), n in zip(classes, shares):
-        top[r] = max(top[r], int(n))
-    rows = {r: np.ascontiguousarray(solved[r][1][:, :n].T) for r, n in top.items()}
-    found = [(rings[q][0], solved[r][0][:n], np.roll(rows[r][:n], -t, axis=1).T)
+    found = [(rings[q][0], solved[r][0][:n], np.roll(solved[r][1][:, :n], -t, axis=0))
              for q, ((r, t), n) in enumerate(zip(classes, shares)) if n]
     vals, vecs, column, resid = _to_grid(found, H, N)
     if resid > tol:
         raise GuardError("eigen-residual %g exceeds %g" % (resid, tol))
     starts = np.cumsum(np.r_[0, shares])
-    ring_vectors = RingVectors(rows, [(r, t, column[starts[q]:starts[q + 1]])
-                                   for q, (r, t) in enumerate(classes)])
+    ring_vectors = RingVectors({r: solved[r][1] for r in reps},
+                               [(r, t, column[starts[q]:starts[q + 1]])
+                                for q, (r, t) in enumerate(classes)])
     solver = {"rings": g, "ring_sites": L, "classes": len(reps),
               "sectors": sum(centres[r] is not None for r in reps),
               "shares": [int(n) for n in shares], "residual_bound": tol}
@@ -823,7 +822,7 @@ class LandauProjector:
             if len(mine) != per:
                 raise GuardError("ring %d holds %d of the cluster's %d columns, "
                                  "not k*d/g = %d" % (q, len(mine), n, per))
-            V[q] = np.roll(spec.vectors[r][mine], -t, axis=1).T
+            V[q] = np.roll(spec.vectors[r][:, mine], -t, axis=0)
             at[q] = columns[mine] - self._first
         return RingFrame(b, V, at)
 
