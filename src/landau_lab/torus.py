@@ -139,13 +139,12 @@ class TrigPoly:
 
     def evaluate(self, xs, ys) -> np.ndarray:
         """Values on the tensor grid xs x ys, out[i, j] = f(xs[i], ys[j]):
-        per y-frequency, the outer product of its x-weight and its
-        exponential in y."""
-        ys = np.asarray(ys, dtype=float)
+        per term, the outer product of its exponentials in x and in y."""
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
         out = np.zeros((len(xs), len(ys)), dtype=complex)
         w = 2 * pi / self.side
-        for q, wx in self.x_weights(xs).items():
-            out += np.outer(wx, np.exp(1j * w * q * ys))
+        for (p, q), c in self.coeffs.items():
+            out += np.outer(c * np.exp(1j * w * p * xs), np.exp(1j * w * q * ys))
         return out
 
     def d_dx(self) -> "TrigPoly":
@@ -524,9 +523,9 @@ def lowest_spectrum(bundle: DiscreteBundle, count: int) -> SpectralDecomposition
     it; that check does not use the symmetry, and its bound is
     RESIDUAL_TOL times 4/h^2.  Beside the grid columns the spectrum keeps
     its ring form (`RingVectors`): each representative's solved vectors,
-    and each ring's roll and columns.  `solver`
-    records the rings, the classes solved, how many through a reflection,
-    the shares and the residual bound.
+    and each ring's roll and columns.  `solver` records the rings, the
+    classes solved, how many through a reflection, the shares and the
+    residual bound.
     """
     H = bundle.laplacian()
     N, kd = bundle.N, bundle.k * bundle.geometry.d
